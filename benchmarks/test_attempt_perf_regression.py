@@ -1,46 +1,23 @@
-"""Performance-regression gates for the attempt-stage engine.
+"""Work-saving gates for the pre-alignment profitability bound.
 
-Tier-2 + ``perf`` marked: these assert *timing* relationships, so they are
-excluded from the default (tier-1) run and should be exercised on a quiet
-machine::
+Tier-2 + ``perf`` marked, run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_attempt_perf_regression.py -m perf --no-header
 
-The margins are deliberately conservative (the measured warm batched
-alignment advantage at 600+ functions is ~8-9x; the gate asserts 2.5x) so
-scheduler noise on a loaded box does not produce false alarms, while a
-real regression — losing the plan cache, or breaking the scalar block
-keys — still trips them.  Identity assertions, by contrast, are exact:
-the engine must never change a decision to go faster.
+Identity assertions are exact: the bound must never change a decision to
+save work.  The alignment engine's decision identity with the pure
+aligner is tier 1 (``tests/alignment/test_batch_alignment.py``).
 """
 
 import pytest
 
-from repro.harness.profile import alignment_microbench, _merged_pairs
+from repro.harness.profile import _merged_pairs
 from repro.ir.printer import print_module
 from repro.merge.pass_ import FunctionMergingPass, PassConfig
 from repro.search.pairing import ExhaustiveRanker
 from repro.workloads import build_workload
 
 pytestmark = [pytest.mark.tier2, pytest.mark.perf]
-
-_SIZE = 600
-
-
-@pytest.fixture(scope="module")
-def functions():
-    return build_workload(_SIZE, "attemptgate").defined_functions()
-
-
-class TestBatchedAlignmentBeatsPure:
-    @pytest.mark.parametrize("strategy", ["linear", "nw"])
-    def test_warm_alignment_speedup(self, functions, strategy):
-        micro = alignment_microbench(functions, strategy=strategy, repeats=3)
-        # Decision identity first: speed means nothing if decisions drift.
-        assert micro["bit_identical"] is True
-        # Warm (steady-state: engine shared across attempts, remerge
-        # rounds and partitions, as the pass actually uses it).
-        assert micro["speedup_warm"] >= 2.5, micro
 
 
 class TestBoundSavesWorkWithoutChangingDecisions:

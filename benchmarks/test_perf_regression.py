@@ -1,22 +1,16 @@
-"""Performance-regression gates for the batched fingerprint engine.
+"""Effectiveness gates for the fingerprint cache.
 
-Tier-2 + ``perf`` marked: these assert *timing* relationships, so they are
-excluded from the default (tier-1) run and should be exercised on a quiet
-machine::
+Tier-2 + ``perf`` marked, run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_regression.py -m perf --no-header
 
-The margins are deliberately conservative (the measured batched-engine
-advantage at 500+ functions is ~4-6x; the gate asserts 2x) so scheduler
-noise on a loaded box does not produce false alarms, while a real
-regression — accidentally re-introducing per-function array round-trips —
-still trips them.
+The batched engine's bit-identity with the per-function reference path is
+tier 1 (``tests/fingerprint/test_batch.py``, ``tests/search/test_pairing.py``).
 """
 
 import pytest
 
 from repro.fingerprint import FingerprintCache, MinHashConfig, minhash_module
-from repro.harness.profile import fingerprint_microbench, profile_pass
 from repro.workloads import build_workload
 
 pytestmark = [pytest.mark.tier2, pytest.mark.perf]
@@ -29,19 +23,6 @@ def functions():
     return build_workload(_SIZE, "perfgate").defined_functions()
 
 
-class TestBatchedEngineBeatsPerFunction:
-    def test_preprocess_speedup(self, functions):
-        micro = fingerprint_microbench(functions, repeats=3)
-        assert micro["bit_identical"] is True
-        # Full engine (fingerprint + LSH index build): batched must beat the
-        # per-function path clearly, not marginally.
-        assert micro["speedup_preprocess"] >= 2.0, micro
-
-    def test_fingerprint_speedup(self, functions):
-        micro = fingerprint_microbench(functions, repeats=3)
-        assert micro["speedup_fingerprint"] >= 2.0, micro
-
-
 class TestCacheEffectiveness:
     def test_remerge_hits_cache(self, functions):
         cache = FingerprintCache()
@@ -52,15 +33,3 @@ class TestCacheEffectiveness:
         minhash_module(functions, config, cache=cache)
         assert cache.stats.hits > before
         assert cache.stats.hit_rate > 0
-
-
-class TestDecisionEquivalence:
-    def test_merge_decisions_identical(self):
-        _, batched = profile_pass(build_workload(_SIZE, "perfgate-eq"), "f3m")
-        _, loop = profile_pass(
-            build_workload(_SIZE, "perfgate-eq"), "f3m", batched=False
-        )
-        assert batched.merges == loop.merges
-        assert [
-            (a.function, a.candidate, str(a.outcome)) for a in batched.attempts
-        ] == [(a.function, a.candidate, str(a.outcome)) for a in loop.attempts]

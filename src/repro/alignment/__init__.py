@@ -9,7 +9,6 @@ from .batch import (
 )
 from .cache import AlignmentCache, AlignmentCacheStats, PlanCache, block_key
 from .hyfm_blocks import (
-    BlockFingerprintMemo,
     align_blocks_linear,
     align_blocks_nw,
     align_functions,
@@ -37,7 +36,6 @@ __all__ = [
     "BatchAlignmentEngine",
     "block_key",
     "BlockAlignment",
-    "BlockFingerprintMemo",
     "EncodedRatioScorer",
     "FunctionAlignment",
     "InstructionInterner",

@@ -13,10 +13,10 @@ strategy" (paper Section V).  We reproduce both steps:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..analysis.linearizer import linearize_blocks
-from ..fingerprint.opcode_freq import OpcodeFingerprint, fingerprint_block
+from ..fingerprint.opcode_freq import fingerprint_block
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Instruction
@@ -27,59 +27,7 @@ __all__ = [
     "align_blocks_linear",
     "align_blocks_nw",
     "align_functions",
-    "BlockFingerprintMemo",
 ]
-
-
-class BlockFingerprintMemo:
-    """Per-block :func:`fingerprint_block` memo for greedy block pairing.
-
-    One function participates in many attempts before it is consumed (every
-    time the ranker proposes it, and once per remerge round), and block
-    fingerprints only depend on the block's instructions.  The memo keeps a
-    strong reference to each block, so a block object can never be
-    garbage-collected and have its ``id`` reused while an entry is live;
-    callers invalidate blocks whose instructions were mutated in place
-    (committed merges rewrite call sites inside caller blocks).
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[int, Tuple[BasicBlock, OpcodeFingerprint]] = {}
-        # id(function) -> (function, ids of its memoized blocks).  Recorded at
-        # memoization time, so invalidation also reaches blocks the function
-        # no longer owns (a thunked original drops its old body).
-        self._by_func: Dict[int, Tuple[Function, set]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, block: BasicBlock) -> OpcodeFingerprint:
-        entry = self._entries.get(id(block))
-        if entry is not None:
-            return entry[1]
-        fp = fingerprint_block(block)
-        self._entries[id(block)] = (block, fp)
-        func = block.parent
-        if func is not None:
-            owned = self._by_func.get(id(func))
-            if owned is None:
-                self._by_func[id(func)] = (func, {id(block)})
-            else:
-                owned[1].add(id(block))
-        return fp
-
-    def invalidate_block(self, block: BasicBlock) -> None:
-        self._entries.pop(id(block), None)
-
-    def invalidate_function(self, func: Function) -> None:
-        owned = self._by_func.pop(id(func), None)
-        if owned is not None:
-            for bid in owned[1]:
-                self._entries.pop(bid, None)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._by_func.clear()
 
 
 def _body(block: BasicBlock) -> List[Instruction]:
@@ -161,7 +109,6 @@ def align_functions(
     func_b: Function,
     strategy: str = "linear",
     min_block_similarity: float = 0.0,
-    fp_memo: Optional[BlockFingerprintMemo] = None,
 ) -> FunctionAlignment:
     """Pair up blocks of two functions and align each pair.
 
@@ -169,9 +116,6 @@ def align_functions(
     fingerprint similarity, and the best-scoring compatible pairs win.
     Blocks whose best partner shares nothing stay unmatched and will be
     copied into the merged function guarded by the function id.
-
-    ``fp_memo`` shares block fingerprints across calls, so a function that
-    is scored against many candidates fingerprints its blocks once.
     """
     if strategy not in ("linear", "nw"):
         raise ValueError(f"unknown alignment strategy {strategy!r}")
@@ -179,12 +123,8 @@ def align_functions(
 
     blocks_a = linearize_blocks(func_a)
     blocks_b = linearize_blocks(func_b)
-    if fp_memo is not None:
-        fps_a = [fp_memo.get(b) for b in blocks_a]
-        fps_b = [fp_memo.get(b) for b in blocks_b]
-    else:
-        fps_a = [fingerprint_block(b) for b in blocks_a]
-        fps_b = [fingerprint_block(b) for b in blocks_b]
+    fps_a = [fingerprint_block(b) for b in blocks_a]
+    fps_b = [fingerprint_block(b) for b in blocks_b]
 
     scored: List[Tuple[float, int, int]] = []
     for i, fa in enumerate(fps_a):

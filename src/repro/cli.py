@@ -384,7 +384,7 @@ def _write_bench_manifest(
     from .obs.manifest import RunManifest, git_revision
 
     largest = rows[-1] if rows else {}
-    profile_row = largest.get("f3m_profile") or largest.get("f3m-batched") or {}
+    profile_row = largest.get("f3m_profile") or largest.get("f3m") or {}
     stages = {
         key[len("stage_") :]: value
         for key, value in profile_row.items()
@@ -512,10 +512,7 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
         if output == "BENCH_f3m_perf.json":  # default untouched: attempt name
             output = "BENCH_attempt_perf.json"
         rows, metadata = run_attempt_bench(
-            sizes=sizes,
-            repeats=args.repeats,
-            workload=args.workload,
-            micro_repeats=args.micro_repeats,
+            sizes=sizes, repeats=args.repeats, workload=args.workload
         )
         write_bench_json(output, "attempt_perf", rows, metadata)
         if args.manifest:
@@ -524,10 +521,6 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
         print(f"wrote {output}")
         print(
             f"largest size {headline['size']}: "
-            f"{headline['alignment_speedup']:.2f}x batched-vs-pure alignment "
-            f"(nw {headline['alignment_speedup_nw']:.2f}x), "
-            f"bit_identical={headline['alignment_bit_identical']}, "
-            f"engine_identical={headline['engine_identical']}, "
             f"bounded_identical={headline['bounded_identical']}, "
             f"cached_identical={headline['cached_identical']}, "
             f"sweep_identical={headline['sweep_digest_identical']}, "
@@ -535,11 +528,7 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
         )
         return 0
     rows, metadata = run_perf_bench(
-        sizes=sizes,
-        repeats=args.repeats,
-        workload=args.workload,
-        workers=args.workers,
-        micro_repeats=args.micro_repeats,
+        sizes=sizes, repeats=args.repeats, workload=args.workload, workers=args.workers
     )
     write_bench_json(args.output, "f3m_perf", rows, metadata)
     if args.manifest:
@@ -548,9 +537,7 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
     print(f"wrote {args.output}")
     print(
         f"largest size {headline['size']}: "
-        f"{headline['fingerprint_speedup']:.2f}x batched-engine speedup, "
-        f"bit_identical={headline['bit_identical']}, "
-        f"decisions_identical={headline['decisions_identical']}"
+        f"F3M runs at {headline['speedup_vs_hyfm']:.2f}x HyFM's speed"
     )
     return 0
 
@@ -643,7 +630,6 @@ def _serve_config_from_args(args: argparse.Namespace):
         threshold=args.threshold,
         alignment=args.alignment,
         verify=not args.no_verify,
-        shards=args.shards,
         compact_ratio=compact_ratio,
         max_functions=args.max_functions,
         result_cache_size=args.result_cache_size,
@@ -854,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_perf = sub.add_parser(
         "bench-perf",
-        help="batched-vs-per-function fingerprint engine benchmark",
+        help="HyFM vs F3M pipeline profile benchmark",
     )
     p_perf.add_argument(
         "--sizes",
@@ -862,12 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated workload sizes (functions per module)",
     )
     p_perf.add_argument("--repeats", type=int, default=3, help="best-of-N timing runs")
-    p_perf.add_argument(
-        "--micro-repeats",
-        type=int,
-        default=None,
-        help="best-of-N for the fingerprint microbench alone (default: --repeats)",
-    )
     p_perf.add_argument("--workload", default="perf", help="workload family name")
     p_perf.add_argument(
         "--workers",
@@ -879,8 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--attempts",
         action="store_true",
         help=(
-            "run the attempt-stage suite instead: batched-vs-pure alignment, "
-            "pre-alignment bound, cache and partition-sweep equivalence "
+            "run the attempt-stage suite instead: pre-alignment bound, "
+            "cache and partition-sweep equivalence "
             "(default sizes 200,600,2000 -> BENCH_attempt_perf.json)"
         ),
     )
@@ -1034,9 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--alignment", choices=["linear", "nw"], default="linear"
     )
     p_serve.add_argument("--no-verify", action="store_true")
-    p_serve.add_argument(
-        "--shards", type=int, default=1, help="band-shard the corpus index"
-    )
     p_serve.add_argument(
         "--compact-ratio",
         default="0.5",

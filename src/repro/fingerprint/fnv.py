@@ -86,9 +86,10 @@ def fnv1a_32_array_u32(values: "np.ndarray") -> "np.ndarray":
 
     The hash state is a 32-bit value throughout, so uint32 wraparound
     multiplication replaces the explicit ``& 0xFFFFFFFF`` masking and the
-    arrays move half the memory.  Only the batched engine calls this — the
-    per-function reference path keeps the original implementation so the
-    perf bench compares against the pre-batching engine as it was.
+    arrays move half the memory.  The batched engine and the LSH band keys
+    hash with this; :class:`~repro.fingerprint.minhash.MinHashFingerprint`
+    keeps the original implementation, the reference the tests compare
+    against.
     """
     values = np.asarray(values)
     if values.dtype != np.uint32:

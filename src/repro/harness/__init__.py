@@ -5,7 +5,6 @@ from .profile import (
     DEFAULT_SCALE_SIZES,
     PERF_STAGES,
     PipelineProfile,
-    fingerprint_microbench,
     profile_pass,
     run_perf_bench,
     run_scale_bench,
@@ -30,7 +29,6 @@ __all__ = [
     "DEFAULT_SCALE_SIZES",
     "PERF_STAGES",
     "PipelineProfile",
-    "fingerprint_microbench",
     "profile_pass",
     "run_perf_bench",
     "run_scale_bench",

@@ -8,14 +8,11 @@ Two layers:
   :class:`PipelineProfile` — wall-clock total and per-stage seconds for
   fingerprint / index / rank / align / codegen / staticcheck / validate / oracle /
   commit.
-* :func:`fingerprint_microbench` and :func:`run_perf_bench` drive the
-  batched-vs-per-function comparison the PR's headline claim rests on:
-  identical fingerprints, identical merge decisions, and the speedup of the
-  batched engine (module-wide vectorized MinHash + bulk LSH insertion,
-  :func:`repro.fingerprint.batch.minhash_module` +
-  :meth:`LSHIndex.insert_batch`) over the per-function reference path
-  (``minhash_function`` + ``LSHIndex.insert`` per function).  ``repro
-  bench-perf`` emits the result as ``BENCH_f3m_perf.json``.
+* :func:`run_perf_bench` profiles HyFM, F3M and F3M adaptive on the same
+  workloads and reports HyFM's pass time over F3M's (``speedup_vs_hyfm``);
+  ``repro bench-perf`` emits the result as ``BENCH_f3m_perf.json``.
+  :func:`run_attempt_bench` checks the attempt-stage engine's identity and
+  soundness flags (``BENCH_attempt_perf.json``).
 
 Timings take the best of ``repeats`` runs — on a noisy shared box the
 minimum is the stable estimator of the actual cost.
@@ -29,13 +26,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..fingerprint.batch import encode_module, minhash_encoded_batch, minhash_module
+from ..fingerprint.batch import minhash_module
 from ..fingerprint.cache import FingerprintCache
-from ..fingerprint.encoding import EncodingOptions
-from ..fingerprint.minhash import MinHashConfig, minhash_function
-from ..ir.function import Function
+from ..fingerprint.minhash import MinHashConfig
 from ..ir.module import Module
 from ..merge.pass_ import FunctionMergingPass, PassConfig
 from ..merge.report import MergeReport
@@ -49,8 +42,6 @@ from .scale import DEFAULT_SCALE_SIZES, run_scale_bench  # noqa: F401  (re-expor
 __all__ = [
     "PipelineProfile",
     "profile_pass",
-    "fingerprint_microbench",
-    "alignment_microbench",
     "run_perf_bench",
     "run_attempt_bench",
     "run_scale_bench",
@@ -112,9 +103,8 @@ def profile_from_report(report: MergeReport, ranker=None) -> PipelineProfile:
     """Fold a finished pass report into a :class:`PipelineProfile`.
 
     The preprocess total splits into fingerprint/index when the ranker
-    tracked the split (the batched path does); otherwise it all counts as
-    fingerprinting — for the per-function path the two are interleaved and
-    inseparable.
+    tracked the split (the F3M ranker does); otherwise it all counts as
+    fingerprinting.
     """
     breakdown = dict(ranker.preprocess_breakdown) if ranker is not None else {}
     stages = {
@@ -154,7 +144,7 @@ def profile_pass(
     """Run one merging configuration over *module* and profile it.
 
     Mutates *module* (it runs the real pass).  Keyword arguments go to the
-    ranker factory, e.g. ``batched=False`` or ``cache=FingerprintCache()``.
+    ranker factory, e.g. ``cache=FingerprintCache()``.
     """
     ranker = make_ranker(strategy, **ranker_kwargs)
     pass_ = FunctionMergingPass(ranker, pass_config or PassConfig(verify=False))
@@ -163,7 +153,7 @@ def profile_pass(
 
 
 # ---------------------------------------------------------------------------
-# Batched-vs-per-function microbenchmark
+# The bench-perf suites
 # ---------------------------------------------------------------------------
 
 
@@ -172,8 +162,7 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
 
     Collecting before each rep and disabling the collector inside the timed
     region (standard benchmarking hygiene, cf. pyperf) keeps one run's
-    garbage from being charged to the next; both engines are measured under
-    the same rules.
+    garbage from being charged to the next.
     """
     return _best_of_paired({"t": fn}, repeats)["t"]
 
@@ -206,199 +195,6 @@ def _best_of_paired(
     return best
 
 
-def fingerprint_microbench(
-    functions: Sequence[Function],
-    config: Optional[MinHashConfig] = None,
-    encoding: Optional[EncodingOptions] = None,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Timing + bit-identity of the batched engine vs the reference path.
-
-    Three comparison levels, all over the same functions:
-
-    * ``minhash`` — hashing alone, from already-encoded streams;
-    * ``fingerprint`` — encode + hash (``minhash_module`` vs a
-      ``minhash_function`` loop);
-    * ``preprocess`` — the full engine: fingerprint + LSH index build
-      (``MinHashLSHRanker`` batched vs per-function).  This is the path the
-      merging pass actually runs, and the headline speedup.
-    """
-    config = config or MinHashConfig()
-    encoding = encoding or EncodingOptions()
-    functions = list(functions)
-
-    flat, lens = encode_module(functions, encoding)
-
-    def _preprocess(batched: bool):
-        ranker = make_ranker("f3m", config=config, encoding=encoding, batched=batched)
-        ranker.preprocess(functions)
-        return ranker
-
-    timings = _best_of_paired(
-        {
-            "minhash_batch": lambda: minhash_encoded_batch(flat, lens, config),
-            "fp_batch": lambda: minhash_module(functions, config, encoding),
-            "fp_loop": lambda: [minhash_function(f, config, encoding) for f in functions],
-            "pre_batch": lambda: _preprocess(True),
-            "pre_loop": lambda: _preprocess(False),
-        },
-        repeats,
-    )
-    t_minhash_batch = timings["minhash_batch"]
-    t_fp_batch = timings["fp_batch"]
-    t_fp_loop = timings["fp_loop"]
-    t_pre_batch = timings["pre_batch"]
-    t_pre_loop = timings["pre_loop"]
-
-    batched_fps = minhash_module(functions, config, encoding)
-    loop_fps = [minhash_function(f, config, encoding) for f in functions]
-    identical = all(
-        np.array_equal(a.values, b.values) and a.num_shingles == b.num_shingles
-        for a, b in zip(batched_fps, loop_fps)
-    )
-
-    return {
-        "functions": len(functions),
-        "instructions": int(lens.sum()),
-        "minhash_batched_s": t_minhash_batch,
-        "fingerprint_batched_s": t_fp_batch,
-        "fingerprint_per_function_s": t_fp_loop,
-        "preprocess_batched_s": t_pre_batch,
-        "preprocess_per_function_s": t_pre_loop,
-        "speedup_fingerprint": t_fp_loop / t_fp_batch if t_fp_batch > 0 else 0.0,
-        "speedup_preprocess": t_pre_loop / t_pre_batch if t_pre_batch > 0 else 0.0,
-        "bit_identical": bool(identical),
-    }
-
-
-# ---------------------------------------------------------------------------
-# The bench-perf suite
-# ---------------------------------------------------------------------------
-
-
-def _decisions(report: MergeReport) -> List[Tuple[str, Optional[str], str]]:
-    """The merge decisions of a run, in a comparable shape."""
-    return [(a.function, a.candidate, str(a.outcome)) for a in report.attempts]
-
-
-# ---------------------------------------------------------------------------
-# Attempt-stage benchmark: vectorized alignment engine vs pure aligners
-# ---------------------------------------------------------------------------
-
-
-def _alignment_shape(alignment) -> Tuple:
-    """A :class:`FunctionAlignment` reduced to comparable indices.
-
-    Blocks and instructions are identified by their position within their
-    function (local value names may be empty for void instructions), so
-    two alignments of the same function pair compare equal exactly when
-    they made the same decisions.
-    """
-    from ..alignment.model import SharedSegment
-
-    block_index_a = {id(b): k for k, b in enumerate(alignment.function_a.blocks)}
-    block_index_b = {id(b): k for k, b in enumerate(alignment.function_b.blocks)}
-    inst_index_a = {
-        id(inst): k for k, inst in enumerate(alignment.function_a.instructions())
-    }
-    inst_index_b = {
-        id(inst): k for k, inst in enumerate(alignment.function_b.instructions())
-    }
-    pairs = []
-    for pair in alignment.block_pairs:
-        segments = []
-        for seg in pair.segments:
-            if isinstance(seg, SharedSegment):
-                segments.append(
-                    ("S", tuple((inst_index_a[id(x)], inst_index_b[id(y)]) for x, y in seg.pairs))
-                )
-            else:
-                segments.append(
-                    (
-                        "P",
-                        tuple(inst_index_a[id(x)] for x in seg.left),
-                        tuple(inst_index_b[id(y)] for y in seg.right),
-                    )
-                )
-        pairs.append(
-            (block_index_a[id(pair.block_a)], block_index_b[id(pair.block_b)], tuple(segments))
-        )
-    return (
-        tuple(pairs),
-        tuple(block_index_a[id(b)] for b in alignment.unmatched_a),
-        tuple(block_index_b[id(b)] for b in alignment.unmatched_b),
-    )
-
-
-def alignment_microbench(
-    functions: Sequence[Function],
-    strategy: str = "linear",
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Timing + bit-identity of the batched alignment engine vs the pure path.
-
-    Aligns every consecutive function pair three ways, interleaved:
-
-    * ``pure`` — :func:`repro.alignment.hyfm_blocks.align_functions`,
-      exactly what the pass runs with ``batch_alignment=False`` (minus its
-      block-fingerprint memo, which only lives inside a pass);
-    * ``cold`` — a fresh :class:`BatchAlignmentEngine` per repeat, paying
-      encoding, content keys and cache fills;
-    * ``warm`` — one persistent engine, the steady state the merging pass
-      actually sees (the engine is shared across all attempts of a pass,
-      remerge rounds and partition passes), where the plan cache replays
-      whole function-pair decisions.
-
-    The headline speedup is ``pure / warm``; ``pure / cold`` shows the
-    one-time content-registration overhead.
-    """
-    from ..alignment.batch import BatchAlignmentEngine
-    from ..alignment.hyfm_blocks import align_functions as pure_align
-
-    functions = list(functions)
-    pairs = [(functions[i], functions[i + 1]) for i in range(len(functions) - 1)]
-
-    def run_pure():
-        return [pure_align(a, b, strategy=strategy) for a, b in pairs]
-
-    def run_cold():
-        engine = BatchAlignmentEngine(strategy=strategy)
-        return [engine.align_functions(a, b) for a, b in pairs]
-
-    warm_engine = BatchAlignmentEngine(strategy=strategy)
-
-    def run_warm():
-        return [warm_engine.align_functions(a, b) for a, b in pairs]
-
-    run_warm()  # populate memos + caches; timed reps hit the plan cache
-
-    timings = _best_of_paired(
-        {"pure": run_pure, "cold": run_cold, "warm": run_warm}, repeats
-    )
-
-    pure_alignments = run_pure()
-    cold_alignments = run_cold()
-    warm_alignments = run_warm()
-    identical = all(
-        _alignment_shape(p) == _alignment_shape(c) == _alignment_shape(w)
-        for p, c, w in zip(pure_alignments, cold_alignments, warm_alignments)
-    )
-
-    return {
-        "strategy": strategy,
-        "functions": len(functions),
-        "pairs": len(pairs),
-        "pure_s": timings["pure"],
-        "engine_cold_s": timings["cold"],
-        "engine_warm_s": timings["warm"],
-        "speedup_cold": timings["pure"] / timings["cold"] if timings["cold"] > 0 else 0.0,
-        "speedup_warm": timings["pure"] / timings["warm"] if timings["warm"] > 0 else 0.0,
-        "bit_identical": bool(identical),
-        "plan_cache": warm_engine.plans.stats.to_dict(),
-        "block_cache": warm_engine.cache.stats.to_dict(),
-    }
-
-
 def _merged_pairs(report: MergeReport) -> set:
     return {
         (a.function, a.candidate) for a in report.attempts if a.outcome == "merged"
@@ -409,32 +205,26 @@ def run_attempt_bench(
     sizes: Sequence[int] = (200, 600, 2000),
     repeats: int = 3,
     workload: str = "perf",
-    micro_repeats: Optional[int] = None,
     sweep_partitions: int = 4,
 ) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
     """The ``bench-perf --attempts`` suite for ``BENCH_attempt_perf.json``.
 
     Per workload size:
 
-    * the alignment microbenchmark (pure vs engine, linear and NW), the
-      headline batched-vs-pure alignment speedup;
-    * end-to-end equivalence checks on the full pass — engine vs pure
-      path, bounded vs unbounded, cold vs prewarmed engine — each
-      comparing the final printed module bit-for-bit;
+    * end-to-end equivalence checks on the full pass — bounded vs
+      unbounded, cold vs prewarmed engine — each comparing the final
+      printed module bit-for-bit;
     * bound soundness: the pairs ``rejected_bound`` skipped, intersected
       with the pairs the *unbounded* pipeline merged (must be empty);
     * a serial-vs-parallel :func:`repro.merge.partitioned.partition_sweep`
       digest comparison;
-    * a profiled bounded+batched pass with the bound/align/codegen stage
-      split.
+    * a profiled pass with the bound/align/codegen stage split.
     """
     from ..alignment.batch import BatchAlignmentEngine
     from ..ir.printer import print_module
     from ..merge.partitioned import partition_sweep
     from ..workloads.suites import build_workload
 
-    if micro_repeats is None:
-        micro_repeats = repeats
     rows: List[Dict[str, object]] = []
     headline: Dict[str, object] = {}
     for size in sizes:
@@ -442,17 +232,7 @@ def run_attempt_bench(
         def fresh() -> Module:
             return build_workload(size, workload)
 
-        module = fresh()
-        functions = module.defined_functions()
-        micro = {
-            strategy: alignment_microbench(functions, strategy, micro_repeats)
-            for strategy in ("linear", "nw")
-        }
-        row: Dict[str, object] = {
-            "workload": workload,
-            "size": size,
-            "alignment_micro": micro,
-        }
+        row: Dict[str, object] = {"workload": workload, "size": size}
 
         def run_pass(config: PassConfig, engine=None) -> Tuple[str, MergeReport]:
             mod = fresh()
@@ -461,35 +241,24 @@ def run_attempt_bench(
             report = pass_.run(mod)
             return print_module(mod), report
 
-        # Engine vs pure path (bound off on both sides so the attempt
-        # streams match attempt-for-attempt).
-        text_engine, rep_engine = run_pass(
-            PassConfig(verify=False, prealign_bound=False, batch_alignment=True)
-        )
-        text_pure, rep_pure = run_pass(
-            PassConfig(verify=False, prealign_bound=False, batch_alignment=False)
-        )
-        row["engine_identical"] = (
-            text_engine == text_pure and _decisions(rep_engine) == _decisions(rep_pure)
-        )
-
         # Bounded vs unbounded: same merges, same final module, and the
         # bound never rejects a pair the unbounded pipeline merged.
-        text_bound, rep_bound = run_pass(
-            PassConfig(verify=False, prealign_bound=True, batch_alignment=True)
+        text_unbound, rep_unbound = run_pass(
+            PassConfig(verify=False, prealign_bound=False)
         )
+        text_bound, rep_bound = run_pass(PassConfig(verify=False))
         rejected = {
             (a.function, a.candidate)
             for a in rep_bound.attempts
             if a.outcome == "rejected_bound"
         }
-        row["bounded_identical"] = text_bound == text_engine
+        row["bounded_identical"] = text_bound == text_unbound
         row["rejected_bound"] = len(rejected)
         row["bound_unsound_rejections"] = sorted(
-            rejected & _merged_pairs(rep_engine)
+            rejected & _merged_pairs(rep_unbound)
         )
         row["attempted_alignments_unbounded"] = sum(
-            1 for a in rep_engine.attempts if a.align_time > 0.0
+            1 for a in rep_unbound.attempts if a.align_time > 0.0
         )
         row["attempted_alignments_bounded"] = sum(
             1 for a in rep_bound.attempts if a.align_time > 0.0
@@ -499,11 +268,9 @@ def run_attempt_bench(
         # identical module must produce a bit-identical module (the cache
         # hit path changes nothing but time).
         warm_engine = BatchAlignmentEngine()
-        run_pass(PassConfig(verify=False, batch_alignment=True), engine=warm_engine)
+        run_pass(PassConfig(verify=False), engine=warm_engine)
         hits_before = warm_engine.cache.stats.hits + warm_engine.plans.stats.hits
-        text_cached, _rep_cached = run_pass(
-            PassConfig(verify=False, batch_alignment=True), engine=warm_engine
-        )
+        text_cached, _rep_cached = run_pass(PassConfig(verify=False), engine=warm_engine)
         hits_after = warm_engine.cache.stats.hits + warm_engine.plans.stats.hits
         row["cached_identical"] = text_cached == text_bound
         row["cache_hits_during_warm_run"] = hits_after - hits_before
@@ -519,23 +286,12 @@ def run_attempt_bench(
         row["sweep_serial_s"] = serial.total_time
         row["sweep_parallel_s"] = parallel.total_time
 
-        # Stage split of the production configuration (bounded + batched).
-        best_profile: Optional[PipelineProfile] = None
-        for _ in range(max(1, repeats)):
-            mod = fresh()
-            profile, _report = profile_pass(mod, "f3m")
-            if best_profile is None or profile.total_time < best_profile.total_time:
-                best_profile = profile
-        row["f3m_profile"] = best_profile.to_row()
+        # Stage split of the production configuration.
+        row["f3m_profile"] = _best_profile(fresh, "f3m", repeats).to_row()
 
         rows.append(row)
         headline = {
             "size": size,
-            "alignment_speedup": micro["linear"]["speedup_warm"],
-            "alignment_speedup_nw": micro["nw"]["speedup_warm"],
-            "alignment_bit_identical": micro["linear"]["bit_identical"]
-            and micro["nw"]["bit_identical"],
-            "engine_identical": row["engine_identical"],
             "bounded_identical": row["bounded_identical"],
             "cached_identical": row["cached_identical"],
             "sweep_digest_identical": row["sweep_digest_identical"],
@@ -545,20 +301,23 @@ def run_attempt_bench(
     metadata: Dict[str, object] = {
         "workload": workload,
         "repeats": repeats,
-        "micro_repeats": micro_repeats,
         "sweep_partitions": sweep_partitions,
         "cpu_count": os.cpu_count(),
         "headline": headline,
-        "alignment_speedup_definition": (
-            "pure align_functions time / warm BatchAlignmentEngine time over "
-            "all consecutive function pairs at the largest size, best of "
-            "`micro_repeats` interleaved runs; warm is the engine's steady "
-            "state in the pass (shared across attempts, remerge rounds and "
-            "partition passes), speedup_cold in alignment_micro isolates "
-            "first-contact cost including encoding and cache fills"
-        ),
     }
     return rows, metadata
+
+
+def _best_profile(
+    fresh: Callable[[], Module], strategy: str, repeats: int
+) -> PipelineProfile:
+    """The fastest of ``repeats`` profiled passes, each on a fresh module."""
+    best: Optional[PipelineProfile] = None
+    for _ in range(max(1, repeats)):
+        profile, _report = profile_pass(fresh(), strategy)
+        if best is None or profile.total_time < best.total_time:
+            best = profile
+    return best
 
 
 def run_perf_bench(
@@ -566,58 +325,35 @@ def run_perf_bench(
     repeats: int = 3,
     workload: str = "perf",
     workers: Optional[int] = None,
-    micro_repeats: Optional[int] = None,
 ) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
     """The ``bench-perf`` suite: rows + metadata for ``BENCH_f3m_perf.json``.
 
-    Per workload size: the fingerprint microbenchmark, profiled pass runs
-    for ExhaustiveRanker (HyFM), F3M per-function (static config, the
-    pre-batching engine), F3M batched and F3M adaptive, a cached remerge
-    run (same module fingerprinted again through a warm
-    :class:`FingerprintCache`), and a batched-vs-per-function merge-decision
-    equivalence check.
-
-    ``micro_repeats`` oversamples the microbenchmark alone (defaults to
-    ``repeats``): its sub-100ms timed regions need more best-of-N samples
-    than the multi-second pass profiles to reach their floor on a machine
-    with scheduling jitter.
+    Per workload size: profiled pass runs for ExhaustiveRanker (HyFM), F3M
+    (static config) and F3M adaptive, HyFM's pass time over F3M's
+    (``speedup_vs_hyfm``), and a cached remerge run (same module
+    fingerprinted again through a warm :class:`FingerprintCache`).
     """
     from ..workloads.suites import build_workload
 
-    if micro_repeats is None:
-        micro_repeats = repeats
     rows: List[Dict[str, object]] = []
     headline: Dict[str, object] = {}
     for size in sizes:
 
-        def fresh() -> Tuple[Module, List[Function]]:
-            module = build_workload(size, workload)
-            return module, module.defined_functions()
+        def fresh() -> Module:
+            return build_workload(size, workload)
 
-        module, functions = fresh()
-        micro = fingerprint_microbench(functions, repeats=micro_repeats)
-        row: Dict[str, object] = {"workload": workload, "size": size, "micro": micro}
-
-        profiles: Dict[str, PipelineProfile] = {}
-        for label, strategy, kwargs in (
-            ("hyfm", "hyfm", {}),
-            ("f3m-per-function", "f3m", {"batched": False}),
-            ("f3m-batched", "f3m", {}),
-            ("f3m-adaptive", "f3m-adaptive", {}),
-        ):
-            best_profile: Optional[PipelineProfile] = None
-            for _ in range(max(1, repeats)):
-                mod, _ = fresh()
-                profile, _report = profile_pass(mod, strategy, **kwargs)
-                if best_profile is None or profile.total_time < best_profile.total_time:
-                    best_profile = profile
-            profiles[label] = best_profile
-            row[label] = best_profile.to_row()
+        row: Dict[str, object] = {"workload": workload, "size": size}
+        profiles = {
+            strategy: _best_profile(fresh, strategy, repeats)
+            for strategy in ("hyfm", "f3m", "f3m-adaptive")
+        }
+        for strategy, profile in profiles.items():
+            row[strategy] = profile.to_row()
 
         # Cached remerge: fingerprint the same module again through a warm
         # cache — every lookup hits.
         cache = FingerprintCache()
-        mod, funcs = fresh()
+        funcs = fresh().defined_functions()
         minhash_module(funcs, MinHashConfig(), cache=cache)
         t_warm = _best_of(
             lambda: minhash_module(funcs, MinHashConfig(), cache=cache), repeats
@@ -627,38 +363,22 @@ def run_perf_bench(
             **cache.stats.to_dict(),
         }
 
-        # Merge decisions must be identical batched vs per-function.
-        mod_a, _ = fresh()
-        _, report_a = profile_pass(mod_a, "f3m", batched=True)
-        mod_b, _ = fresh()
-        _, report_b = profile_pass(mod_b, "f3m", batched=False)
-        row["decisions_identical"] = _decisions(report_a) == _decisions(report_b)
+        f3m_time = profiles["f3m"].total_time
         row["speedup_vs_hyfm"] = (
-            profiles["hyfm"].total_time / profiles["f3m-batched"].total_time
-            if profiles["f3m-batched"].total_time > 0
-            else 0.0
+            profiles["hyfm"].total_time / f3m_time if f3m_time > 0 else 0.0
         )
         rows.append(row)
-        headline = {
-            "size": size,
-            "fingerprint_speedup": micro["speedup_preprocess"],
-            "bit_identical": micro["bit_identical"],
-            "decisions_identical": row["decisions_identical"],
-        }
+        headline = {"size": size, "speedup_vs_hyfm": row["speedup_vs_hyfm"]}
 
     metadata: Dict[str, object] = {
         "workload": workload,
         "repeats": repeats,
-        "micro_repeats": micro_repeats,
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "headline": headline,
-        "fingerprint_speedup_definition": (
-            "speedup_preprocess at the largest size: per-function engine "
-            "(minhash_function + LSHIndex.insert per function) vs batched "
-            "engine (minhash_module + LSHIndex.insert_batch), best of "
-            "`repeats` runs each; speedup_fingerprint isolates encoding+"
-            "hashing without the index build"
+        "speedup_vs_hyfm_definition": (
+            "HyFM pass time / F3M (static) pass time at the largest size, "
+            "best of `repeats` runs each on a fresh module"
         ),
     }
     return rows, metadata

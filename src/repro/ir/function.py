@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from .basicblock import BasicBlock
@@ -13,6 +14,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .module import Module
 
 __all__ = ["Function"]
+
+_name_of = attrgetter("name")
 
 
 class Function(Value):
@@ -75,9 +78,21 @@ class Function(Value):
 
     # -- naming ------------------------------------------------------------------
     def next_name(self, prefix: str = "t") -> str:
-        """A fresh local value name, unique within this function."""
-        self._name_counter += 1
-        return f"{prefix}{self._name_counter}"
+        """A fresh local value name, unique within this function.
+
+        The counter alone is not enough: a body cloned or merged in keeps
+        the names another function's counter issued, so a counter-made
+        name is skipped while an argument, block or instruction uses it.
+        """
+        taken = set(map(_name_of, self.args))
+        taken.update(map(_name_of, self.blocks))
+        for block in self.blocks:
+            taken.update(map(_name_of, block.instructions))
+        while True:
+            self._name_counter += 1
+            name = f"{prefix}{self._name_counter}"
+            if name not in taken:
+                return name
 
     def uniquify_names(self) -> None:
         """Assign fresh names to unnamed/duplicate blocks and instructions."""

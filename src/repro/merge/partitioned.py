@@ -83,7 +83,7 @@ class PartitionedMergeReport:
     prewarm_time: float = 0.0
     cache_stats: Optional[Dict[str, object]] = None
     # Alignment-decision cache counters for the engine shared across the
-    # per-partition passes (None when batch alignment was off).
+    # per-partition passes (None until the sweep has run).
     align_cache_stats: Optional[Dict[str, object]] = None
 
     @property
@@ -178,11 +178,7 @@ def partitioned_merging(
     # encodings and cached alignment decisions survive partition
     # boundaries (same-content blocks recur across partitions), so later
     # partitions start warm.
-    engine = (
-        BatchAlignmentEngine(strategy=config.alignment)
-        if config.batch_alignment
-        else None
-    )
+    engine = BatchAlignmentEngine(strategy=config.alignment)
     for group in groups:
         ranker = ranker_factory()
         if cache is not None:
@@ -193,8 +189,7 @@ def partitioned_merging(
     report.size_after = module_size(module)
     if cache is not None:
         report.cache_stats = cache.stats.to_dict()
-    if engine is not None:
-        report.align_cache_stats = engine.cache.stats.to_dict()
+    report.align_cache_stats = engine.cache.stats.to_dict()
     return report
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..alignment.batch import BatchAlignmentEngine
-from ..alignment.hyfm_blocks import BlockFingerprintMemo, align_functions
 from ..analysis.size import module_size
 from ..faults import FaultInjector, InjectedFault
 from ..ir.module import Module
@@ -86,10 +85,6 @@ class PassConfig:
     ``on_error`` — ``"skip"`` (default) contains unexpected exceptions:
     the attempt is rolled back, recorded, and the pass continues.
     ``"raise"`` re-raises after the rollback (debugging).
-    ``batch_alignment`` — align through the vectorized, memoized, cached
-    :class:`~repro.alignment.batch.BatchAlignmentEngine` (decision-identical
-    to the pure aligners); off falls back to the pure path with a block-
-    fingerprint memo.
     ``prealign_bound`` — reject pairs whose pre-alignment profitability
     upper bound (:class:`~repro.merge.profitability.ProfitabilityBound`)
     proves they can never be profitable, skipping alignment and codegen
@@ -117,7 +112,6 @@ class PassConfig:
     validate: str = "off"
     oracle: bool = False
     on_error: str = "skip"
-    batch_alignment: bool = True
     prealign_bound: bool = True
     lsh_compact_ratio: Optional[float] = 1.0
     reconcile: bool = False
@@ -182,20 +176,17 @@ class FunctionMergingPass:
         if oracle is None and config.oracle:
             oracle = DifferentialOracle(OracleConfig())
         self.oracle = oracle
-        # Passing an engine shares its alignment cache and block memos
-        # across passes (remerge rounds, partition sweeps); otherwise each
-        # pass owns one when batch alignment is on.
-        if alignment_engine is None and config.batch_alignment:
+        # Alignment runs through the vectorized, memoized, cached
+        # BatchAlignmentEngine.  Passing an engine shares its alignment
+        # cache and block memos across passes (remerge rounds, partition
+        # sweeps); otherwise each pass owns one.
+        if alignment_engine is None:
             alignment_engine = BatchAlignmentEngine(strategy=config.alignment)
         self.engine = alignment_engine
         # The bound shares the engine's interner so both see one
         # mergeability-code space (and one set of memoized encodings).
         self.bound = ProfitabilityBound(
-            self.profitability,
-            interner=alignment_engine.interner if alignment_engine else None,
-        )
-        self._fp_memo: Optional[BlockFingerprintMemo] = (
-            BlockFingerprintMemo() if alignment_engine is None else None
+            self.profitability, interner=alignment_engine.interner
         )
 
     # -- driver ---------------------------------------------------------------------
@@ -240,10 +231,9 @@ class FunctionMergingPass:
         report.total_time = time.perf_counter() - start
         report.comparisons = self.ranker.stats.comparisons
         report.size_after = module_size(module)
-        if self.engine is not None:
-            stats = self.engine.cache.stats.to_dict()
-            stats["plan"] = self.engine.plans.stats.to_dict()
-            report.align_cache_stats = stats
+        stats = self.engine.cache.stats.to_dict()
+        stats["plan"] = self.engine.plans.stats.to_dict()
+        report.align_cache_stats = stats
         if self.metrics is not None:
             self._record_metrics(report)
         return report
@@ -301,10 +291,7 @@ class FunctionMergingPass:
         capture, so their memo entries stay live.
         """
         for func in functions:
-            if self.engine is not None:
-                self.engine.invalidate_function(func)
-            if self._fp_memo is not None:
-                self._fp_memo.invalidate_function(func)
+            self.engine.invalidate_function(func)
             self.bound.invalidate(func)
 
     # -- one candidate --------------------------------------------------------------
@@ -420,17 +407,9 @@ class FunctionMergingPass:
                 if func.return_type is not other.return_type:
                     record.outcome = Outcome.ALIGN_FAIL
                     return record, None
-                if self.engine is not None:
-                    alignment = self.engine.align_functions(
-                        func, other, strategy=self.config.alignment
-                    )
-                else:
-                    alignment = align_functions(
-                        func,
-                        other,
-                        strategy=self.config.alignment,
-                        fp_memo=self._fp_memo,
-                    )
+                alignment = self.engine.align_functions(
+                    func, other, strategy=self.config.alignment
+                )
             finally:
                 record.align_time = time.perf_counter() - t0
         record.alignment_ratio = alignment.alignment_ratio

@@ -133,9 +133,9 @@ class MergeReport:
     attempts: List[AttemptRecord] = field(default_factory=list)
     comparisons: int = 0
     merges: int = 0
-    # Alignment-decision cache counters (None when the batched alignment
-    # engine was off).  Cumulative over the engine's lifetime, so passes
-    # sharing one engine see the shared totals.
+    # Alignment-decision cache counters (None until a pass has run).
+    # Cumulative over the engine's lifetime, so passes sharing one engine
+    # see the shared totals.
     align_cache_stats: Optional[Dict[str, object]] = None
 
     # -- headline numbers ---------------------------------------------------------

@@ -19,6 +19,10 @@ index compacts itself so long remerge runs do not degrade.
 The bucket layout itself (:class:`ColumnarBuckets`, :func:`band_bucket_keys`)
 is module-level and band-range aware so :mod:`repro.search.sharded` can build
 the identical structure per band slice in worker processes.
+
+Every query (:meth:`LSHIndex.query`, :meth:`LSHIndex.best_match`,
+:meth:`LSHIndex.probe`) runs one candidate gatherer (the capped bucket
+walk) and one similarity scorer.
 """
 
 from __future__ import annotations
@@ -283,11 +287,7 @@ class LSHIndex(Generic[KeyT]):
         self._live_count += 1
         self._ensure_capacity(row + 1, fingerprint.config.k)
         self._matrix_buf[row] = fingerprint.values
-        hashes = fingerprint.band_hashes(self.rows)[: self.bands].astype(np.int64)
-        # One integer key per band: (band_index << 32) | band_hash.
-        bucket_keys = (
-            (np.arange(len(hashes), dtype=np.int64) << 32) | hashes
-        )
+        bucket_keys = self._probe_keys(fingerprint)
         self._bands_buf[row] = bucket_keys
         self._bucket_insert_row(row, bucket_keys.tolist())
 
@@ -332,7 +332,7 @@ class LSHIndex(Generic[KeyT]):
         self._fingerprints.extend(fingerprints)
         self._live_count += n
 
-        if base_row == 0 and self._bucket_layers_empty():
+        if base_row == 0 and not self._buckets and self._base is None:
             # Columnar base layer: one stable argsort over all n*b keys.
             self._build_base(bucket_keys)
         else:
@@ -384,7 +384,9 @@ class LSHIndex(Generic[KeyT]):
             idx = np.array(survivors, dtype=np.int64)
             self._matrix_buf[:n] = self._matrix_buf[idx]
             self._bands_buf[:n] = self._bands_buf[idx]
-        self._clear_buckets()
+        self._buckets = {}
+        self._base = None
+        self._base_count = 0
         if n:
             self._build_base(self._bands_buf[:n])
         self.compactions += 1
@@ -402,10 +404,6 @@ class LSHIndex(Generic[KeyT]):
         growth un-share the matrices before mutating them in place.
         """
         dup = self.__class__.__new__(self.__class__)
-        self._clone_into(dup)
-        return dup
-
-    def _clone_into(self, dup: "LSHIndex[KeyT]") -> None:
         dup.rows = self.rows
         dup.bands = self.bands
         dup.bucket_cap = self.bucket_cap
@@ -426,8 +424,9 @@ class LSHIndex(Generic[KeyT]):
         dup._bands_buf = self._bands_buf
         dup._buffers_shared = True
         self._buffers_shared = True
+        return dup
 
-    # -- bucket layer (override surface for band-sharded subclasses) ------------------
+    # -- bucket layers -----------------------------------------------------------------
     def _build_base(self, bucket_keys: np.ndarray) -> None:
         """Columnar bucket layer for rows ``0..n-1`` from their band keys."""
         self._base = build_columnar_buckets(bucket_keys)
@@ -442,15 +441,6 @@ class LSHIndex(Generic[KeyT]):
                 buckets[bucket_key] = [row]
             else:
                 bucket.append(row)
-
-    def _bucket_layers_empty(self) -> bool:
-        return not self._buckets and self._base is None
-
-    def _clear_buckets(self) -> None:
-        """Reset every bucket layer (compaction rebuilds from scratch)."""
-        self._buckets = {}
-        self._base = None
-        self._base_count = 0
 
     def _ensure_capacity(self, rows_needed: int, k: int) -> None:
         if self._matrix_buf is None:
@@ -483,6 +473,103 @@ class LSHIndex(Generic[KeyT]):
         return self._matrix_buf[: len(self._fingerprints)]
 
     # -- queries ---------------------------------------------------------------------
+    def _probe_keys(self, fingerprint: MinHashFingerprint) -> np.ndarray:
+        """The ``(bands,)`` bucket keys of one fingerprint."""
+        return band_bucket_keys(fingerprint.values[None, :], self.rows, self.bands)[0]
+
+    def _bucket_members(self, bucket_key: int) -> List[int]:
+        """A bucket's base-layer members, located by key (binary search)."""
+        base = self._base
+        slc = base.slice_of(bucket_key) if base is not None else None
+        return base.members(*slc) if slc is not None else []
+
+    def _candidate_rows(self, me: int, stats: LSHQueryStats) -> List[int]:
+        """Candidates of resident row *me*.  A batch row reads its buckets'
+        ``[start, end)`` bounds from its own flat positions, no key lookup."""
+        bounds = self._base.bounds_of_row(me) if me < self._base_count else None
+        return self._gather(self._bands_buf[me].tolist(), bounds, me, stats)
+
+    def _gather(
+        self,
+        row_keys: List[int],
+        bounds: Optional[Iterator[Tuple[int, int]]],
+        me: int,
+        stats: LSHQueryStats,
+    ) -> List[int]:
+        """The capped bucket walk: live rows sharing a bucket, first seen first.
+
+        Buckets are probed in band order.  Each bucket lists its base-layer
+        members (ascending batch rows) then its overflow members in
+        single-insert order — exactly the order a sequential insert would
+        have produced — and only the first ``bucket_cap`` of them are ever
+        examined (Section III-C: "we limit the number of fingerprint
+        comparisons per bucket to 100").
+        """
+        alive = self._alive
+        cap = self.bucket_cap
+        base = self._base
+        overflow_of = self._buckets.get
+        seen: Set[int] = {me}
+        candidates: List[int] = []
+        capped = 0
+        for bucket_key in row_keys:
+            if bounds is not None:
+                members = base.members(*next(bounds))
+            else:
+                members = self._bucket_members(bucket_key)
+            overflow = overflow_of(bucket_key)
+            if overflow:
+                members = members + overflow
+            if cap is not None and len(members) > cap:
+                members = members[:cap]
+                capped += 1
+            for row in members:
+                if row in seen or not alive[row]:
+                    continue
+                seen.add(row)
+                candidates.append(row)
+        stats.buckets_probed += len(row_keys)
+        stats.capped_buckets += capped
+        self.capped_bucket_hits += capped
+        return candidates
+
+    def _score(
+        self,
+        values: np.ndarray,
+        stats: Optional[LSHQueryStats],
+        me: int,
+        row_keys: Optional[List[int]] = None,
+    ) -> Tuple[List[int], Optional[np.ndarray]]:
+        """Gather the candidates of resident row *me* (or of *row_keys* for
+        an external probe) and score them: the estimated Jaccard similarity
+        is the fraction of minhash entries equal to *values*."""
+        stats = stats if stats is not None else LSHQueryStats()
+        with trace.span("lsh_query") as sp:
+            probed0, capped0 = stats.buckets_probed, stats.capped_buckets
+            self.queries += 1
+            if row_keys is None:
+                candidates = self._candidate_rows(me, stats)
+            else:
+                candidates = self._gather(row_keys, None, me, stats)
+            stats.candidates_seen += len(candidates)
+            stats.comparisons += len(candidates)
+            sp.set(
+                buckets_probed=stats.buckets_probed - probed0,
+                capped_buckets=stats.capped_buckets - capped0,
+                candidates=len(candidates),
+            )
+            if not candidates:
+                return candidates, None
+            return candidates, (self._matrix()[candidates] == values[None, :]).mean(axis=1)
+
+    def _pairs(
+        self, candidates: List[int], sims: Optional[np.ndarray]
+    ) -> List[Tuple[KeyT, float]]:
+        if sims is None:
+            return []
+        keys = self._keys
+        return [(keys[row], s) for row, s in zip(candidates, sims.tolist())]
+
     def query(
         self, key: KeyT, stats: Optional[LSHQueryStats] = None
     ) -> List[Tuple[KeyT, float]]:
@@ -492,97 +579,8 @@ class LSHIndex(Generic[KeyT]):
         highly similar pairs share several buckets, so a cap rarely hides
         them (paper Section IV-E).
         """
-        stats = stats if stats is not None else LSHQueryStats()
-        with trace.span("lsh_query") as sp:
-            probed0, capped0 = stats.buckets_probed, stats.capped_buckets
-            self.queries += 1
-            me = self._row_of[key]
-            candidates = self._candidate_rows(me, stats)
-            stats.candidates_seen += len(candidates)
-            stats.comparisons += len(candidates)
-            sp.set(
-                buckets_probed=stats.buckets_probed - probed0,
-                capped_buckets=stats.capped_buckets - capped0,
-                candidates=len(candidates),
-            )
-            if not candidates:
-                return []
-            sims = self._batch_similarity(me, candidates)
-            keys = self._keys
-            return [(keys[row], float(s)) for row, s in zip(candidates, sims)]
-
-    def _base_slice_of_key(self, bucket_key: int) -> Optional[Tuple[int, int]]:
-        if self._base is None:
-            return None
-        return self._base.slice_of(bucket_key)
-
-    def _bucket_members(
-        self, bucket_key: int, cap: Optional[int]
-    ) -> Tuple[Sequence[int], int]:
-        """Up to *cap* members of a bucket (insertion order) and its full size.
-
-        Base-layer members come first (ascending batch rows), then overflow
-        members in single-insert order — together exactly the order a
-        sequential insert of the same functions would have produced.
-        """
-        slc = self._base_slice_of_key(bucket_key)
-        base = self._base.members(*slc) if slc is not None else None
-        overflow = self._buckets.get(bucket_key)
-        if base is None:
-            members: Sequence[int] = overflow if overflow is not None else ()
-        elif overflow:
-            members = base + overflow
-        else:
-            members = base
-        total = len(members)
-        if cap is not None and total > cap:
-            return members[:cap], total
-        return members, total
-
-    def _candidate_rows(self, me: int, stats: LSHQueryStats) -> List[int]:
-        alive = self._alive
-        cap = self.bucket_cap
-        seen: Set[int] = {me}
-        candidates: List[int] = []
-        row_keys = self._bands_buf[me].tolist()
-        if me < self._base_count:
-            # Batch row: its buckets' [start, end) bounds sit at its own
-            # flat positions — two small tolists, no per-key lookup.
-            bounds = self._base.bounds_of_row(me)
-        else:
-            bounds = None
-        for bucket_key in row_keys:
-            stats.buckets_probed += 1
-            # The cap bounds how much of an over-populated bucket we are
-            # willing to scan: entries beyond the window are never examined
-            # (Section III-C: "we limit the number of fingerprint
-            # comparisons per bucket to 100").
-            if bounds is not None:
-                start, end = next(bounds)
-                base = self._base.members(start, end)
-                overflow = self._buckets.get(bucket_key)
-                members: Sequence[int] = base + overflow if overflow else base
-                total = len(members)
-                if cap is not None and total > cap:
-                    members = members[:cap]
-                    stats.capped_buckets += 1
-                    self.capped_bucket_hits += 1
-            else:
-                members, total = self._bucket_members(bucket_key, cap)
-                if cap is not None and total > cap:
-                    stats.capped_buckets += 1
-                    self.capped_bucket_hits += 1
-            for row in members:
-                if row in seen or not alive[row]:
-                    continue
-                seen.add(row)
-                candidates.append(row)
-        return candidates
-
-    def _batch_similarity(self, me: int, candidates: List[int]) -> np.ndarray:
-        # Batched estimated-Jaccard: fraction of equal minhash entries.
-        matrix = self._matrix()
-        return (matrix[candidates] == matrix[me][None, :]).mean(axis=1)
+        me = self._row_of[key]
+        return self._pairs(*self._score(self._matrix()[me], stats, me))
 
     def probe(
         self, fingerprint: MinHashFingerprint, stats: Optional[LSHQueryStats] = None
@@ -595,62 +593,20 @@ class LSHIndex(Generic[KeyT]):
         the probe fingerprint is never inserted.
         """
         self._check_fingerprint(fingerprint)
-        stats = stats if stats is not None else LSHQueryStats()
-        with trace.span("lsh_query") as sp:
-            self.queries += 1
-            hashes = fingerprint.band_hashes(self.rows)[: self.bands].astype(np.int64)
-            row_keys = ((np.arange(len(hashes), dtype=np.int64) << 32) | hashes).tolist()
-            alive = self._alive
-            cap = self.bucket_cap
-            seen: Set[int] = set()
-            candidates: List[int] = []
-            for bucket_key in row_keys:
-                stats.buckets_probed += 1
-                members, total = self._bucket_members(bucket_key, cap)
-                if cap is not None and total > cap:
-                    stats.capped_buckets += 1
-                    self.capped_bucket_hits += 1
-                for row in members:
-                    if row in seen or not alive[row]:
-                        continue
-                    seen.add(row)
-                    candidates.append(row)
-            stats.candidates_seen += len(candidates)
-            stats.comparisons += len(candidates)
-            sp.set(
-                buckets_probed=len(row_keys),
-                capped_buckets=stats.capped_buckets,
-                candidates=len(candidates),
-            )
-            if not candidates:
-                return []
-            matrix = self._matrix()
-            sims = (matrix[candidates] == fingerprint.values[None, :]).mean(axis=1)
-            keys = self._keys
-            return [(keys[row], float(s)) for row, s in zip(candidates, sims)]
+        row_keys = self._probe_keys(fingerprint).tolist()
+        return self._pairs(*self._score(fingerprint.values, stats, -1, row_keys))
 
     def best_match(
         self, key: KeyT, stats: Optional[LSHQueryStats] = None
     ) -> Optional[Tuple[KeyT, float]]:
-        """The nearest live candidate by estimated Jaccard similarity."""
-        stats = stats if stats is not None else LSHQueryStats()
-        with trace.span("lsh_query") as sp:
-            probed0, capped0 = stats.buckets_probed, stats.capped_buckets
-            self.queries += 1
-            me = self._row_of[key]
-            candidates = self._candidate_rows(me, stats)
-            stats.candidates_seen += len(candidates)
-            stats.comparisons += len(candidates)
-            sp.set(
-                buckets_probed=stats.buckets_probed - probed0,
-                capped_buckets=stats.capped_buckets - capped0,
-                candidates=len(candidates),
-            )
-            if not candidates:
-                return None
-            sims = self._batch_similarity(me, candidates)
-            best = int(sims.argmax())
-            return self._keys[candidates[best]], float(sims[best])
+        """The nearest live candidate by estimated Jaccard similarity (the
+        first one on ties, in candidate order)."""
+        me = self._row_of[key]
+        candidates, sims = self._score(self._matrix()[me], stats, me)
+        if sims is None:
+            return None
+        best = int(sims.argmax())
+        return self._keys[candidates[best]], float(sims[best])
 
     # -- diagnostics ------------------------------------------------------------------
     def index_stats(self) -> Dict[str, int]:

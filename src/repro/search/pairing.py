@@ -7,10 +7,8 @@ Two interchangeable rankers drive the merging pass:
 * :class:`MinHashLSHRanker` — F3M: MinHash fingerprints searched through a
   banded LSH index, in static (fixed k/r/b/t) or adaptive configuration.
   Preprocessing runs through the batched fingerprint engine
-  (:func:`repro.fingerprint.batch.minhash_module`) by default, optionally
-  backed by a content-addressed :class:`FingerprintCache` and a process
-  pool; ``batched=False`` keeps the per-function reference path (used by
-  the perf bench as the baseline).
+  (:func:`repro.fingerprint.batch.minhash_module`), optionally backed by a
+  content-addressed :class:`FingerprintCache` and a process pool.
 """
 
 from __future__ import annotations
@@ -24,13 +22,12 @@ import numpy as np
 from ..fingerprint.batch import minhash_module, minhash_single
 from ..fingerprint.cache import FingerprintCache
 from ..fingerprint.encoding import EncodingOptions
-from ..fingerprint.minhash import MinHashConfig, MinHashFingerprint, minhash_function
+from ..fingerprint.minhash import MinHashConfig, MinHashFingerprint
 from ..fingerprint.opcode_freq import OpcodeFingerprint, fingerprint_function
 from ..ir.function import Function
 from ..obs import trace
 from .adaptive import AdaptiveParameters, adaptive_parameters
 from .lsh import LSHIndex, LSHQueryStats
-from .sharded import ShardedLSHIndex
 
 __all__ = [
     "Match",
@@ -226,14 +223,10 @@ class MinHashLSHRanker(Ranker):
     function count per Section III-D; otherwise the static defaults
     (k=200, r=2, b=100, t=0) apply unless overridden.
 
-    ``batched`` (default) fingerprints the whole module through the
-    vectorized batch engine and bulk-inserts into the LSH index; both are
-    bit-identical to the per-function path, which stays available as the
-    perf-bench baseline.  ``cache`` shares fingerprints content-addressed
-    across runs and partitions; ``workers`` fans large modules out over a
-    process pool; ``shards > 1`` swaps in the band-sharded index
-    (:class:`~repro.search.sharded.ShardedLSHIndex`), whose results are
-    identical to the serial index by construction.
+    Preprocessing fingerprints the whole module through the vectorized
+    batch engine and bulk-inserts into the LSH index.  ``cache`` shares
+    fingerprints content-addressed across runs and partitions; ``workers``
+    fans large modules out over a process pool.
     """
 
     name = "f3m"
@@ -247,10 +240,8 @@ class MinHashLSHRanker(Ranker):
         threshold: float = 0.0,
         adaptive: bool = False,
         encoding: Optional[EncodingOptions] = None,
-        batched: bool = True,
         cache: Optional[FingerprintCache] = None,
         workers: Optional[int] = None,
-        shards: int = 1,
         compact_ratio: Optional[float] = 1.0,
     ) -> None:
         self._requested_config = config
@@ -260,10 +251,8 @@ class MinHashLSHRanker(Ranker):
         self.threshold = threshold
         self.adaptive = adaptive
         self.encoding = encoding or EncodingOptions()
-        self.batched = batched
         self.cache = cache
         self.workers = workers
-        self.shards = shards
         self.compact_ratio = compact_ratio
         self.config: Optional[MinHashConfig] = None
         self.parameters: Optional[AdaptiveParameters] = None
@@ -291,28 +280,12 @@ class MinHashLSHRanker(Ranker):
         else:
             self.config = self._requested_config or MinHashConfig()
             bands = self.bands if self.bands is not None else self.config.k // self.rows
-        if self.shards > 1:
-            self._index = ShardedLSHIndex(
-                rows=self.rows,
-                bands=bands,
-                bucket_cap=self.bucket_cap,
-                shards=self.shards,
-                compact_ratio=self.compact_ratio,
-            )
-        else:
-            self._index = LSHIndex(
-                rows=self.rows,
-                bands=bands,
-                bucket_cap=self.bucket_cap,
-                compact_ratio=self.compact_ratio,
-            )
-        if not self.batched:
-            with trace.span(
-                "fingerprint", functions=len(functions), ranker=self.name
-            ):
-                for func in functions:
-                    self.insert(func)
-            return
+        self._index = LSHIndex(
+            rows=self.rows,
+            bands=bands,
+            bucket_cap=self.bucket_cap,
+            compact_ratio=self.compact_ratio,
+        )
         with trace.span("fingerprint", functions=len(functions), ranker=self.name):
             t0 = time.perf_counter()
             fingerprints = minhash_module(
@@ -332,10 +305,7 @@ class MinHashLSHRanker(Ranker):
 
     def insert(self, func: Function) -> None:
         assert self._index is not None, "preprocess() must run first"
-        if self.batched:
-            fp = minhash_single(func, self.config, self.encoding, cache=self.cache)
-        else:
-            fp = minhash_function(func, self.config, self.encoding)
+        fp = minhash_single(func, self.config, self.encoding, cache=self.cache)
         self._index.insert(id(func), fp)
         self._functions[id(func)] = func
 

@@ -1,42 +1,30 @@
-"""Band-sharded LSH: the serial index partitioned over the ``bands`` axis.
+"""Band-sharded, store-backed LSH: the index partitioned over the ``bands`` axis.
 
 Band hashes are independent of each other — bucket key ``(band, hash)``
 only ever collides within its own band — so the bucket structures of a
 banded LSH index partition cleanly into contiguous band ranges ("shards")
-with **zero** cross-shard coordination.  :class:`ShardedLSHIndex` exploits
-that two ways:
-
-* **In-RAM mode** (constructor): a drop-in :class:`~repro.search.lsh.LSHIndex`
-  subclass whose base/overflow bucket layers are split per band shard.
-  Queries traverse shards in band order, so the candidate list — order
-  included — is *exactly* the serial index's answer by construction (same
-  candidate order ⇒ same ``best_match``, first-max tie-break included).
-  This is the mode the property tests drive against the serial reference,
-  including remove/compact interleavings.
-
-* **Frozen store mode** (:meth:`ShardedLSHIndex.from_store`): shard bucket
-  structures are built from a :class:`~repro.fingerprint.store.FingerprintStore`
-  by worker processes — reusing the fork-pool + order-preserving ``map``
-  pattern of :mod:`repro.merge.partitioned`, with ``workers=1`` running the
-  identical worker inline — and written to ``.npy`` files that the parent
-  (and query workers) re-open memory-mapped.  Neither the signature matrix
-  nor the bucket arrays are ever RAM-resident as Python objects; the
-  working set is page cache.  :meth:`ShardedLSHIndex.best_match_all` then
-  answers every query vectorized (optionally fanning batches out to shard
-  worker processes and unioning the candidate runs in shard order).
+with **zero** cross-shard coordination.  :class:`ShardedLSHIndex` is the
+frozen, corpus-scale form of :class:`~repro.search.lsh.LSHIndex`
+(:meth:`ShardedLSHIndex.from_store`): shard bucket structures are built
+from a :class:`~repro.fingerprint.store.FingerprintStore` by worker
+processes — reusing the fork-pool + order-preserving ``map`` pattern of
+:mod:`repro.merge.partitioned`, with ``workers=1`` running the identical
+worker inline — and written to ``.npy`` files that the parent (and query
+workers) re-open memory-mapped.  Neither the signature matrix nor the
+bucket arrays are ever RAM-resident as Python objects; the working set is
+page cache.  :meth:`ShardedLSHIndex.best_match_all` answers every query
+vectorized (optionally fanning batches out to shard worker processes and
+unioning the candidate runs in shard order).
 
 Exactness argument, spelled out once: the serial index probes bands
 ``0..b-1`` in order, applies the bucket cap *window* to each bucket's
 member list, skips dead rows and already-seen rows, and takes the first
-similarity argmax.  A shard owns a contiguous band range, shards are
-traversed in ascending range order, and each shard probes its bands in
-order — so the concatenation of per-shard probes is the identical global
-band order, the same cap windows apply to the same buckets, and the
-candidate sequence (and therefore every downstream decision) is identical.
-The batched kernel deduplicates to first occurrences per query — exactly
-the serial loop's ``seen`` set, vectorized — so its candidate list *is*
-the serial candidate list (verified property-tested against the serial
-loop).
+similarity argmax.  A shard owns a contiguous band range and shards are
+unioned in ascending range order, so the concatenation of per-shard
+capped runs is the identical global band order with the same cap windows.
+The kernel deduplicates to first occurrences per query — exactly the
+serial loop's ``seen`` set, vectorized — so its candidate list *is* the
+serial candidate list (property-tested against the serial index).
 """
 
 from __future__ import annotations
@@ -45,7 +33,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,44 +59,18 @@ def shard_ranges(bands: int, shards: int) -> List[Tuple[int, int]]:
 
 
 class BandShard:
-    """Bucket structures owned by one contiguous band range ``[lo, hi)``.
+    """The memory-mapped columnar bucket layer of one band range ``[lo, hi)``."""
 
-    ``base`` is the columnar layer (arrays may be RAM or memmapped .npy);
-    ``overflow`` is the post-batch dict layer; ``bands`` is the shard's
-    ``(n, width)`` bucket-key matrix in frozen store mode (in-RAM mode
-    slices the index's own ``_bands_buf`` instead).
-    """
+    __slots__ = ("band_lo", "band_hi", "base")
 
-    __slots__ = ("band_lo", "band_hi", "base", "overflow", "bands")
-
-    def __init__(self, band_lo: int, band_hi: int) -> None:
+    def __init__(self, band_lo: int, band_hi: int, base: ColumnarBuckets) -> None:
         self.band_lo = band_lo
         self.band_hi = band_hi
-        self.base: Optional[ColumnarBuckets] = None
-        self.overflow: Dict[int, List[int]] = {}
-        self.bands: Optional[np.ndarray] = None
+        self.base = base
 
     @property
     def width(self) -> int:
         return self.band_hi - self.band_lo
-
-    def bucket_members(
-        self, bucket_key: int, cap: Optional[int]
-    ) -> Tuple[Sequence[int], int]:
-        """Same contract as ``LSHIndex._bucket_members``, shard-local."""
-        slc = self.base.slice_of(bucket_key) if self.base is not None else None
-        base = self.base.members(*slc) if slc is not None else None
-        overflow = self.overflow.get(bucket_key)
-        if base is None:
-            members: Sequence[int] = overflow if overflow is not None else ()
-        elif overflow:
-            members = base + overflow
-        else:
-            members = base
-        total = len(members)
-        if cap is not None and total > cap:
-            return members[:cap], total
-        return members, total
 
 
 # ----------------------------------------------------------------------------------
@@ -131,19 +93,19 @@ _EQ_CHUNK_BYTES = 1 << 22
 _REDUCE_BUDGET_ROWS = 1 << 20
 
 
-def _shard_files(prefix: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _shard_files(prefix: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     cached = _SHARD_FILE_CACHE.get(prefix)
     if cached is None:
         cached = tuple(
             np.load(prefix + suffix, mmap_mode="r")
-            for suffix in (".bands.npy", ".rows.npy", ".keys.npy", ".starts.npy", ".ends.npy")
+            for suffix in (".rows.npy", ".keys.npy", ".starts.npy", ".ends.npy")
         )
         _SHARD_FILE_CACHE[prefix] = cached
     return cached
 
 
 def _shard_build_worker(payload) -> str:
-    """Build one shard's bucket keys + columnar layer and persist as .npy.
+    """Build one shard's columnar bucket layer and persist it as .npy.
 
     The worker touches only a memmapped view of the store's signature
     matrix and its own band slice's arrays — peak RSS is bounded by the
@@ -160,7 +122,6 @@ def _shard_build_worker(payload) -> str:
         )
     buckets = build_columnar_buckets(keys)
     prefix = os.path.join(out_dir, f"shard-{band_lo:04d}-{band_hi:04d}")
-    np.save(prefix + ".bands.npy", keys)
     np.save(prefix + ".rows.npy", buckets.rows)
     np.save(prefix + ".keys.npy", buckets.sorted_keys)
     np.save(prefix + ".starts.npy", buckets.starts_flat)
@@ -219,7 +180,7 @@ def _frozen_candidate_runs(
 
 def _shard_query_worker(payload) -> Tuple[np.ndarray, np.ndarray, int]:
     prefix, width, cap, queries = payload
-    _, member_rows, _, starts_flat, ends_flat = _shard_files(prefix)
+    member_rows, _, starts_flat, ends_flat = _shard_files(prefix)
     return _frozen_candidate_runs(starts_flat, ends_flat, member_rows, width, queries, cap)
 
 
@@ -254,33 +215,40 @@ class _IdentityRows:
 
 
 class ShardedLSHIndex(LSHIndex):
-    """Band-sharded LSH index; serial-identical results by construction."""
+    """Frozen band-sharded LSH index over a fingerprint store.
+
+    Built by :meth:`from_store`; keys are the store row indices.  Queries
+    answer exactly what a serial :class:`LSHIndex` over the same
+    fingerprints answers.  The index is frozen: ``insert``/``compact``/
+    ``clone``/``probe`` are unavailable, ``remove`` tombstones without
+    ever compacting.
+    """
 
     def __init__(
         self,
-        rows: int = 2,
-        bands: int = 100,
-        bucket_cap: Optional[int] = 100,
-        shards: int = 2,
-        compact_ratio: Optional[float] = 1.0,
+        store: FingerprintStore,
+        shards: List[BandShard],
+        prefixes: List[str],
+        rows: int,
+        bands: int,
+        bucket_cap: Optional[int],
     ) -> None:
-        super().__init__(
-            rows=rows, bands=bands, bucket_cap=bucket_cap, compact_ratio=compact_ratio
-        )
-        self._shards: List[BandShard] = [
-            BandShard(lo, hi) for lo, hi in shard_ranges(bands, shards)
-        ]
-        # band index -> owning shard, for overflow-insert routing.
-        self._shard_of_band: List[BandShard] = []
-        for shard in self._shards:
-            self._shard_of_band.extend([shard] * shard.width)
-        self.shards = len(self._shards)
-        self._frozen = False
-        self._store: Optional[FingerprintStore] = None
-        self._store_values: Optional[np.ndarray] = None
-        self._shard_prefixes: Optional[List[str]] = None
+        super().__init__(rows=rows, bands=bands, bucket_cap=bucket_cap, compact_ratio=None)
+        n = len(store)
+        self._shards = shards
+        self._shard_prefixes = prefixes
+        self._store = store
+        # Plain-ndarray view of the memmapped signature matrix: fancy
+        # gathering through np.memmap.__getitem__ is drastically slower than
+        # the base-class path, and the view still reads through the mapping.
+        self._store_values = np.asarray(store.values)
+        self._keys = range(n)  # type: ignore[assignment] — O(1) identity "list"
+        self._row_of = _IdentityRows(n)  # type: ignore[assignment]
+        self._fingerprints = None  # type: ignore[assignment]
+        self._alive = np.ones(n, dtype=bool)  # type: ignore[assignment]
+        self._live_count = n
+        self._base_count = n
 
-    # -- frozen store mode -------------------------------------------------------------
     @classmethod
     def from_store(
         cls,
@@ -300,25 +268,22 @@ class ShardedLSHIndex(LSHIndex):
         in a fork pool when ``workers > 1``, inline otherwise (identical
         code either way) — and persisted as ``.npy`` files under
         *shard_dir* (default: ``<store>/lsh-shards``), which the index then
-        memory-maps.  Keys are the store row indices ``0..n-1``.  The
-        index is frozen: ``insert``/``compact`` are unavailable, ``remove``
-        tombstones without ever compacting.
+        memory-maps.
         """
         k = store.config.k
         if bands is None:
             bands = k // rows
         if bands <= 0 or rows * bands > k:
             raise ValueError(f"rows*bands {rows}*{bands} does not fit k={k}")
-        index = cls(rows=rows, bands=bands, bucket_cap=bucket_cap, shards=shards)
         n = len(store)
         values_path = os.path.join(store.directory, "values.u32")
         if shard_dir is None:
             shard_dir = os.path.join(store.directory, "lsh-shards")
         os.makedirs(shard_dir, exist_ok=True)
+        ranges = shard_ranges(bands, shards)
         payloads = [
-            (values_path, n, k, rows, bands, shard.band_lo, shard.band_hi,
-             shard_dir, chunk_rows)
-            for shard in index._shards
+            (values_path, n, k, rows, bands, lo, hi, shard_dir, chunk_rows)
+            for lo, hi in ranges
         ]
         if workers > 1 and n:
             if sys.platform != "win32":
@@ -330,157 +295,32 @@ class ShardedLSHIndex(LSHIndex):
                 prefixes = list(pool.map(_shard_build_worker, payloads))
         else:
             prefixes = [_shard_build_worker(p) for p in payloads]
-        for shard, prefix in zip(index._shards, prefixes):
-            bands_mm, rows_mm, keys_mm, starts_mm, ends_mm = _shard_files(prefix)
-            shard.bands = bands_mm
-            shard.base = ColumnarBuckets(
-                rows_mm, keys_mm, starts_mm, ends_mm, n, shard.width
-            )
-        index._frozen = True
-        index._store = store
-        index._store_values = store.values
-        index._shard_prefixes = prefixes
-        index._keys = range(n)  # type: ignore[assignment] — O(1) identity "list"
-        index._row_of = _IdentityRows(n)  # type: ignore[assignment]
-        index._fingerprints = None  # type: ignore[assignment]
-        index._alive = np.ones(n, dtype=bool)  # type: ignore[assignment]
-        index._live_count = n
-        index._base_count = n
-        return index
+        band_shards = [
+            BandShard(lo, hi, ColumnarBuckets(*_shard_files(prefix), n, hi - lo))
+            for (lo, hi), prefix in zip(ranges, prefixes)
+        ]
+        return cls(store, band_shards, prefixes, rows, bands, bucket_cap)
 
-    # -- bucket-layer overrides --------------------------------------------------------
-    def _build_base(self, bucket_keys: np.ndarray) -> None:
-        n = bucket_keys.shape[0]
-        for shard in self._shards:
-            shard.base = build_columnar_buckets(
-                bucket_keys[:, shard.band_lo : shard.band_hi]
-            )
-        self._base_count = n
-
-    def _bucket_insert_row(self, row: int, row_keys: List[int]) -> None:
-        for bucket_key in row_keys:
-            overflow = self._shard_of_band[bucket_key >> 32].overflow
-            bucket = overflow.get(bucket_key)
-            if bucket is None:
-                overflow[bucket_key] = [row]
-            else:
-                bucket.append(row)
-
-    def _bucket_layers_empty(self) -> bool:
-        return all(s.base is None and not s.overflow for s in self._shards)
-
-    def _clear_buckets(self) -> None:
-        for shard in self._shards:
-            shard.base = None
-            shard.overflow = {}
-        self._base_count = 0
-
-    def _bucket_members(
-        self, bucket_key: int, cap: Optional[int]
-    ) -> Tuple[Sequence[int], int]:
-        return self._shard_of_band[bucket_key >> 32].bucket_members(bucket_key, cap)
-
-    def _shard_row_keys(self, shard: BandShard, me: int) -> List[int]:
-        if shard.bands is not None:
-            return shard.bands[me].tolist()
-        return self._bands_buf[me, shard.band_lo : shard.band_hi].tolist()
-
-    def _candidate_rows(self, me: int, stats: LSHQueryStats) -> List[int]:
-        # Shards hold contiguous band ranges and are traversed in range
-        # order, so this loop probes buckets in exactly the serial index's
-        # global band order — candidate order, cap windows, dedup and
-        # alive-filtering all coincide with LSHIndex._candidate_rows.
-        alive = self._alive
-        cap = self.bucket_cap
-        seen: Set[int] = {me}
-        candidates: List[int] = []
-        in_base = me < self._base_count
-        for shard in self._shards:
-            row_keys = self._shard_row_keys(shard, me)
-            if in_base and shard.base is not None:
-                bounds = shard.base.bounds_of_row(me)
-            else:
-                bounds = None
-            for bucket_key in row_keys:
-                stats.buckets_probed += 1
-                if bounds is not None:
-                    start, end = next(bounds)
-                    base = shard.base.members(start, end)
-                    overflow = shard.overflow.get(bucket_key)
-                    members: Sequence[int] = base + overflow if overflow else base
-                    total = len(members)
-                    if cap is not None and total > cap:
-                        members = members[:cap]
-                        stats.capped_buckets += 1
-                        self.capped_bucket_hits += 1
-                else:
-                    members, total = shard.bucket_members(bucket_key, cap)
-                    if cap is not None and total > cap:
-                        stats.capped_buckets += 1
-                        self.capped_bucket_hits += 1
-                for row in members:
-                    if row in seen or not alive[row]:
-                        continue
-                    seen.add(row)
-                    candidates.append(row)
-        return candidates
-
-    # -- snapshot clones ---------------------------------------------------------------
-    def _clone_into(self, dup: "ShardedLSHIndex") -> None:
-        if self._frozen:
-            raise RuntimeError("clone is unavailable on a frozen store-backed index")
-        super()._clone_into(dup)
-        # Shards share their immutable columnar base layers; overflow dicts
-        # (the only shard state a live index mutates) are copied.
-        dup._shards = []
-        for shard in self._shards:
-            copied = BandShard(shard.band_lo, shard.band_hi)
-            copied.base = shard.base
-            copied.overflow = {key: list(rows) for key, rows in shard.overflow.items()}
-            copied.bands = shard.bands
-            dup._shards.append(copied)
-        dup._shard_of_band = []
-        for shard in dup._shards:
-            dup._shard_of_band.extend([shard] * shard.width)
-        dup.shards = self.shards
-        dup._frozen = False
-        dup._store = None
-        dup._store_values = None
-        dup._shard_prefixes = None
-
-    # -- frozen-mode maintenance -------------------------------------------------------
-    def _frozen_guard(self, op: str) -> None:
-        if self._frozen:
-            raise RuntimeError(f"{op} is unavailable on a frozen store-backed index")
+    # -- frozen maintenance ------------------------------------------------------------
+    def _frozen(self, op: str) -> None:
+        raise RuntimeError(f"{op} is unavailable on a frozen store-backed index")
 
     def insert(self, key, fingerprint) -> None:
-        self._frozen_guard("insert")
-        super().insert(key, fingerprint)
+        self._frozen("insert")
 
     def insert_batch(self, keys, fingerprints) -> None:
-        self._frozen_guard("insert_batch")
-        super().insert_batch(keys, fingerprints)
-
-    def remove(self, key) -> None:
-        if not self._frozen:
-            super().remove(key)
-            return
-        # Frozen indexes tombstone but never compact: the bucket arrays are
-        # shared read-only files, and rebuilding them belongs to a rebuild
-        # of the store, not a query-time mutation.
-        row = self._row_of.get(key)
-        if row is not None and self._alive[row]:
-            self._alive[row] = False
-            self._live_count -= 1
-            self.removals += 1
+        self._frozen("insert_batch")
 
     def compact(self) -> None:
-        self._frozen_guard("compact")
-        super().compact()
+        self._frozen("compact")
+
+    def clone(self) -> "ShardedLSHIndex":
+        self._frozen("clone")
+
+    def probe(self, fingerprint, stats=None):
+        self._frozen("probe")
 
     def fingerprint(self, key) -> MinHashFingerprint:
-        if not self._frozen:
-            return super().fingerprint(key)
         row = self._row_of[key]
         return MinHashFingerprint(
             np.array(self._store_values[row], dtype=np.uint32),
@@ -489,9 +329,27 @@ class ShardedLSHIndex(LSHIndex):
         )
 
     def _matrix(self) -> np.ndarray:
-        if self._store_values is not None:
-            return self._store_values
-        return super()._matrix()
+        return self._store_values
+
+    def _candidate_rows(self, me: int, stats: LSHQueryStats) -> List[int]:
+        """The serial capped bucket walk of row *me*, as one vectorized
+        kernel call per shard plus a first-occurrence dedup."""
+        query = np.array([me], dtype=np.int64)
+        runs = [
+            _frozen_candidate_runs(
+                shard.base.starts_flat, shard.base.ends_flat, shard.base.rows,
+                shard.width, query, self.bucket_cap,
+            )
+            for shard in self._shards
+        ]
+        capped = sum(run[2] for run in runs)
+        stats.buckets_probed += self.bands
+        stats.capped_buckets += capped
+        self.capped_bucket_hits += capped
+        cands = np.concatenate([run[0] for run in runs])
+        cands = cands[(cands != me) & self._alive[cands]]
+        _, first = np.unique(cands, return_index=True)
+        return cands[np.sort(first)].tolist()
 
     # -- batched queries ---------------------------------------------------------------
     def best_match_all(
@@ -501,7 +359,7 @@ class ShardedLSHIndex(LSHIndex):
         batch_rows: int = 1024,
         workers: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``best_match`` for every query row, vectorized (frozen mode only).
+        """``best_match`` for every query row, vectorized.
 
         Returns ``(best, sims)``: for query row ``i``, ``best[i]`` is the
         best live candidate row (``-1`` when the row has no candidates) and
@@ -516,17 +374,12 @@ class ShardedLSHIndex(LSHIndex):
         pool, shard files re-opened memmapped per worker); ``workers=1``
         runs the identical per-shard kernel inline.
         """
-        if not self._frozen:
-            raise RuntimeError("best_match_all requires a from_store index")
         n = len(self._keys)
         if queries is None:
             queries = np.arange(n, dtype=np.int64)
         else:
             queries = np.asarray(queries, dtype=np.int64)
-        # Base-class view: fancy-gathering rows through np.memmap.__getitem__
-        # is drastically slower than the plain ndarray path (and the view
-        # still reads through the mapping — nothing is copied up front).
-        matrix = np.asarray(self._matrix())
+        matrix = self._store_values
         k = matrix.shape[1]
         alive = self._alive
         cap = self.bucket_cap
@@ -667,23 +520,15 @@ class ShardedLSHIndex(LSHIndex):
     # -- diagnostics -------------------------------------------------------------------
     def index_stats(self) -> Dict[str, int]:
         stats = super().index_stats()
-        stats["shards"] = self.shards
-        stats["frozen"] = int(self._frozen)
-        stats["overflow_buckets"] = sum(len(s.overflow) for s in self._shards)
+        stats["shards"] = len(self._shards)
         return stats
 
     def _live_bucket_populations(self) -> List[int]:
         # Band ranges are disjoint, so bucket keys never collide across
-        # shards — per-shard merge of base+overflow is the global answer.
+        # shards — the per-shard populations are the global answer.
         pops: List[int] = []
         for shard in self._shards:
-            by_key = (
-                shard.base.live_populations(self._alive)
-                if shard.base is not None
-                else {}
+            pops.extend(
+                p for p in shard.base.live_populations(self._alive).values() if p > 0
             )
-            for bucket_key, member_rows in shard.overflow.items():
-                live = sum(1 for row in member_rows if self._alive[row])
-                by_key[bucket_key] = by_key.get(bucket_key, 0) + live
-            pops.extend(p for p in by_key.values() if p > 0)
         return pops

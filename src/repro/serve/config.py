@@ -17,8 +17,7 @@ class ServeConfig:
     ``threshold``/``alignment``/``verify`` configure the merge pipeline
     exactly like the one-shot CLI (the defaults match ``repro merge -s
     f3m``, which is what the decision-identity guarantee is stated
-    against).  ``shards`` selects the band-sharded corpus index.
-    ``compact_ratio`` is the corpus index's auto-compaction threshold:
+    against).  ``compact_ratio`` is the corpus index's auto-compaction threshold:
     compact when tombstones exceed this fraction of live entries — a
     long-lived daemon defaults to 0.5 (earlier than the one-shot 1.0) so
     query-time tombstone skipping never degrades; ``None`` disables it.
@@ -36,7 +35,6 @@ class ServeConfig:
     threshold: float = 0.0
     alignment: str = "linear"
     verify: bool = True
-    shards: int = 1
     compact_ratio: Optional[float] = 0.5
     max_functions: Optional[int] = None
     fingerprint_cache_size: int = 1 << 20
@@ -45,8 +43,6 @@ class ServeConfig:
     manifest_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         if self.compact_ratio is not None and self.compact_ratio <= 0:
             raise ValueError("compact_ratio must be positive (or None)")
         if self.max_functions is not None and self.max_functions < 1:
@@ -67,7 +63,6 @@ class ServeConfig:
             "threshold": self.threshold,
             "alignment": self.alignment,
             "verify": self.verify,
-            "shards": self.shards,
             "compact_ratio": self.compact_ratio,
             "max_functions": self.max_functions,
             "fingerprint_cache_size": self.fingerprint_cache_size,

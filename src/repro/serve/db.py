@@ -55,7 +55,6 @@ from ..merge.pass_ import FunctionMergingPass
 from ..merge.transaction import MergeTransaction
 from ..search.lsh import LSHIndex, LSHQueryStats
 from ..search.pairing import MinHashLSHRanker
-from ..search.sharded import ShardedLSHIndex
 from .config import ServeConfig
 
 __all__ = ["CorpusEntry", "CorpusSnapshot", "DeltaError", "FingerprintDatabase"]
@@ -158,18 +157,9 @@ class FingerprintDatabase:
         return self._snapshot.version
 
     def _new_index(self) -> LSHIndex:
-        bands = self.minhash_config.k // self._ROWS
-        if self.config.shards > 1:
-            return ShardedLSHIndex(
-                rows=self._ROWS,
-                bands=bands,
-                bucket_cap=self._BUCKET_CAP,
-                shards=self.config.shards,
-                compact_ratio=self.config.compact_ratio,
-            )
         return LSHIndex(
             rows=self._ROWS,
-            bands=bands,
+            bands=self.minhash_config.k // self._ROWS,
             bucket_cap=self._BUCKET_CAP,
             compact_ratio=self.config.compact_ratio,
         )

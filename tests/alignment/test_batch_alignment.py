@@ -2,7 +2,8 @@
 
 The engine's contract is *decision identity*: the vectorized kernels, the
 content-addressed caches and the whole-plan replay must all produce exactly
-the alignment the pure Python path produces — never "close enough".
+the alignment the pure Python path (``tests.reference.PureAlignmentEngine``)
+produces — never "close enough".
 """
 
 import numpy as np
@@ -22,12 +23,11 @@ from repro.alignment.batch import (
     nw_ops_encoded,
 )
 from repro.alignment.cache import AlignmentCache, PlanCache, block_key
-from repro.alignment.hyfm_blocks import align_functions as pure_align
-from repro.harness.profile import _alignment_shape
 from repro.ir.printer import print_module
 from repro.merge.pass_ import FunctionMergingPass, PassConfig
-from repro.search.pairing import ExhaustiveRanker
+from repro.search.pairing import ExhaustiveRanker, MinHashLSHRanker
 from repro.workloads import build_workload
+from tests.reference import PureAlignmentEngine, alignment_shape
 
 # Small alphabet so random streams actually collide (matches = shared code).
 codes = st.lists(st.integers(min_value=0, max_value=5), max_size=24)
@@ -117,10 +117,11 @@ class TestEngineDecisionIdentity:
     @pytest.mark.parametrize("strategy", ["linear", "nw"])
     def test_engine_equals_pure(self, functions, strategy):
         engine = BatchAlignmentEngine(strategy=strategy)
+        pure = PureAlignmentEngine(strategy=strategy)
         for i in range(len(functions) - 1):
             a, b = functions[i], functions[i + 1]
-            assert _alignment_shape(engine.align_functions(a, b)) == _alignment_shape(
-                pure_align(a, b, strategy=strategy)
+            assert alignment_shape(engine.align_functions(a, b)) == alignment_shape(
+                pure.align_functions(a, b)
             )
 
     @pytest.mark.parametrize("strategy", ["linear", "nw"])
@@ -129,9 +130,9 @@ class TestEngineDecisionIdentity:
         reproduce the decision bit-for-bit."""
         engine = BatchAlignmentEngine(strategy=strategy)
         pairs = [(functions[i], functions[i + 1]) for i in range(10)]
-        first = [_alignment_shape(engine.align_functions(a, b)) for a, b in pairs]
+        first = [alignment_shape(engine.align_functions(a, b)) for a, b in pairs]
         hits_before = engine.plans.stats.hits
-        second = [_alignment_shape(engine.align_functions(a, b)) for a, b in pairs]
+        second = [alignment_shape(engine.align_functions(a, b)) for a, b in pairs]
         assert engine.plans.stats.hits > hits_before
         assert first == second
 
@@ -144,9 +145,9 @@ class TestEngineDecisionIdentity:
         for block in functions[0].blocks:
             assert id(block) not in engine._blocks
         # Still answers (recomputes) after invalidation.
-        assert _alignment_shape(
+        assert alignment_shape(
             engine.align_functions(functions[0], functions[1])
-        ) == _alignment_shape(pure_align(functions[0], functions[1]))
+        ) == alignment_shape(PureAlignmentEngine().align_functions(functions[0], functions[1]))
 
 
 class TestAlignmentCache:
@@ -211,3 +212,27 @@ class TestCacheHitPathBitIdentical:
         assert print_module(warm_module) == print_module(cold_module)
         stats = report.align_cache_stats
         assert stats["hits"] + stats["plan"]["hits"] > 0
+
+
+def _decisions(report):
+    return [(a.function, a.candidate, str(a.outcome), a.saving) for a in report.attempts]
+
+
+class TestPassEngineIdentical:
+    """A whole merging pass through the engine and through the pure aligner
+    produces a byte-identical module from identical attempt decisions."""
+
+    @pytest.mark.parametrize("strategy", ["linear", "nw"])
+    def test_engine_identical(self, strategy):
+        results = []
+        for engine in (BatchAlignmentEngine(strategy), PureAlignmentEngine(strategy)):
+            module = build_workload(80, "engine-identical")
+            config = PassConfig(verify=False, alignment=strategy)
+            report = FunctionMergingPass(
+                MinHashLSHRanker(), config, alignment_engine=engine
+            ).run(module)
+            results.append((print_module(module), _decisions(report)))
+        (text_engine, engine_decisions), (text_pure, pure_decisions) = results
+        assert engine_decisions == pure_decisions
+        assert any(d[2] == "merged" for d in engine_decisions)
+        assert text_engine == text_pure

@@ -24,7 +24,9 @@ from repro.fingerprint import (
     minhash_module,
     minhash_single,
 )
+from repro.search.pairing import MinHashLSHRanker
 from repro.workloads import build_workload
+from tests.reference import ReferenceMinHashRanker
 
 
 def _functions(n=40, tag="batch"):
@@ -170,3 +172,17 @@ class TestMinhashModule:
         # Identical bodies (or repeat calls) now hit.
         minhash_single(funcs[0], config, cache=cache)
         assert cache.stats.hits >= 1
+
+
+class TestRankerFingerprints:
+    def test_ranker_fingerprints_match_reference(self):
+        """The F3M ranker's resident fingerprints (batched engine, bulk index
+        insert) equal the per-function reference ranker's."""
+        funcs = _functions(40, "ranker-fp")
+        ranker, reference = MinHashLSHRanker(), ReferenceMinHashRanker()
+        ranker.preprocess(funcs)
+        reference.preprocess(funcs)
+        for func in funcs:
+            got, ref = ranker.fingerprint(func), reference.fingerprint(func)
+            assert np.array_equal(got.values, ref.values), func.name
+            assert got.num_shingles == ref.num_shingles

@@ -2,11 +2,13 @@
 
 from repro.harness.profile import (
     PERF_STAGES,
-    fingerprint_microbench,
+    profile_from_report,
     profile_pass,
     run_perf_bench,
 )
+from repro.merge.pass_ import FunctionMergingPass, PassConfig
 from repro.workloads import build_workload
+from tests.reference import ReferenceMinHashRanker
 
 
 class TestProfilePass:
@@ -20,12 +22,16 @@ class TestProfilePass:
         assert all(v >= 0 for v in profile.stages.values())
         # Named stages never account for more than the wall clock.
         assert profile.accounted <= profile.total_time
-        # The batched ranker reports a real fingerprint/index split.
+        # The F3M ranker reports a real fingerprint/index split.
         assert profile.stages["fingerprint"] > 0
 
     def test_per_function_path_folds_preprocess_into_fingerprint(self):
+        # A ranker without a fingerprint/index split (the per-function
+        # reference) is charged its whole preprocess as fingerprinting.
         module = build_workload(30, "prof2")
-        profile, report = profile_pass(module, "f3m", batched=False)
+        ranker = ReferenceMinHashRanker()
+        report = FunctionMergingPass(ranker, PassConfig(verify=False)).run(module)
+        profile = profile_from_report(report, ranker)
         assert profile.stages["fingerprint"] == report.preprocess_time
         assert profile.stages["index"] == 0.0
 
@@ -38,28 +44,18 @@ class TestProfilePass:
             assert f"stage_{stage}" in row
 
 
-class TestMicrobench:
-    def test_reports_identity_and_speedups(self):
-        funcs = build_workload(30, "micro").defined_functions()
-        result = fingerprint_microbench(funcs, repeats=1)
-        assert result["bit_identical"] is True
-        assert result["functions"] == len(funcs)
-        assert result["fingerprint_batched_s"] > 0
-        assert result["preprocess_per_function_s"] > 0
-        assert result["speedup_fingerprint"] > 0
-        assert result["speedup_preprocess"] > 0
-
-
 class TestRunPerfBench:
     def test_rows_and_metadata(self):
         rows, metadata = run_perf_bench(sizes=(25,), repeats=1)
         assert len(rows) == 1
         row = rows[0]
         assert row["size"] == 25
-        assert row["decisions_identical"] is True
-        assert row["micro"]["bit_identical"] is True
-        for label in ("hyfm", "f3m-per-function", "f3m-batched", "f3m-adaptive"):
+        for label in ("hyfm", "f3m", "f3m-adaptive"):
             assert row[label]["total_time"] > 0
         assert row["cache_remerge"]["hit_rate"] > 0
-        assert metadata["headline"]["size"] == 25
-        assert "fingerprint_speedup_definition" in metadata
+        assert metadata["headline"] == {
+            "size": 25,
+            "speedup_vs_hyfm": row["speedup_vs_hyfm"],
+        }
+        assert row["speedup_vs_hyfm"] > 0
+        assert "speedup_vs_hyfm_definition" in metadata

@@ -88,3 +88,23 @@ class TestIdempotence:
         second = FunctionMergingPass(ExhaustiveRanker()).run(module)
         assert second.merges <= max(2, first.merges // 4)
         verify_module(module)
+
+
+class TestPrintedModuleRoundTrip:
+    """``repro merge`` writes text it can read back: merge, print, parse,
+    print again — the two texts are identical.  These seeds once merged a
+    function whose SSA repair re-issued an inherited ``%reloadN`` name."""
+
+    @pytest.mark.parametrize(
+        "strategy,tag,seed", [("f3m", "m1", 101012120), ("hyfm", "m3", 101027958)]
+    )
+    def test_merge_print_parse_print(self, strategy, tag, seed):
+        from repro.ir import parse_module, print_module
+        from repro.workloads import WorkloadConfig
+
+        module = build_workload(200, tag, WorkloadConfig(seed=seed))
+        ranker = MinHashLSHRanker() if strategy == "f3m" else ExhaustiveRanker()
+        report = FunctionMergingPass(ranker, PassConfig(verify=False)).run(module)
+        assert report.merges > 0
+        text = print_module(module)
+        assert print_module(parse_module(text, name="reparsed")) == text

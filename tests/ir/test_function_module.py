@@ -46,6 +46,17 @@ class TestFunction:
         func.uniquify_names()
         assert v1.name != v2.name
 
+    def test_next_name_skips_names_in_use(self, module):
+        func = Function(FunctionType(I32, [I32]), "f", parent=module)
+        block = BasicBlock("t2", func)
+        b = IRBuilder(block)
+        v = b.add(func.args[0], b.const_int(I32, 1), name="t1")
+        b.ret(v)
+        func.args[0].name = "t3"
+        # t1 (instruction), t2 (block) and t3 (argument) are taken.
+        assert func.next_name() == "t4"
+        assert func.next_name("t") == "t5"
+
     def test_callers_and_address_taken(self, module):
         callee = build_straightline(module, "callee")
         caller = Function(FunctionType(I32, [I32]), "caller", parent=module)

@@ -7,6 +7,7 @@ import pytest
 from repro.search import ExhaustiveRanker, MinHashLSHRanker
 from repro.workloads import make_variant
 from tests.conftest import build_diamond, build_loop, build_straightline
+from tests.reference import ReferenceMinHashRanker
 
 
 def _population(module):
@@ -109,25 +110,6 @@ class TestMinHashLSHRanker:
         assert ranker._index.rows == 4
         assert ranker._index.bands == 50
 
-    def test_sharded_index_matches_serial(self, module):
-        funcs = _population(module)
-        serial = MinHashLSHRanker()
-        serial.preprocess(funcs)
-        sharded = MinHashLSHRanker(shards=4)
-        sharded.preprocess(funcs)
-        assert sharded._index.shards == 4
-        for func in funcs:
-            a = serial.best_match(func)
-            b = sharded.best_match(func)
-            if a is None:
-                assert b is None
-            else:
-                assert b is not None
-                assert (a.function.name, a.similarity) == (
-                    b.function.name,
-                    b.similarity,
-                )
-
     def test_preprocess_required(self, module):
         ranker = MinHashLSHRanker()
         with pytest.raises(AssertionError):
@@ -195,9 +177,9 @@ class TestBatchedRanker:
 
     def test_batched_matches_per_function_ranking(self):
         funcs = self._funcs()
-        batched = MinHashLSHRanker(batched=True)
+        batched = MinHashLSHRanker()
         batched.preprocess(funcs)
-        loop = MinHashLSHRanker(batched=False)
+        loop = ReferenceMinHashRanker()
         loop.preprocess(funcs)
         for func in funcs:
             a, b = batched.best_match(func), loop.best_match(func)
@@ -214,10 +196,6 @@ class TestBatchedRanker:
         breakdown = ranker.preprocess_breakdown
         assert set(breakdown) == {"fingerprint", "index"}
         assert all(v >= 0 for v in breakdown.values())
-        # The per-function path has no split to report.
-        loop = MinHashLSHRanker(batched=False)
-        loop.preprocess(funcs)
-        assert loop.preprocess_breakdown == {}
 
     def test_batched_insert_uses_cache(self):
         from repro.fingerprint import FingerprintCache
@@ -231,3 +209,34 @@ class TestBatchedRanker:
         extra = MinHashLSHRanker(cache=cache)
         extra.preprocess(funcs[:1])
         assert cache.stats.hits > 0
+
+
+def _decisions(report):
+    return [(a.function, a.candidate, str(a.outcome), a.saving) for a in report.attempts]
+
+
+class TestDecisionEquivalence:
+    """A whole merging pass ranks identically through the production
+    ranker and the per-function reference, remerges included.  The second
+    case forces index compactions (low ratio) and capped buckets."""
+
+    @pytest.mark.parametrize("compact_ratio,bucket_cap", [(1.0, 100), (0.1, 4)])
+    def test_merge_decisions_identical(self, compact_ratio, bucket_cap):
+        from repro.ir.printer import print_module
+        from repro.merge.pass_ import FunctionMergingPass, PassConfig
+        from repro.workloads import build_workload
+
+        config = PassConfig(verify=False, lsh_compact_ratio=compact_ratio)
+        results = []
+        for ranker in (
+            MinHashLSHRanker(bucket_cap=bucket_cap),
+            ReferenceMinHashRanker(bucket_cap=bucket_cap),
+        ):
+            module = build_workload(200, "decision-eq")
+            report = FunctionMergingPass(ranker, config).run(module)
+            stats = ranker.stats
+            results.append(
+                (_decisions(report), stats.comparisons, stats.capped_buckets, print_module(module))
+            )
+        assert results[0] == results[1]
+        assert sum(1 for d in results[0][0] if d[2] == "merged") > 10

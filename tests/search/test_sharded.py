@@ -1,18 +1,13 @@
-"""Property tests: the band-sharded index is serial-identical.
+"""The frozen band-sharded index is serial-identical.
 
-The contract under test is exactness, not speed: for any corpus, any
-interleaving of inserts/removes/compactions, and any shard count 1-8,
-``ShardedLSHIndex`` must return the *same* candidate lists (order
-included), the same ``best_match``, and the same maintenance counters as
-the serial ``LSHIndex``.  Frozen store mode adds the batched
-``best_match_all`` kernel, which must agree with the serial per-key loop
-for every row.
+The contract under test is exactness, not speed: for any shard count, a
+``ShardedLSHIndex`` built from a fingerprint store must answer
+``best_match`` — per key and through the batched ``best_match_all``
+kernel — exactly as the serial ``LSHIndex`` over the same fingerprints.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.fingerprint import FingerprintStore, MinHashConfig, MinHashFingerprint
 from repro.fingerprint.batch import minhash_encoded_batch
@@ -37,66 +32,6 @@ class TestShardRanges:
                 for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
                     assert hi == lo
                 assert len(ranges) == min(max(1, shards), bands)
-
-
-@st.composite
-def corpus_and_ops(draw):
-    """A family-structured corpus plus a remove/compact interleaving."""
-    n = draw(st.integers(min_value=4, max_value=24))
-    families = draw(st.integers(min_value=1, max_value=4))
-    seqs = []
-    for _ in range(n):
-        fam = draw(st.integers(0, families - 1))
-        seq = [fam * 100 + j for j in range(6)]
-        if draw(st.booleans()):
-            seq[draw(st.integers(0, 5))] = draw(st.integers(0, 500))
-        seqs.append(seq)
-    batch_split = draw(st.integers(0, n))
-    removals = draw(
-        st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1)
-    )
-    compact_after = draw(st.integers(0, max(0, len(removals))))
-    return seqs, batch_split, removals, compact_after
-
-
-def _apply_ops(index, fps, batch_split, removals, compact_after):
-    keys = list(range(len(fps)))
-    if batch_split:
-        index.insert_batch(keys[:batch_split], fps[:batch_split])
-    for key in keys[batch_split:]:
-        index.insert(key, fps[key])
-    for i, key in enumerate(removals):
-        index.remove(key)
-        if i + 1 == compact_after:
-            index.compact()
-    return set(keys) - set(removals)
-
-
-class TestSerialIdentity:
-    @settings(
-        max_examples=30,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(data=corpus_and_ops(), shards=st.integers(min_value=1, max_value=8))
-    def test_queries_match_serial(self, data, shards):
-        seqs, batch_split, removals, compact_after = data
-        fps = [fp(s) for s in seqs]
-        serial = LSHIndex(rows=ROWS, bands=BANDS, bucket_cap=3)
-        sharded = ShardedLSHIndex(rows=ROWS, bands=BANDS, bucket_cap=3, shards=shards)
-        live = _apply_ops(serial, fps, batch_split, removals, compact_after)
-        live2 = _apply_ops(sharded, fps, batch_split, removals, compact_after)
-        assert live == live2
-        assert serial.compactions == sharded.compactions
-        assert serial.removals == sharded.removals
-        for key in sorted(live):
-            s_stats, p_stats = LSHQueryStats(), LSHQueryStats()
-            assert serial.query(key, s_stats) == sharded.query(key, p_stats)
-            assert (s_stats.buckets_probed, s_stats.capped_buckets) == (
-                p_stats.buckets_probed,
-                p_stats.capped_buckets,
-            )
-            assert serial.best_match(key) == sharded.best_match(key)
 
 
 def _store_with(tmp_path, streams, config=CFG):
@@ -142,6 +77,10 @@ class TestFrozenStoreMode:
         )
         best, sims = index.best_match_all(batch_rows=17)
         for key in range(60):
+            # Same candidates in the same order, same probe accounting.
+            s_stats, f_stats = LSHQueryStats(), LSHQueryStats()
+            assert index.query(key, f_stats) == serial.query(key, s_stats)
+            assert vars(f_stats) == vars(s_stats)
             expected = serial.best_match(key)
             got = index.best_match(key)
             assert got == expected
@@ -202,8 +141,3 @@ class TestFrozenStoreMode:
             rebuilt = index.fingerprint(key)
             assert np.array_equal(rebuilt.values, values[key])
             assert rebuilt.num_shingles == int(counts[key])
-
-    def test_best_match_all_requires_frozen(self):
-        index = ShardedLSHIndex(rows=ROWS, bands=BANDS, shards=2)
-        with pytest.raises(RuntimeError):
-            index.best_match_all()

@@ -19,8 +19,8 @@ def seq(i, drift=0):
     return base
 
 
-def populated(cls=LSHIndex, n=20, **kwargs):
-    index = cls(rows=2, bands=100, **kwargs)
+def populated(n=20, **kwargs):
+    index = LSHIndex(rows=2, bands=100, **kwargs)
     index.insert_batch([f"f{i}" for i in range(n)], [fp(seq(i % 5, drift=i // 5)) for i in range(n)])
     return index
 
@@ -162,27 +162,6 @@ class TestClone:
 
 
 class TestShardedClone:
-    def test_sharded_clone_matches_serial_clone(self):
-        serial = populated(LSHIndex)
-        sharded = populated(ShardedLSHIndex, shards=4)
-        sdup = sharded.clone()
-        sdup.remove("f0")
-        sdup.insert("new", fp(seq(1)))
-        sref = serial.clone()
-        sref.remove("f0")
-        sref.insert("new", fp(seq(1)))
-        assert answers(sdup) == answers(sref)
-        assert answers(sharded) == answers(serial)
-
-    def test_sharded_clone_isolated_from_source(self):
-        sharded = populated(ShardedLSHIndex, shards=2)
-        before = answers(sharded)
-        dup = sharded.clone()
-        for i in range(10):
-            dup.remove(f"f{i}")
-        dup.compact()
-        assert answers(sharded) == before
-
     def test_frozen_store_backed_index_refuses_clone(self, tmp_path):
         import numpy as np
 
@@ -225,12 +204,6 @@ class TestProbe:
         live = len(index)
         index.probe(fp([1, 2, 3, 4, 5]))
         assert len(index) == live
-
-    def test_probe_on_sharded_matches_serial(self):
-        serial = populated(LSHIndex)
-        sharded = populated(ShardedLSHIndex, shards=4)
-        probe = fp(seq(2, drift=1))
-        assert sorted(serial.probe(probe)) == sorted(sharded.probe(probe))
 
     def test_probe_rejects_undersized_fingerprint(self):
         index = populated()

@@ -2,13 +2,17 @@
 
 Documentation that drifts from the code is worse than none, so these
 assert the structural invariants: every package is in the architecture
-doc, every relative link in README/docs resolves to a real file, and the
-generated checker catalogue matches the registry byte-for-byte.
+doc, every relative link in README/docs resolves to a real file, every
+documented ``repro`` command line parses, and the generated checker
+catalogue matches the registry byte-for-byte.
 """
 
+import contextlib
 import importlib.util
+import io
 import os
 import re
+import shlex
 
 import pytest
 
@@ -178,3 +182,45 @@ class TestReadmePointers:
         bench_doc = _read("docs", "benchmarks.md")
         for field in ("speedup_vs_hyfm", "cache_remerge", "bound_unsound_rejections"):
             assert field in bench_doc
+
+
+# A fenced code block, and a ``repro`` command line inside one (optionally
+# behind ``VAR=value`` environment assignments).
+_FENCE_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+_COMMAND_RE = re.compile(
+    r"^(?:[A-Za-z_][A-Za-z0-9_]*=\S*\s+)*(?:python3? -m repro(?:\.cli)?|repro)\s+(.*)$"
+)
+
+
+def _documented_commands() -> list:
+    """``(doc, argv)`` for every ``repro`` command in a fenced block of
+    README.md and docs/*.md, backslash continuations joined."""
+    commands = []
+    for doc in ["README.md"] + _doc_pages():
+        for block in _FENCE_RE.findall(_read(*doc.split("/"))):
+            for line in block.replace("\\\n", " ").splitlines():
+                match = _COMMAND_RE.match(line.strip())
+                if match:
+                    argv = shlex.split(match.group(1), comments=True)
+                    if argv and argv[-1] == "&":
+                        argv.pop()
+                    commands.append((doc, argv))
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self):
+        from repro.cli import build_parser
+
+        commands = _documented_commands()
+        assert len(commands) >= 30, "command extraction found too few lines"
+        broken = []
+        for doc, argv in commands:
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    build_parser().parse_args(argv)
+            except SystemExit as exc:
+                if exc.code:
+                    broken.append(f"{doc}: repro {shlex.join(argv)}: {err.getvalue().strip()}")
+        assert not broken, "documented commands that no longer parse:\n" + "\n".join(broken)
