@@ -69,9 +69,6 @@ def remove_unreachable_blocks(func: Function) -> int:
     live = reachable_blocks(func)
     dead = [b for b in func.blocks if id(b) not in live]
     for block in dead:
-        for succ in set(map(id, block.successors())):
-            pass  # successors updated implicitly through phi fix-up below
-    for block in dead:
         term = block.terminator
         if term is not None:
             for succ in term.successors():

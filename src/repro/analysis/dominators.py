@@ -3,11 +3,16 @@
 Needed by the IR verifier (SSA dominance checks) and by the merged-code
 generator's SSA repair stage, which is where the two HyFM bugs documented in
 F3M Section III-E live.
+
+Both consumers share one scan, :func:`dominance_violations`.  It is linear
+in the size of the function: block dominance is an interval test on a
+pre-order numbering of the tree, and same-block order is decided by what the
+walk has already passed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -15,53 +20,77 @@ from ..ir.instructions import Instruction
 from ..ir.values import Value
 from .cfg import reverse_postorder
 
-__all__ = ["DominatorTree"]
+__all__ = ["DominatorTree", "dominance_violations"]
 
 
 class DominatorTree:
-    """Immediate-dominator map for the reachable blocks of a function."""
+    """Immediate-dominator map for the reachable blocks of a function.
+
+    Blocks are numbered in reverse postorder; predecessor lists are built
+    once from successor edges, so only reachable predecessors appear and no
+    block's use list is ever scanned.
+    """
 
     def __init__(self, func: Function) -> None:
         self.function = func
         self._rpo = reverse_postorder(func)
         self._index: Dict[int, int] = {id(b): i for i, b in enumerate(self._rpo)}
-        self._idom: Dict[int, Optional[BasicBlock]] = {}
-        self._compute()
+        n = len(self._rpo)
+        preds: List[List[int]] = [[] for _ in range(n)]
+        for i, block in enumerate(self._rpo):
+            for succ in block.successors():
+                p = preds[self._index[id(succ)]]
+                if not p or p[-1] != i:
+                    p.append(i)
+        self._idom = self._compute(preds)
+        # Pre-order numbering of the tree: *a* dominates *b* iff b's number
+        # falls in a's subtree interval.  An idom precedes its block in
+        # reverse postorder, so one backward and one forward sweep suffice.
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[self._idom[i]] += size[i]
+        pre = [0] * n
+        nxt = [1] * n
+        children: List[List[int]] = [[] for _ in range(n)]
+        for i in range(1, n):
+            parent = self._idom[i]
+            pre[i] = nxt[parent]
+            nxt[parent] += size[i]
+            nxt[i] = pre[i] + 1
+            children[parent].append(i)
+        self._pre = pre
+        self._size = size
+        self._children = children
 
-    def _compute(self) -> None:
-        if not self._rpo:
-            return
-        entry = self._rpo[0]
-        idom: Dict[int, BasicBlock] = {id(entry): entry}
+    @staticmethod
+    def _compute(preds: List[List[int]]) -> List[int]:
+        """Immediate dominator of each RPO number (the entry maps to 0)."""
+        n = len(preds)
+        idom = [-1] * n
+        if n:
+            idom[0] = 0
         changed = True
         while changed:
             changed = False
-            for block in self._rpo[1:]:
-                new_idom: Optional[BasicBlock] = None
-                for pred in block.predecessors():
-                    if id(pred) not in self._index:
-                        continue  # unreachable predecessor
-                    if id(pred) in idom:
-                        if new_idom is None:
-                            new_idom = pred
-                        else:
-                            new_idom = self._intersect(pred, new_idom, idom)
-                if new_idom is not None and idom.get(id(block)) is not new_idom:
-                    idom[id(block)] = new_idom
+            for b in range(1, n):
+                new_idom = -1
+                for p in preds[b]:
+                    if idom[p] < 0:
+                        continue
+                    if new_idom < 0:
+                        new_idom = p
+                        continue
+                    f1, f2 = p, new_idom
+                    while f1 != f2:
+                        while f1 > f2:
+                            f1 = idom[f1]
+                        while f2 > f1:
+                            f2 = idom[f2]
+                    new_idom = f1
+                if new_idom >= 0 and idom[b] != new_idom:
+                    idom[b] = new_idom
                     changed = True
-        self._idom = {bid: (None if bid == id(entry) else blk) for bid, blk in idom.items()}
-        self._idom[id(entry)] = None
-
-    def _intersect(
-        self, a: BasicBlock, b: BasicBlock, idom: Dict[int, BasicBlock]
-    ) -> BasicBlock:
-        fa, fb = a, b
-        while fa is not fb:
-            while self._index[id(fa)] > self._index[id(fb)]:
-                fa = idom[id(fa)]
-            while self._index[id(fb)] > self._index[id(fa)]:
-                fb = idom[id(fb)]
-        return fa
+        return idom
 
     # -- queries -----------------------------------------------------------------
     def is_reachable(self, block: BasicBlock) -> bool:
@@ -69,18 +98,19 @@ class DominatorTree:
 
     def idom(self, block: BasicBlock) -> Optional[BasicBlock]:
         """Immediate dominator of *block* (None for the entry block)."""
-        return self._idom.get(id(block))
+        i = self._index.get(id(block))
+        if not i:
+            return None
+        return self._rpo[self._idom[i]]
 
     def dominates_block(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True if block *a* dominates block *b* (reflexive)."""
-        if not self.is_reachable(a) or not self.is_reachable(b):
+        ia = self._index.get(id(a))
+        ib = self._index.get(id(b))
+        if ia is None or ib is None:
             return False
-        runner: Optional[BasicBlock] = b
-        while runner is not None:
-            if runner is a:
-                return True
-            runner = self._idom.get(id(runner))
-        return False
+        start = self._pre[ia]
+        return start <= self._pre[ib] < start + self._size[ia]
 
     def strictly_dominates_block(self, a: BasicBlock, b: BasicBlock) -> bool:
         return a is not b and self.dominates_block(a, b)
@@ -112,5 +142,68 @@ class DominatorTree:
         return self.strictly_dominates_block(def_block, use_block)
 
     def children(self, block: BasicBlock) -> List[BasicBlock]:
-        """Dominator-tree children of *block*."""
-        return [b for b in self._rpo if self._idom.get(id(b)) is block]
+        """Dominator-tree children of *block*, in reverse postorder."""
+        i = self._index.get(id(block))
+        if i is None:
+            return []
+        return [self._rpo[c] for c in self._children[i]]
+
+
+def dominance_violations(
+    func: Function, dt: Optional[DominatorTree] = None
+) -> Iterator[Tuple[Instruction, Instruction, int]]:
+    """Every use in reachable code that its definition does not dominate.
+
+    Yields ``(def, user, operand_index)`` in block, instruction and operand
+    order.  Defs in unreachable blocks are exempt; a def with no parent
+    block dominates nothing and is always reported.
+    """
+    if dt is None:
+        dt = DominatorTree(func)
+    index = dt._index
+    pre = dt._pre
+    size = dt._size
+    seen = set()  # ids of instructions the walk has passed
+    for block in func.blocks:
+        b = index.get(id(block))
+        if b is None:
+            continue  # unreachable code is exempt from dominance rules
+        use_pre = pre[b]
+        for inst in block.instructions:
+            ops = inst._operands
+            if inst.is_phi:
+                # Incoming value at index i pairs with the block at i+1; the
+                # def must dominate the end of that incoming block.
+                for idx in range(0, len(ops), 2):
+                    op = ops[idx]
+                    if not isinstance(op, Instruction):
+                        continue
+                    def_block = op.parent
+                    if def_block is None:
+                        yield op, inst, idx
+                        continue
+                    d = index.get(id(def_block))
+                    if d is None:
+                        continue
+                    incoming = ops[idx + 1]
+                    i = index.get(id(incoming)) if isinstance(incoming, BasicBlock) else None
+                    if i is None or not pre[d] <= pre[i] < pre[d] + size[d]:
+                        yield op, inst, idx
+            else:
+                for idx, op in enumerate(ops):
+                    if not isinstance(op, Instruction):
+                        continue
+                    def_block = op.parent
+                    if def_block is None:
+                        yield op, inst, idx
+                        continue
+                    if def_block is block:
+                        if id(op) not in seen:
+                            yield op, inst, idx
+                        continue
+                    d = index.get(id(def_block))
+                    if d is None:
+                        continue
+                    if not pre[d] <= use_pre < pre[d] + size[d]:
+                        yield op, inst, idx
+            seen.add(id(inst))

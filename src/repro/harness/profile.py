@@ -263,6 +263,12 @@ def run_attempt_bench(
         row["attempted_alignments_bounded"] = sum(
             1 for a in rep_bound.attempts if a.align_time > 0.0
         )
+        row["attempted_codegens_unbounded"] = sum(
+            1 for a in rep_unbound.attempts if a.codegen_time > 0.0
+        )
+        row["attempted_codegens_bounded"] = sum(
+            1 for a in rep_bound.attempts if a.codegen_time > 0.0
+        )
 
         # Cold vs prewarmed engine: a pass through an engine warmed on an
         # identical module must produce a bit-identical module (the cache

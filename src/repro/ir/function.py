@@ -13,7 +13,7 @@ from .values import Argument, Value
 if TYPE_CHECKING:  # pragma: no cover
     from .module import Module
 
-__all__ = ["Function"]
+__all__ = ["Function", "LocalNamer"]
 
 _name_of = attrgetter("name")
 
@@ -83,16 +83,17 @@ class Function(Value):
         The counter alone is not enough: a body cloned or merged in keeps
         the names another function's counter issued, so a counter-made
         name is skipped while an argument, block or instruction uses it.
+        Callers issuing many names in a row use :meth:`namer` instead.
         """
-        taken = set(map(_name_of, self.args))
-        taken.update(map(_name_of, self.blocks))
-        for block in self.blocks:
-            taken.update(map(_name_of, block.instructions))
-        while True:
-            self._name_counter += 1
-            name = f"{prefix}{self._name_counter}"
-            if name not in taken:
-                return name
+        return self.namer()(prefix)
+
+    def namer(self) -> "LocalNamer":
+        """A :meth:`next_name` that collects the names in use only once.
+
+        Valid while every local name added to the function comes from this
+        namer (or cannot collide with one, e.g. does not end in a digit).
+        """
+        return LocalNamer(self)
 
     def uniquify_names(self) -> None:
         """Assign fresh names to unnamed/duplicate blocks and instructions."""
@@ -186,3 +187,32 @@ class Function(Value):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "declare" if self.is_declaration else "define"
         return f"<Function {kind} {self.ftype.ret} @{self.name}>"
+
+
+class LocalNamer:
+    """Issues fresh local names for one function from one scan of its names.
+
+    Shares the function's counter, so names come out exactly as successive
+    :meth:`Function.next_name` calls would issue them; each issued name joins
+    the set of names in use.
+    """
+
+    __slots__ = ("function", "taken")
+
+    def __init__(self, func: Function) -> None:
+        self.function = func
+        taken = set(map(_name_of, func.args))
+        taken.update(map(_name_of, func.blocks))
+        for block in func.blocks:
+            taken.update(map(_name_of, block.instructions))
+        self.taken = taken
+
+    def __call__(self, prefix: str = "t") -> str:
+        func = self.function
+        taken = self.taken
+        while True:
+            func._name_counter += 1
+            name = f"{prefix}{func._name_counter}"
+            if name not in taken:
+                taken.add(name)
+                return name

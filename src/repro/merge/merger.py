@@ -30,7 +30,7 @@ from ..alignment.model import (
 )
 from ..ir.basicblock import BasicBlock
 from ..ir.clone import clone_instruction
-from ..ir.function import Function
+from ..ir.function import Function, LocalNamer
 from ..ir.instructions import (
     Branch,
     Instruction,
@@ -45,6 +45,7 @@ from ..ir.instructions import (
 from ..ir.module import Module
 from ..ir.types import FunctionType, I1, Type
 from ..ir.values import Argument, Constant, ConstantFloat, ConstantInt, ConstantNull, UndefValue, Value
+from ..obs import trace
 from .errors import MergeError
 from .ssa_repair import repair_ssa
 
@@ -240,26 +241,28 @@ class _Merger:
 
     # -- phase 1: block scaffolding ----------------------------------------------
     def build(self) -> MergeResult:
-        dispatch = self._new_block("entry")
-        self._build_pairs()
-        self._build_unmatched(self.alignment.unmatched_a, "a")
-        self._build_unmatched(self.alignment.unmatched_b, "b")
-        self._flush_terminators()
-        self._emit_dispatch(dispatch)
-        self._patch_operands()
-        self._patch_phis()
-        self._drop_dummies()
-        self.merged.uniquify_names()
-        self.module.add_function(self.merged)
-        try:
-            self.result.repairs = repair_ssa(
-                self.merged,
-                legacy_bugs=self.options.legacy_bugs,
-                max_rounds=self.options.max_repair_rounds,
-            )
-        except MergeError:
-            self.merged.erase_from_parent()
-            raise
+        with trace.span("codegen.merge"):
+            dispatch = self._new_block("entry")
+            self._build_pairs()
+            self._build_unmatched(self.alignment.unmatched_a, "a")
+            self._build_unmatched(self.alignment.unmatched_b, "b")
+            self._flush_terminators()
+            self._emit_dispatch(dispatch)
+            self._patch_operands()
+            self._patch_phis()
+            self._drop_dummies()
+            self.merged.uniquify_names()
+            self.module.add_function(self.merged)
+        with trace.span("codegen.repair"):
+            try:
+                self.result.repairs = repair_ssa(
+                    self.merged,
+                    legacy_bugs=self.options.legacy_bugs,
+                    max_rounds=self.options.max_repair_rounds,
+                )
+            except MergeError:
+                self.merged.erase_from_parent()
+                raise
         self.result.param_map_a = self.map_a
         self.result.param_map_b = self.map_b
         return self.result
@@ -433,17 +436,20 @@ class _Merger:
 
     # -- phase 2: operand patching -----------------------------------------------------
     def _patch_operands(self) -> None:
+        namer = self.merged.namer()
         for pend in self.pending:
             inst = pend.inst
             if pend.source_a is not None and pend.source_b is not None:
-                self._patch_shared(inst, pend.source_a, pend.source_b)
+                self._patch_shared(inst, pend.source_a, pend.source_b, namer)
             elif pend.source_a is not None:
                 self._patch_private(inst, pend.source_a, "a")
             else:
                 assert pend.source_b is not None
                 self._patch_private(inst, pend.source_b, "b")
 
-    def _patch_shared(self, inst: Instruction, src_a: Instruction, src_b: Instruction) -> None:
+    def _patch_shared(
+        self, inst: Instruction, src_a: Instruction, src_b: Instruction, namer: LocalNamer
+    ) -> None:
         for idx in range(inst.num_operands):
             op_a = src_a.operand(idx)
             op_b = src_b.operand(idx)
@@ -460,7 +466,7 @@ class _Merger:
                 inst.set_operand(idx, val_a)
             else:
                 select = Select(self.fid, val_b, val_a)
-                select.name = self.merged.next_name("sel")
+                select.name = namer("sel")
                 block = inst.parent
                 assert block is not None
                 block.insert_before(inst, select)

@@ -85,11 +85,14 @@ class PassConfig:
     ``on_error`` — ``"skip"`` (default) contains unexpected exceptions:
     the attempt is rolled back, recorded, and the pass continues.
     ``"raise"`` re-raises after the rollback (debugging).
-    ``prealign_bound`` — reject pairs whose pre-alignment profitability
-    upper bound (:class:`~repro.merge.profitability.ProfitabilityBound`)
-    proves they can never be profitable, skipping alignment and codegen
-    with a ``rejected_bound`` outcome.  The bound is sound: it never
-    rejects a pair the full pipeline would have merged.
+    ``prealign_bound`` — run the bound stage's two checks of the
+    profitability upper bound
+    (:class:`~repro.merge.profitability.ProfitabilityBound`): before
+    alignment, reject pairs that can never be profitable and skip
+    alignment and codegen; after alignment, price what codegen must emit
+    and skip codegen for pairs that cannot pay.  Either check records a
+    ``rejected_bound`` outcome.  The bound is sound: it never rejects a
+    pair the full pipeline would have merged.
     ``lsh_compact_ratio`` — auto-compaction threshold of the LSH index:
     compact when tombstones exceed this fraction of the live entries.
     The default 1.0 is the historical "tombstones outnumber live rows"
@@ -417,6 +420,21 @@ class FunctionMergingPass:
             record.outcome = Outcome.ALIGN_FAIL
             return record, None
 
+        if self.config.prealign_bound:
+            # Second check of the bound stage: the alignment fixes most of
+            # what codegen will emit, so price that and skip codegen for a
+            # pair that cannot pay.
+            ctx.stage = "bound"
+            with trace.span("bound"):
+                t0 = time.perf_counter()
+                try:
+                    bound = self.bound.after_alignment(alignment)
+                finally:
+                    record.bound_time += time.perf_counter() - t0
+            if bound <= 0:
+                record.outcome = Outcome.REJECTED_BOUND
+                return record, None
+
         ctx.stage = "codegen"
         with trace.span("codegen"):
             t0 = time.perf_counter()
@@ -430,9 +448,10 @@ class FunctionMergingPass:
                 )
                 ctx.stage = "verify"
                 if self.config.verify:
-                    if self.faults is not None:
-                        self.faults.hit("verify")
-                    verify_function(result.merged)
+                    with trace.span("codegen.verify"):
+                        if self.faults is not None:
+                            self.faults.hit("verify")
+                        verify_function(result.merged)
             finally:
                 record.codegen_time = time.perf_counter() - t0
 

@@ -50,8 +50,9 @@ class Outcome(str, Enum):
     MERGED = "merged"
     NO_CANDIDATE = "no_candidate"
     REJECTED_THRESHOLD = "rejected_threshold"
-    # The pre-alignment profitability bound proved the pair can never be
-    # profitable, so alignment and codegen were skipped entirely.
+    # The profitability bound proved the pair can never be profitable:
+    # before alignment (alignment and codegen skipped) or after it, from
+    # what the alignment says codegen must emit (codegen skipped).
     REJECTED_BOUND = "rejected_bound"
     ALIGN_FAIL = "align_fail"
     CODEGEN_FAIL = "codegen_fail"

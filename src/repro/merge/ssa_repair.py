@@ -25,11 +25,11 @@ here behind ``legacy_bugs=True``:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..analysis.dominators import DominatorTree
+from ..analysis.dominators import dominance_violations
 from ..ir.basicblock import BasicBlock
-from ..ir.function import Function
+from ..ir.function import Function, LocalNamer
 from ..ir.instructions import Alloca, Instruction, Invoke, Load, Phi, Store
 from .errors import MergeError
 
@@ -45,22 +45,12 @@ def find_dominance_violations(
     func: Function,
 ) -> Dict[int, Tuple[Instruction, List[Tuple[Instruction, int]]]]:
     """Map of defining-instruction id -> (def, [(user, operand_index), ...])."""
-    dt = DominatorTree(func)
     violations: Dict[int, Tuple[Instruction, List[Tuple[Instruction, int]]]] = {}
-    for block in func.blocks:
-        if not dt.is_reachable(block):
-            continue
-        for inst in block.instructions:
-            for idx, op in enumerate(inst.operands):
-                if inst.is_phi and idx % 2 == 1:
-                    continue  # incoming-block slot
-                if not isinstance(op, Instruction):
-                    continue
-                if op.parent is None or not dt.is_reachable(op.parent):
-                    continue
-                if not dt.dominates(op, inst, idx):
-                    entry = violations.setdefault(id(op), (op, []))
-                    entry[1].append((inst, idx))
+    for op, user, idx in dominance_violations(func):
+        if op.parent is None:
+            continue  # a detached def has no block to store it from
+        entry = violations.setdefault(id(op), (op, []))
+        entry[1].append((user, idx))
     return violations
 
 
@@ -108,10 +98,17 @@ def _store_insertion_point(value: Instruction, legacy_bugs: bool) -> Tuple[Basic
     return block, block.instructions.index(value) + 1
 
 
-def _demote_to_stack(func: Function, value: Instruction, legacy_bugs: bool) -> None:
+def _demote_to_stack(
+    func: Function,
+    value: Instruction,
+    legacy_bugs: bool,
+    namer: Optional[LocalNamer] = None,
+) -> None:
     """Replace all uses of *value* with loads from a dedicated stack slot."""
+    if namer is None:
+        namer = func.namer()
     slot = Alloca(value.type)
-    slot.name = func.next_name(f"{DEMOTE_PREFIX}{value.name or 'v'}")
+    slot.name = namer(f"{DEMOTE_PREFIX}{value.name or 'v'}")
     func.entry.insert(0, slot)
 
     uses = list(value.uses())  # snapshot before we add the store
@@ -130,19 +127,19 @@ def _demote_to_stack(func: Function, value: Instruction, legacy_bugs: bool) -> N
                     # incoming block executes *before* the invoke defines the
                     # value — it reads whatever is in the slot.
                     load = Load(slot)
-                    load.name = func.next_name("reload")
+                    load.name = namer("reload")
                     incoming_block.insert_before_terminator(load)
                     user.set_operand(idx, load)
                 # Fixed behaviour: the invoke result is valid on the normal
                 # edge; leave the direct use in place.
                 continue
             load = Load(slot)
-            load.name = func.next_name("reload")
+            load.name = namer("reload")
             incoming_block.insert_before_terminator(load)
             user.set_operand(idx, load)
         else:
             load = Load(slot)
-            load.name = func.next_name("reload")
+            load.name = namer("reload")
             block = user.parent
             assert block is not None
             block.insert_before(user, load)
@@ -160,9 +157,12 @@ def repair_ssa(func: Function, legacy_bugs: bool = False, max_rounds: int = 16) 
         violations = find_dominance_violations(func)
         if not violations:
             return demoted
+        # One namer per round: the split blocks a round adds never end in
+        # a digit, so they cannot collide with a name it issues.
+        namer = func.namer()
         for _vid, (value, _uses) in sorted(
             violations.items(), key=lambda kv: kv[1][0].name
         ):
-            _demote_to_stack(func, value, legacy_bugs)
+            _demote_to_stack(func, value, legacy_bugs, namer)
             demoted += 1
     raise MergeError(f"SSA repair did not converge after {max_rounds} rounds")

@@ -156,35 +156,20 @@ def _diag(
 
 def dominance_diagnostics(func: Function, dt=None) -> List[Diagnostic]:
     """Strict SSA-dominance violations in *func* (reachable code only)."""
-    from ..analysis.dominators import DominatorTree
+    from ..analysis.dominators import dominance_violations
 
-    if dt is None:
-        dt = DominatorTree(func)
-    diags: List[Diagnostic] = []
-    for block in func.blocks:
-        if not dt.is_reachable(block):
-            continue  # unreachable code is exempt from dominance rules
-        for inst in block.instructions:
-            for idx, op in enumerate(inst.operands):
-                if inst.is_phi and idx % 2 == 1:
-                    continue  # incoming-block slots
-                if not isinstance(op, Instruction):
-                    continue
-                if op.parent is not None and not dt.is_reachable(op.parent):
-                    continue
-                if not dt.dominates(op, inst, idx):
-                    diags.append(
-                        _diag(
-                            "ssa-dominance",
-                            Severity.ERROR,
-                            f"use of %{op.name} is not dominated by its definition",
-                            func,
-                            block,
-                            inst,
-                            code="use-before-def",
-                        )
-                    )
-    return diags
+    return [
+        _diag(
+            "ssa-dominance",
+            Severity.ERROR,
+            f"use of %{op.name} is not dominated by its definition",
+            func,
+            user.parent,
+            user,
+            code="use-before-def",
+        )
+        for op, user, _idx in dominance_violations(func, dt)
+    ]
 
 
 @checker("ssa-dominance", "function", "every use is dominated by its definition")

@@ -1,19 +1,28 @@
 """End-to-end tests for the attempt-stage engine.
 
-Covers the pre-alignment profitability bound (its accounting, its
-soundness, and the work it saves), and the parallel partition sweep's
-serial/parallel decision identity.
+Covers the profitability bound's two checks, before and after alignment
+(their accounting, their soundness, and the work they save), and the
+parallel partition sweep's serial/parallel decision identity.
 """
 
 import pytest
 
+from repro.alignment.hyfm_blocks import align_functions
+from repro.harness.experiments import make_ranker
 from repro.harness.profile import _merged_pairs
+from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
+from repro.merge import pass_ as pass_module
+from repro.merge.merger import MergeOptions, merge_functions
 from repro.merge.partitioned import partition_sweep
 from repro.merge.pass_ import FunctionMergingPass, PassConfig
+from repro.merge.profitability import ProfitabilityBound, ProfitabilityModel
 from repro.merge.report import Outcome
 from repro.search.pairing import ExhaustiveRanker, MinHashLSHRanker
 from repro.workloads import build_workload
+from repro.workloads.suites import WorkloadConfig
+
+STRATEGIES = ("hyfm", "f3m", "f3m-adaptive")
 
 
 def _run(num_functions: int, **config_kwargs):
@@ -66,6 +75,94 @@ class TestProfitabilityBound:
     @staticmethod
     def _unbounded():
         return _run(120, prealign_bound=False)
+
+
+class TestPostAlignmentBound:
+    """The check after alignment, which skips codegen for pairs that
+    cannot pay."""
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_bound_covers_every_codegen_saving(self, monkeypatch, seed):
+        """Soundness: for every pair that reaches codegen, the bound is at
+        least the saving the size model assigns to the merged function.
+
+        ``legacy_bugs`` changes only SSA repair, never which pairs reach
+        codegen, so each pair is priced under both settings in one pass.
+        """
+        real_merge = pass_module.merge_functions
+        model = ProfitabilityModel()
+        pairs = []
+        running = []
+
+        def merge_and_price(alignment, module, options):
+            bound = running[-1].bound.after_alignment(alignment)
+            legacy = real_merge(alignment, module, options=MergeOptions(legacy_bugs=True))
+            pairs.append((bound, model.evaluate(legacy).saving))
+            legacy.merged.erase_from_parent()
+            result = real_merge(alignment, module, options=options)
+            pairs.append((bound, model.evaluate(result).saving))
+            return result
+
+        monkeypatch.setattr(pass_module, "merge_functions", merge_and_price)
+        text = print_module(build_workload(200, "bound", WorkloadConfig(seed=seed)))
+        for strategy in STRATEGIES:
+            for alignment in ("linear", "nw"):
+                config = PassConfig(prealign_bound=False, verify=False, alignment=alignment)
+                running.append(FunctionMergingPass(make_ranker(strategy), config))
+                running[-1].run(parse_module(text))
+        assert [(b, s) for b, s in pairs if b < s] == []
+        # The bound is tight enough to skip some codegen.
+        assert any(b <= 0 for b, _s in pairs)
+
+    def test_shared_invoke_result_needs_no_select(self):
+        """A shared invoke terminator unifies the two invoke results, so a
+        shared use of them gets no select; the bound must not price one."""
+        body = """
+  %r = invoke i32 @callee(i32 %x) to label %ok unwind label %bad
+ok:
+  %y = add i32 %r, 1
+  ret i32 %y
+bad:
+  ret i32 0
+}
+"""
+        module = parse_module(
+            "declare i32 @callee(i32)\n"
+            f"define i32 @f(i32 %x) {{\nentry:{body}"
+            f"define i32 @g(i32 %x) {{\nentry:{body}"
+        )
+        f, g = module.get_function("f"), module.get_function("g")
+        alignment = align_functions(f, g)
+        bound = ProfitabilityBound().after_alignment(alignment)
+        result = merge_functions(alignment, module)
+        assert result.num_selects == 0
+        # Codegen emits exactly what the bound prices.
+        assert bound == ProfitabilityModel().evaluate(result).saving
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unbounded_pass_is_identical(self, strategy):
+        """The bound changes which attempts run codegen, nothing else."""
+        text = print_module(build_workload(200, "bound-identity", WorkloadConfig(seed=5)))
+        runs = {}
+        for bound in (True, False):
+            module = parse_module(text)
+            config = PassConfig(prealign_bound=bound)
+            runs[bound] = (module, FunctionMergingPass(make_ranker(strategy), config).run(module))
+        (mod_b, bounded), (mod_u, unbounded) = runs[True], runs[False]
+        assert print_module(mod_b) == print_module(mod_u)
+        assert _merged_pairs(bounded) == _merged_pairs(unbounded)
+        after_alignment = [
+            a
+            for a in bounded.attempts
+            if a.outcome == Outcome.REJECTED_BOUND and a.alignment_ratio > 0
+        ]
+        assert after_alignment, "the post-alignment check never fired"
+        assert all(a.codegen_time == 0.0 and a.bound_time > 0 for a in after_alignment)
+        codegens = [
+            sum(1 for a in report.attempts if a.codegen_time > 0)
+            for report in (bounded, unbounded)
+        ]
+        assert codegens[0] < codegens[1]
 
 
 class TestPartitionSweep:

@@ -235,3 +235,29 @@ class TestSpanTotals:
         assert "error" not in payload
         assert "events" not in payload
         assert isinstance(payload["id"], int)
+
+
+class TestCodegenSubSpans:
+    def test_sub_stages_nest_in_codegen(self):
+        from repro.merge import FunctionMergingPass, PassConfig
+        from repro.search.pairing import ExhaustiveRanker
+        from repro.workloads import build_workload
+
+        module = build_workload(40, "codegen-spans")
+        tracer = Tracer()
+        with tracer.install():
+            FunctionMergingPass(ExhaustiveRanker(), PassConfig()).run(module)
+        spans = tracer.finished()
+        by_id = {sp.span_id: sp for sp in spans}
+        codegen = [sp for sp in spans if sp.name == "codegen"]
+        assert codegen
+        children = {sp.span_id: [] for sp in codegen}
+        for sp in spans:
+            if sp.name.startswith("codegen."):
+                parent = by_id[sp.parent_id]
+                assert parent.name == "codegen", sp.name
+                children[parent.span_id].append(sp)
+        for parent in codegen:
+            names = [sp.name for sp in children[parent.span_id]]
+            assert names == ["codegen.merge", "codegen.repair", "codegen.verify"]
+            assert sum(sp.duration for sp in children[parent.span_id]) <= parent.duration

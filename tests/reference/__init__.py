@@ -7,10 +7,19 @@ bit-identical answers:
 * :class:`ReferenceMinHashRanker` — F3M ranking with per-function MinHash
   fingerprints and plain-list LSH buckets;
 * :class:`PureAlignmentEngine` — alignment through the pure-Python
-  aligner, accepted by ``FunctionMergingPass(alignment_engine=...)``.
+  aligner, accepted by ``FunctionMergingPass(alignment_engine=...)``;
+* :class:`ReferenceDominatorTree` and :func:`reference_violations` — the
+  per-block dominator loop and ``list.index`` dominance scan.
 """
 
 from .alignment import PureAlignmentEngine, alignment_shape
+from .dominance import ReferenceDominatorTree, reference_violations
 from .ranking import ReferenceMinHashRanker
 
-__all__ = ["PureAlignmentEngine", "ReferenceMinHashRanker", "alignment_shape"]
+__all__ = [
+    "PureAlignmentEngine",
+    "ReferenceDominatorTree",
+    "ReferenceMinHashRanker",
+    "alignment_shape",
+    "reference_violations",
+]
