@@ -34,8 +34,8 @@ class TestBoundSavesWorkWithoutChangingDecisions:
     def test_bound_reduces_attempted_alignments(self, reports):
         _, bounded = reports[True]
         _, unbounded = reports[False]
-        aligned_bounded = sum(1 for a in bounded.attempts if a.align_time > 0)
-        aligned_unbounded = sum(1 for a in unbounded.attempts if a.align_time > 0)
+        aligned_bounded = sum(1 for a in bounded.attempts if "align" in a.stage_times)
+        aligned_unbounded = sum(1 for a in unbounded.attempts if "align" in a.stage_times)
         assert bounded.outcome_counts()["rejected_bound"] > 0
         assert aligned_bounded < aligned_unbounded
 

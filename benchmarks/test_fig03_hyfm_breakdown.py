@@ -43,7 +43,7 @@ def test_fig03_breakdown_table(benchmark):
     for n in SIZES:
         report = reports[n]
         b = report.stage_breakdown()
-        ranking = b["ranking_success"] + b["ranking_fail"]
+        ranking = b["rank_success"] + b["rank_fail"]
         total = sum(b.values())
         ranking_share[n] = ranking / total if total else 0.0
         comparisons[n] = report.comparisons
@@ -51,8 +51,8 @@ def test_fig03_breakdown_table(benchmark):
             (
                 n,
                 f"{b['preprocess']:.3f}",
-                f"{b['ranking_success']:.3f}",
-                f"{b['ranking_fail']:.3f}",
+                f"{b['rank_success']:.3f}",
+                f"{b['rank_fail']:.3f}",
                 f"{b['align_success'] + b['align_fail']:.3f}",
                 f"{b['codegen_success'] + b['codegen_fail']:.3f}",
                 f"{ranking_share[n]:.1%}",

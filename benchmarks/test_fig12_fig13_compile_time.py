@@ -84,7 +84,7 @@ def test_fig13_stage_breakdown(benchmark):
     for s in STRATEGIES:
         report, _total = runs[largest][s]
         b = report.stage_breakdown()
-        ranking = b["ranking_success"] + b["ranking_fail"]
+        ranking = b["rank_success"] + b["rank_fail"]
         rows.append(
             (
                 s,
@@ -102,12 +102,12 @@ def test_fig13_stage_breakdown(benchmark):
         )
     )
     hyfm_rank = (
-        runs[largest]["hyfm"][0].stage_breakdown()["ranking_success"]
-        + runs[largest]["hyfm"][0].stage_breakdown()["ranking_fail"]
+        runs[largest]["hyfm"][0].stage_breakdown()["rank_success"]
+        + runs[largest]["hyfm"][0].stage_breakdown()["rank_fail"]
     )
     f3m_rank = (
-        runs[largest]["f3m"][0].stage_breakdown()["ranking_success"]
-        + runs[largest]["f3m"][0].stage_breakdown()["ranking_fail"]
+        runs[largest]["f3m"][0].stage_breakdown()["rank_success"]
+        + runs[largest]["f3m"][0].stage_breakdown()["rank_fail"]
     )
     f3m_pre = runs[largest]["f3m"][0].stage_breakdown()["preprocess"]
     hyfm_pre = runs[largest]["hyfm"][0].stage_breakdown()["preprocess"]

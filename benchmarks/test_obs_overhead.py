@@ -2,9 +2,9 @@
 
 The tracing layer's contract (DESIGN.md §10, docs/observability.md): with
 a live tracer *and* a metrics registry attached, the full merging pass on
-the 2000-function workload slows down by less than 5%; and the span-time
-totals must agree with the profiler's stage table — they are two views of
-the same timed regions, so disagreement means an instrumentation bug.
+the 2000-function workload slows down by less than 5%.  (Span totals equal
+the profiler's stage table by construction — both read the stage timer —
+which ``tests/obs/test_stage.py`` checks exactly.)
 
 Run on a quiet machine::
 
@@ -14,10 +14,10 @@ Run on a quiet machine::
 import pytest
 
 from repro.harness.experiments import make_ranker
-from repro.harness.profile import _best_of_paired, profile_from_report
+from repro.harness.profile import _best_of_paired
 from repro.merge import FunctionMergingPass, PassConfig
 from repro.obs.metrics import Registry
-from repro.obs.trace import Tracer, span_totals
+from repro.obs.trace import Tracer
 from repro.workloads import build_workload
 
 pytestmark = [pytest.mark.tier2, pytest.mark.perf]
@@ -66,25 +66,3 @@ class TestEnabledTracingOverhead:
             f"enabled tracing+metrics overhead {overhead:.2%} exceeds the "
             f"{_GATE:.0%} contract"
         )
-
-
-class TestSpanTotalsAgreeWithProfiler:
-    def test_stage_tables_match(self):
-        module = build_workload(_SIZE, "obs-agree")
-        ranker = make_ranker("f3m")
-        pass_ = FunctionMergingPass(ranker, PassConfig(verify=False))
-        tracer = Tracer(maxlen=1 << 20)
-        with tracer.install():
-            report = pass_.run(module)
-        totals = span_totals(tracer.finished())
-        stages = profile_from_report(report, ranker).stages
-        assert tracer.spans_dropped == 0  # ring sized for the full run
-        for stage, seconds in stages.items():
-            if seconds < 0.01:
-                continue  # sub-10ms stages are below timing resolution
-            assert stage in totals, f"no spans recorded for stage {stage!r}"
-            span_s = totals[stage]["total_s"]
-            assert span_s == pytest.approx(seconds, rel=0.05), (
-                f"stage {stage!r}: span total {span_s:.4f}s vs profiler "
-                f"{seconds:.4f}s disagree by more than 5%"
-            )

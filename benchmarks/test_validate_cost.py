@@ -49,8 +49,9 @@ def _rows():
             if att.validate_verdict is not None:
                 verdicts[att.validate_verdict] += 1
         validated = sum(verdicts.values())
-        validate_time = sum(a.validate_time for a in report.attempts)
-        oracle_time = sum(a.oracle_time for a in report.attempts)
+        stages = report.stage_totals()
+        validate_time = stages["validate"]
+        oracle_time = stages["oracle"]
         rows.append(
             {
                 "module": f"valcost{n}",

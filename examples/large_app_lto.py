@@ -61,15 +61,15 @@ def main() -> None:
             (
                 strategy,
                 f"{b['preprocess']:.2f}",
-                f"{b['ranking_success'] + b['ranking_fail']:.2f}",
+                f"{b['rank_success'] + b['rank_fail']:.2f}",
                 f"{b['align_success'] + b['align_fail']:.2f}",
                 f"{b['codegen_success'] + b['codegen_fail']:.2f}",
-                f"{b['update']:.2f}",
+                f"{b['commit']:.2f}",
             )
         )
     print(
         format_table(
-            ["strategy", "preprocess", "ranking", "align", "codegen", "update"],
+            ["strategy", "preprocess", "ranking", "align", "codegen", "commit"],
             stage_rows,
         )
     )

@@ -129,7 +129,6 @@ def _cmd_merge_partitioned(args: argparse.Namespace, module: Module) -> None:
         validate=args.validate,
         oracle=args.oracle,
         on_error=args.on_error,
-        reconcile=args.reconcile,
     )
     if not args.reconcile:
         report = partitioned_merging(

@@ -29,6 +29,7 @@ def gate_cost_row(name: str, report: MergeReport) -> Dict[str, object]:
     (zero when the corresponding gate was disabled), so suites can run the
     gates separately or together and the row stays comparable.
     """
+    stages = report.stage_totals()
     return {
         "module": name,
         "functions": report.num_functions,
@@ -36,8 +37,8 @@ def gate_cost_row(name: str, report: MergeReport) -> Dict[str, object]:
         "merges": report.merges,
         "static_fails": report.outcome_counts().get("static_fail", 0),
         "oracle_fails": report.outcome_counts().get("oracle_fail", 0),
-        "static_time": sum(a.static_time for a in report.attempts),
-        "oracle_time": sum(a.oracle_time for a in report.attempts),
+        "static_time": stages["staticcheck"],
+        "oracle_time": stages["oracle"],
         "total_time": report.total_time,
         "size_reduction": report.size_reduction,
     }

@@ -218,7 +218,9 @@ def selected_pairs_experiment(
     for att in report.attempts:
         if att.candidate is None or att.outcome == "rejected_threshold":
             continue
-        pair_time = att.align_time + att.codegen_time + att.update_time
+        pair_time = sum(
+            att.stage_times.get(name, 0.0) for name in ("align", "codegen", "commit")
+        )
         rows.append((att.similarity, att.success, att.saving, pair_time))
     return rows
 

@@ -3,11 +3,9 @@
 Two layers:
 
 * :func:`profile_pass` runs one merging configuration and folds the pass's
-  stage accounting (:class:`~repro.merge.report.MergeReport` attempt times
-  plus the ranker's preprocess breakdown) into a flat
-  :class:`PipelineProfile` — wall-clock total and per-stage seconds for
-  fingerprint / index / rank / align / codegen / staticcheck / validate / oracle /
-  commit.
+  stage table (:meth:`~repro.merge.report.MergeReport.stage_totals`) into
+  a flat :class:`PipelineProfile` — wall-clock total and seconds per
+  :data:`PERF_STAGES` stage.
 * :func:`run_perf_bench` profiles HyFM, F3M and F3M adaptive on the same
   workloads and reports HyFM's pass time over F3M's (``speedup_vs_hyfm``);
   ``repro bench-perf`` emits the result as ``BENCH_f3m_perf.json``.
@@ -31,7 +29,7 @@ from ..fingerprint.cache import FingerprintCache
 from ..fingerprint.minhash import MinHashConfig
 from ..ir.module import Module
 from ..merge.pass_ import FunctionMergingPass, PassConfig
-from ..merge.report import MergeReport
+from ..merge.report import PERF_STAGES, MergeReport
 from .experiments import make_ranker
 
 # The corpus-scale sweep lives in its own module (it is store/shard-side,
@@ -48,21 +46,6 @@ __all__ = [
     "PERF_STAGES",
     "DEFAULT_SCALE_SIZES",
 ]
-
-#: Stage keys of one profile, in pipeline order.
-PERF_STAGES = (
-    "fingerprint",
-    "index",
-    "rank",
-    "bound",
-    "align",
-    "codegen",
-    "staticcheck",
-    "validate",
-    "oracle",
-    "commit",
-)
-
 
 @dataclass
 class PipelineProfile:
@@ -100,25 +83,9 @@ class PipelineProfile:
 
 
 def profile_from_report(report: MergeReport, ranker=None) -> PipelineProfile:
-    """Fold a finished pass report into a :class:`PipelineProfile`.
-
-    The preprocess total splits into fingerprint/index when the ranker
-    tracked the split (the F3M ranker does); otherwise it all counts as
-    fingerprinting.
-    """
-    breakdown = dict(ranker.preprocess_breakdown) if ranker is not None else {}
-    stages = {
-        "fingerprint": breakdown.get("fingerprint", report.preprocess_time),
-        "index": breakdown.get("index", 0.0),
-        "rank": sum(a.ranking_time for a in report.attempts),
-        "bound": sum(a.bound_time for a in report.attempts),
-        "align": sum(a.align_time for a in report.attempts),
-        "codegen": sum(a.codegen_time for a in report.attempts),
-        "staticcheck": sum(a.static_time for a in report.attempts),
-        "validate": sum(a.validate_time for a in report.attempts),
-        "oracle": sum(a.oracle_time for a in report.attempts),
-        "commit": sum(a.update_time for a in report.attempts),
-    }
+    """Fold a finished pass report into a :class:`PipelineProfile`; the
+    ranker, when given, contributes its fingerprint-cache counters."""
+    stages = report.stage_totals()
     cache_stats = None
     cache = getattr(ranker, "cache", None)
     if cache is not None:
@@ -258,16 +225,16 @@ def run_attempt_bench(
             rejected & _merged_pairs(rep_unbound)
         )
         row["attempted_alignments_unbounded"] = sum(
-            1 for a in rep_unbound.attempts if a.align_time > 0.0
+            1 for a in rep_unbound.attempts if "align" in a.stage_times
         )
         row["attempted_alignments_bounded"] = sum(
-            1 for a in rep_bound.attempts if a.align_time > 0.0
+            1 for a in rep_bound.attempts if "align" in a.stage_times
         )
         row["attempted_codegens_unbounded"] = sum(
-            1 for a in rep_unbound.attempts if a.codegen_time > 0.0
+            1 for a in rep_unbound.attempts if "codegen" in a.stage_times
         )
         row["attempted_codegens_bounded"] = sum(
-            1 for a in rep_bound.attempts if a.codegen_time > 0.0
+            1 for a in rep_bound.attempts if "codegen" in a.stage_times
         )
 
         # Cold vs prewarmed engine: a pass through an engine warmed on an

@@ -10,8 +10,9 @@ This is the top-level optimization shared by the baseline and F3M; the
 The pass walks functions in module order, asks the ranker for the most
 similar live candidate, aligns the pair block-wise, generates the merged
 function and commits it when the size model finds it profitable.  Every
-stage is timed per attempt so that the paper's breakdown figures can be
-regenerated.
+stage runs under the stage timer (:func:`repro.obs.stage.stage`), which
+times it into the attempt's ``stage_times``, opens its span and fires its
+fault point, so the paper's breakdown figures can be regenerated.
 
 Every attempt is *transactional*: any failure — an expected codegen
 rejection, a veto from the differential oracle, or an unexpected
@@ -35,6 +36,7 @@ from ..ir.module import Module
 from ..ir.verifier import VerificationError, verify_function
 from ..diagnostics import errors_only
 from ..obs import trace
+from ..obs.stage import StageContext, stage
 from ..oracle.differential import DifferentialOracle, OracleConfig
 from ..search.pairing import Ranker
 from ..staticcheck.lint import lint_commit, lint_merge
@@ -42,7 +44,7 @@ from ..staticcheck.validate import PROVED, REFUTED, validate_merge
 from .errors import MergeError
 from .merger import MergeOptions, MergeResult, merge_functions
 from .profitability import ProfitabilityBound, ProfitabilityModel
-from .report import AttemptRecord, MergeReport, Outcome
+from .report import ATTEMPT_STAGES, AttemptRecord, MergeReport, Outcome
 from .thunks import commit_merge
 from .transaction import MergeTransaction
 
@@ -98,11 +100,6 @@ class PassConfig:
     The default 1.0 is the historical "tombstones outnumber live rows"
     trigger; long-lived daemon indexes use a lower ratio, ``None``
     disables auto-compaction.
-    ``reconcile`` — consumed by the partitioned drivers (the pass itself
-    ignores it): run the phase-2 optimistic cross-partition
-    reconciliation (:func:`repro.merge.partitioned.optimistic_sweep`)
-    after the partition-local sweeps, recovering merge pairs that span
-    partition boundaries.
     """
 
     threshold: float = 0.0
@@ -117,7 +114,6 @@ class PassConfig:
     on_error: str = "skip"
     prealign_bound: bool = True
     lsh_compact_ratio: Optional[float] = 1.0
-    reconcile: bool = False
 
     def __post_init__(self) -> None:
         if self.on_error not in ("skip", "raise"):
@@ -132,14 +128,6 @@ class PassConfig:
             raise ValueError(
                 f"lsh_compact_ratio must be positive or None, got {self.lsh_compact_ratio!r}"
             )
-
-
-@dataclass
-class _AttemptContext:
-    """Mutable attempt state shared with the exception handlers."""
-
-    record: AttemptRecord
-    stage: str = "rank"
 
 
 class FunctionMergingPass:
@@ -208,9 +196,8 @@ class FunctionMergingPass:
         ]
         report.num_functions = len(functions)
 
-        t0 = time.perf_counter()
         self.ranker.preprocess(functions)
-        report.preprocess_time = time.perf_counter() - t0
+        report.stage_times.update(self.ranker.stage_times)
 
         consumed = set()
         # The ranker's threshold (adaptive variant) overrides the static one.
@@ -255,33 +242,15 @@ class FunctionMergingPass:
         metrics.gauge("merge.size_after").set(report.size_after)
         metrics.histogram("merge.preprocess_s").observe(report.preprocess_time)
         stage_hists = {
-            "rank": metrics.histogram("merge.stage.rank_s"),
-            "bound": metrics.histogram("merge.stage.bound_s"),
-            "align": metrics.histogram("merge.stage.align_s"),
-            "codegen": metrics.histogram("merge.stage.codegen_s"),
-            "staticcheck": metrics.histogram("merge.stage.staticcheck_s"),
-            "validate": metrics.histogram("merge.stage.validate_s"),
-            "oracle": metrics.histogram("merge.stage.oracle_s"),
-            "commit": metrics.histogram("merge.stage.commit_s"),
+            name: metrics.histogram(f"merge.stage.{name}_s") for name in ATTEMPT_STAGES
         }
         for att in report.attempts:
-            stage_hists["rank"].observe(att.ranking_time)
-            if att.bound_time:
-                stage_hists["bound"].observe(att.bound_time)
-            if att.align_time:
-                stage_hists["align"].observe(att.align_time)
-            if att.codegen_time:
-                stage_hists["codegen"].observe(att.codegen_time)
-            if att.static_time:
-                stage_hists["staticcheck"].observe(att.static_time)
-            if att.validate_time:
-                stage_hists["validate"].observe(att.validate_time)
+            for name, seconds in att.stage_times.items():
+                hist = stage_hists.get(name)
+                if hist is not None:
+                    hist.observe(seconds)
             if att.validate_verdict is not None:
                 metrics.counter(f"merge.validate.{att.validate_verdict}").inc()
-            if att.oracle_time:
-                stage_hists["oracle"].observe(att.oracle_time)
-            if att.update_time:
-                stage_hists["commit"].observe(att.update_time)
 
     # -- body-derived memo hygiene ----------------------------------------------------
     def _invalidate(self, functions) -> None:
@@ -314,9 +283,10 @@ class FunctionMergingPass:
 
     def _attempt_guarded(self, module, func, consumed, threshold):
         txn = self.transaction_factory(module)
-        ctx = _AttemptContext(record=AttemptRecord(func.name, None, 0.0, Outcome.NO_CANDIDATE))
+        record = AttemptRecord(func.name, None, 0.0, Outcome.NO_CANDIDATE)
+        ctx = StageContext(record.stage_times)
         try:
-            return self._attempt_stages(module, func, consumed, threshold, txn, ctx)
+            return self._attempt_stages(module, func, consumed, threshold, txn, record, ctx)
         except (MergeError, VerificationError) as exc:
             # Expected rejections from codegen/verification — and, via
             # CommitError, structural failures while applying the commit.
@@ -328,7 +298,7 @@ class FunctionMergingPass:
                 if ctx.stage == "commit"
                 else Outcome.CODEGEN_FAIL
             )
-            return self._fail(ctx, exc, outcome), None
+            return self._fail(record, ctx.stage, exc, outcome), None
         except RecursionError:
             # Containing a blown interpreter/codegen stack is not safe —
             # Python may be out of stack for the rollback itself.
@@ -341,16 +311,15 @@ class FunctionMergingPass:
             if self.config.on_error == "raise":
                 raise
             outcome = Outcome.ROLLED_BACK if mutated else Outcome.INTERNAL_ERROR
-            return self._fail(ctx, exc, outcome), None
+            return self._fail(record, ctx.stage, exc, outcome), None
 
     @staticmethod
-    def _fail(ctx: "_AttemptContext", exc, outcome) -> AttemptRecord:
-        record = ctx.record
+    def _fail(record: AttemptRecord, stage_name, exc, outcome) -> AttemptRecord:
         # An injected fault may fire at a sub-stage of the pipeline stage
         # (fingerprint/lsh inside rank); prefer its own stage when present.
-        stage = getattr(exc, "fault_stage", None) or ctx.stage
+        stage_name = getattr(exc, "fault_stage", None) or stage_name
         record.outcome = outcome
-        record.error = f"{stage}:{type(exc).__name__}"
+        record.error = f"{stage_name}:{type(exc).__name__}"
         return record
 
     def _attempt_stages(
@@ -360,21 +329,18 @@ class FunctionMergingPass:
         consumed,
         threshold,
         txn: MergeTransaction,
-        ctx: "_AttemptContext",
+        record: AttemptRecord,
+        ctx: StageContext,
     ) -> Tuple[AttemptRecord, Optional[object]]:
         """The happy path; any exception escapes to :meth:`_attempt`, which
-        reads the failure stage and partial timings back off *ctx.record*."""
-        record = ctx.record
-        ctx.stage = "rank"
-        # Stage spans share their names with the profiler's PERF_STAGES
-        # keys, so span_totals() and the stage table describe the same
-        # regions (gated within 5% by benchmarks/test_obs_overhead.py).
-        with trace.span("rank"):
-            t0 = time.perf_counter()
-            if self.faults is not None:
-                self.faults.hit("rank")
+        reads the failure stage off *ctx* (the partial stage times are
+        already in *record*)."""
+        faults = self.faults
+        # Each stage below is one stage-timer region: its span, its
+        # record.stage_times entry, the profiler table and the metrics are
+        # the same measurement.
+        with stage(ctx, "rank", faults):
             match = self.ranker.best_match(func)
-            record.ranking_time = time.perf_counter() - t0
 
         if match is None:
             return record, None
@@ -386,13 +352,8 @@ class FunctionMergingPass:
             return record, None
 
         if self.config.prealign_bound:
-            ctx.stage = "bound"
-            with trace.span("bound"):
-                t0 = time.perf_counter()
-                try:
-                    bound, shared_pairs = self.bound.query(func, other)
-                finally:
-                    record.bound_time = time.perf_counter() - t0
+            with stage(ctx, "bound"):
+                bound, shared_pairs = self.bound.query(func, other)
             if shared_pairs == 0 or bound <= 0:
                 # No common mergeability class means alignment would match
                 # nothing; a non-positive saving bound means profitability
@@ -401,20 +362,13 @@ class FunctionMergingPass:
                 record.outcome = Outcome.REJECTED_BOUND
                 return record, None
 
-        ctx.stage = "align"
-        with trace.span("align", fn_a=func.name, fn_b=other.name):
-            t0 = time.perf_counter()
-            try:
-                if self.faults is not None:
-                    self.faults.hit("align")
-                if func.return_type is not other.return_type:
-                    record.outcome = Outcome.ALIGN_FAIL
-                    return record, None
-                alignment = self.engine.align_functions(
-                    func, other, strategy=self.config.alignment
-                )
-            finally:
-                record.align_time = time.perf_counter() - t0
+        with stage(ctx, "align", faults, fn_a=func.name, fn_b=other.name):
+            if func.return_type is not other.return_type:
+                record.outcome = Outcome.ALIGN_FAIL
+                return record, None
+            alignment = self.engine.align_functions(
+                func, other, strategy=self.config.alignment
+            )
         record.alignment_ratio = alignment.alignment_ratio
         if alignment.matched_instructions == 0:
             record.outcome = Outcome.ALIGN_FAIL
@@ -424,53 +378,32 @@ class FunctionMergingPass:
             # Second check of the bound stage: the alignment fixes most of
             # what codegen will emit, so price that and skip codegen for a
             # pair that cannot pay.
-            ctx.stage = "bound"
-            with trace.span("bound"):
-                t0 = time.perf_counter()
-                try:
-                    bound = self.bound.after_alignment(alignment)
-                finally:
-                    record.bound_time += time.perf_counter() - t0
+            with stage(ctx, "bound"):
+                bound = self.bound.after_alignment(alignment)
             if bound <= 0:
                 record.outcome = Outcome.REJECTED_BOUND
                 return record, None
 
-        ctx.stage = "codegen"
-        with trace.span("codegen"):
-            t0 = time.perf_counter()
-            try:
-                if self.faults is not None:
-                    self.faults.hit("codegen")
-                result: MergeResult = merge_functions(
-                    alignment,
-                    module,
-                    options=MergeOptions(legacy_bugs=self.config.legacy_bugs),
-                )
-                ctx.stage = "verify"
-                if self.config.verify:
-                    with trace.span("codegen.verify"):
-                        if self.faults is not None:
-                            self.faults.hit("verify")
-                        verify_function(result.merged)
-            finally:
-                record.codegen_time = time.perf_counter() - t0
+        with stage(ctx, "codegen", faults):
+            result: MergeResult = merge_functions(
+                alignment,
+                module,
+                options=MergeOptions(legacy_bugs=self.config.legacy_bugs),
+            )
+            if self.config.verify:
+                with stage(ctx, "codegen.verify", faults):
+                    verify_function(result.merged)
 
-        benefit = self.profitability.evaluate(result)
-        if not benefit.profitable:
-            txn.rollback()
-            record.outcome = Outcome.UNPROFITABLE
-            return record, None
+        with stage(ctx, "profitability"):
+            benefit = self.profitability.evaluate(result)
+            if not benefit.profitable:
+                txn.rollback()
+                record.outcome = Outcome.UNPROFITABLE
+                return record, None
 
         if self.config.static_check:
-            ctx.stage = "staticcheck"
-            with trace.span("staticcheck"):
-                t0 = time.perf_counter()
-                try:
-                    if self.faults is not None:
-                        self.faults.hit("staticcheck")
-                    static_errors = errors_only(lint_merge(result, module))
-                finally:
-                    record.static_time = time.perf_counter() - t0
+            with stage(ctx, "staticcheck", faults):
+                static_errors = errors_only(lint_merge(result, module))
             if static_errors:
                 txn.rollback()
                 record.outcome = Outcome.STATIC_FAIL
@@ -480,15 +413,8 @@ class FunctionMergingPass:
 
         run_oracle = self.oracle is not None
         if self.config.validate != "off":
-            ctx.stage = "validate"
-            with trace.span("validate"):
-                t0 = time.perf_counter()
-                try:
-                    if self.faults is not None:
-                        self.faults.hit("validate")
-                    validation = validate_merge(result)
-                finally:
-                    record.validate_time = time.perf_counter() - t0
+            with stage(ctx, "validate", faults):
+                validation = validate_merge(result)
             record.validate_verdict = validation.verdict
             if self.config.validate == "gate":
                 if validation.verdict == REFUTED:
@@ -505,15 +431,8 @@ class FunctionMergingPass:
                 # is configured, otherwise let the remaining gates decide.
 
         if run_oracle:
-            ctx.stage = "oracle"
-            with trace.span("oracle"):
-                t0 = time.perf_counter()
-                try:
-                    if self.faults is not None:
-                        self.faults.hit("oracle")
-                    verdict = self.oracle.check(result)
-                finally:
-                    record.oracle_time = time.perf_counter() - t0
+            with stage(ctx, "oracle", faults):
+                verdict = self.oracle.check(result)
             if not verdict.equivalent:
                 txn.rollback()
                 # A merged function that only *times out* (its fuel budget,
@@ -528,19 +447,17 @@ class FunctionMergingPass:
                 record.error = f"oracle:{verdict.divergences[0]}"
                 return record, None
 
-        ctx.stage = "commit"
-        with trace.span("commit"):
-            t0 = time.perf_counter()
+        # The commit fault point fires inside commit_merge, between the
+        # two originals, so this stage takes no injector of its own.
+        with stage(ctx, "commit"):
             txn.capture_commit_set(result.function_a, result.function_b)
             touched = txn.captured_functions()
-            commit_merge(result, faults=self.faults)
+            commit_merge(result, faults=faults)
             if self.config.static_check:
                 # Re-lint the *applied* commit (thunk shape, call-site
                 # rewrites, dangling references) while the transaction can
-                # still undo it.
-                t1 = time.perf_counter()
+                # still undo it; its time is part of the commit stage.
                 commit_errors = errors_only(lint_commit(result, module))
-                record.static_time += time.perf_counter() - t1
                 if commit_errors:
                     txn.rollback()
                     self._invalidate(touched)
@@ -554,7 +471,6 @@ class FunctionMergingPass:
             self.ranker.remove(other)
             consumed.add(id(func))
             consumed.add(id(other))
-            record.update_time = time.perf_counter() - t0
         record.saving = benefit.saving
         record.outcome = Outcome.MERGED
         record.merged_name = result.merged.name

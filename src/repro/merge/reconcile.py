@@ -45,7 +45,6 @@ runs over the same module snapshot produce identical
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -55,6 +54,7 @@ from ..ir.clone import clone_function_into
 from ..ir.function import Function
 from ..ir.module import Module
 from ..obs import trace
+from ..obs.stage import StageContext, stage
 from ..search.pairing import Match, Ranker, RankingStats
 from .pass_ import FunctionMergingPass, PassConfig
 from .report import Outcome
@@ -238,10 +238,16 @@ class ReconcileReport:
     # after reconciliation.
     size_phase1: int = 0
     size_after: int = 0
-    elapsed: float = 0.0
+    # Phase name ("replay", "reconcile") -> seconds.
+    stage_times: Dict[str, float] = field(default_factory=dict)
     decisions: List[Tuple[str, str, float, str, str, int]] = field(
         default_factory=list
     )
+
+    @property
+    def elapsed(self) -> float:
+        """Seconds spent in both phases."""
+        return sum(self.stage_times.values())
 
     @property
     def recovered_size_delta(self) -> int:
@@ -572,14 +578,14 @@ def run_optimistic_phases(
     """Replay phase-1 decisions onto *module*, then reconcile across
     partitions.  Mutates *module*; returns the combined report."""
     report = ReconcileReport(partitions=partitions)
-    t0 = time.perf_counter()
-    driver = _OptimisticDriver(module, config, faults)
-    with trace.span("replay", partitions=partitions):
+    clock = StageContext(report.stage_times)
+    with stage(clock, "replay", partitions=partitions):
+        driver = _OptimisticDriver(module, config, faults)
         retained_merges, merged_partition = _replay_phase(
             driver, sweep_results, report
         )
-    report.size_phase1 = module_size(module)
-    with trace.span("reconcile", merges=len(retained_merges)):
+        report.size_phase1 = module_size(module)
+    with stage(clock, "reconcile", merges=len(retained_merges)):
         pool = _survivor_pool(
             module, config, partition_of, merged_partition, retained_merges
         )
@@ -587,6 +593,5 @@ def run_optimistic_phases(
         candidates = _rank_cross_candidates(pool, ranker_factory, config)
         report.cross_candidates = len(candidates)
         _reconcile_phase(driver, candidates, report)
-    report.size_after = module_size(module)
-    report.elapsed = time.perf_counter() - t0
+        report.size_after = module_size(module)
     return report

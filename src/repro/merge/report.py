@@ -3,7 +3,9 @@
 The paper's Figures 3 and 13 break the pass runtime into preprocess /
 ranking / align / codegen stages, each split by whether the attempt
 ultimately succeeded.  :class:`MergeReport` collects exactly that, plus the
-pair-level records behind Figures 6, 9 and 14.
+pair-level records behind Figures 6, 9 and 14.  Every time in here is a
+``stage_times`` entry written by the stage timer (:mod:`repro.obs.stage`),
+keyed by the canonical names in :data:`PERF_STAGES`.
 
 Outcomes are a *closed* enum (:class:`Outcome`): every attempt ends in
 exactly one of these states, and constructing a record with anything else
@@ -16,19 +18,24 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Union
 
-__all__ = ["Outcome", "AttemptRecord", "MergeReport", "STAGES", "OUTCOMES"]
+__all__ = ["Outcome", "AttemptRecord", "MergeReport", "OUTCOMES", "PERF_STAGES"]
 
-STAGES = (
-    "preprocess",
-    "ranking",
-    "bound",
-    "align",
-    "codegen",
-    "staticcheck",
-    "validate",
-    "oracle",
-    "update",
+#: The canonical stage names, in pipeline order: the keys of every stage
+#: table (records, profiles, metrics, manifests) and the names of the
+#: stage spans.  The ranker's set-up stages come first, timed once per pass
+#: into ``MergeReport.stage_times``; the rest are timed per attempt into
+#: ``AttemptRecord.stage_times`` (``profitability`` is the size model plus
+#: the rollback of an unprofitable merge).  Sub-stages (``codegen.verify``)
+#: are recorded too, but nest inside their stage and are not listed.
+PERF_STAGES = (
+    "fingerprint", "index",
+    "rank", "bound", "align", "codegen", "profitability",
+    "staticcheck", "validate", "oracle", "commit",
 )
+PREPROCESS_STAGES, ATTEMPT_STAGES = PERF_STAGES[:2], PERF_STAGES[2:]
+
+# Stages whose breakdown is split by whether the attempt merged.
+_SPLIT_BY_OUTCOME = ("rank", "align", "codegen")
 
 
 class Outcome(str, Enum):
@@ -94,14 +101,10 @@ class AttemptRecord:
     outcome: Union[Outcome, str]
     alignment_ratio: float = 0.0
     saving: int = 0
-    ranking_time: float = 0.0
-    bound_time: float = 0.0
-    align_time: float = 0.0
-    codegen_time: float = 0.0
-    static_time: float = 0.0
-    validate_time: float = 0.0
-    oracle_time: float = 0.0
-    update_time: float = 0.0
+    # Stage name -> seconds, for every stage the attempt entered (written
+    # by :func:`repro.obs.stage.stage`; a stage that raised keeps its
+    # partial time).  A stage that never ran has no entry.
+    stage_times: Dict[str, float] = field(default_factory=dict)
     # Translation-validator verdict ("proved" | "refuted" | "unknown")
     # when the validate stage ran; None when it was off.
     validate_verdict: Optional[str] = None
@@ -129,7 +132,8 @@ class MergeReport:
     num_functions: int = 0
     size_before: int = 0
     size_after: int = 0
-    preprocess_time: float = 0.0
+    # Preprocess stage name (PREPROCESS_STAGES) -> seconds.
+    stage_times: Dict[str, float] = field(default_factory=dict)
     total_time: float = 0.0
     attempts: List[AttemptRecord] = field(default_factory=list)
     comparisons: int = 0
@@ -152,34 +156,36 @@ class MergeReport:
         """Total time spent inside the merging pass."""
         return self.total_time
 
+    @property
+    def preprocess_time(self) -> float:
+        """Seconds the ranker spent setting up (fingerprints plus index)."""
+        return sum(self.stage_times.get(name, 0.0) for name in PREPROCESS_STAGES)
+
+    def stage_totals(self) -> Dict[str, float]:
+        """Seconds per :data:`PERF_STAGES` stage, summed over the run."""
+        totals = {name: 0.0 for name in PERF_STAGES}
+        for table in [self.stage_times] + [att.stage_times for att in self.attempts]:
+            for name, seconds in table.items():
+                if name in totals:
+                    totals[name] += seconds
+        return totals
+
     # -- stage breakdown (Figures 3 and 13) -----------------------------------------
     def stage_breakdown(self) -> Dict[str, float]:
-        """Stage → seconds, with ranking/align/codegen split by outcome."""
+        """Stage → seconds: ``preprocess``, then every attempt stage, with
+        rank/align/codegen split into ``_success``/``_fail`` by outcome."""
         out: Dict[str, float] = {"preprocess": self.preprocess_time}
-        buckets = {
-            "ranking_success": 0.0,
-            "ranking_fail": 0.0,
-            "bound": 0.0,
-            "align_success": 0.0,
-            "align_fail": 0.0,
-            "codegen_success": 0.0,
-            "codegen_fail": 0.0,
-            "staticcheck": 0.0,
-            "validate": 0.0,
-            "oracle": 0.0,
-            "update": 0.0,
-        }
+        for name in ATTEMPT_STAGES:
+            if name in _SPLIT_BY_OUTCOME:
+                out[f"{name}_success"] = out[f"{name}_fail"] = 0.0
+            else:
+                out[name] = 0.0
         for att in self.attempts:
-            key = "success" if att.success else "fail"
-            buckets[f"ranking_{key}"] += att.ranking_time
-            buckets["bound"] += att.bound_time
-            buckets[f"align_{key}"] += att.align_time
-            buckets[f"codegen_{key}"] += att.codegen_time
-            buckets["staticcheck"] += att.static_time
-            buckets["validate"] += att.validate_time
-            buckets["oracle"] += att.oracle_time
-            buckets["update"] += att.update_time
-        out.update(buckets)
+            suffix = "_success" if att.success else "_fail"
+            for name, seconds in att.stage_times.items():
+                key = name + suffix if name in _SPLIT_BY_OUTCOME else name
+                if key in out:
+                    out[key] += seconds
         return out
 
     def outcome_counts(self) -> Dict[str, int]:

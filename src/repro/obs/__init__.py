@@ -1,6 +1,7 @@
 """Unified observability layer: structured tracing, metrics, run manifests.
 
-Three cooperating pieces, all zero-dependency and optional at runtime:
+Four cooperating pieces, all zero-dependency; tracing, metrics and
+manifests are optional at runtime:
 
 * :mod:`repro.obs.trace` — a span tracer.  Pipeline code opens named,
   attributed spans (``with trace.span("align", fn_a=...)``); spans nest,
@@ -9,6 +10,10 @@ Three cooperating pieces, all zero-dependency and optional at runtime:
   in-memory ring and, optionally, in a JSONL sink.  When no tracer is
   installed every instrumentation point costs one global load and one
   branch.
+* :mod:`repro.obs.stage` — the stage timer.  ``with stage(ctx, name,
+  faults):`` times one pipeline stage into ``ctx.stage_times`` and closes
+  the span of the same name with that very measurement, so spans, stage
+  tables, profiles, metrics and manifests agree by construction.
 * :mod:`repro.obs.metrics` — a metrics registry: counters, gauges and
   log2-bucketed histograms (percentile summaries without raw-sample
   retention), plus snapshot-time *sources* that absorb the pipeline's

@@ -18,9 +18,10 @@ Design constraints, in priority order:
    span to disk, so long runs can keep full traces without keeping them
    resident.
 
-Timing uses the monotonic clock (``time.perf_counter``), the same clock
-as the pass's own stage accounting, so span totals and the profiler's
-stage table agree (gated within 5% by ``benchmarks/test_obs_overhead.py``).
+Timing uses the monotonic clock (``time.perf_counter``).  The pipeline's
+stage spans are opened by the stage timer (:mod:`repro.obs.stage`), which
+closes each one with the same start and duration it adds to the stage
+table, so span totals and the profiler's table are one measurement.
 
 Usage::
 
@@ -128,12 +129,18 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.duration = time.perf_counter() - self.start
+        self.close(self.start, time.perf_counter() - self.start, exc_type)
+        return False  # never swallow the exception
+
+    def close(self, start: float, duration: float, exc_type=None) -> None:
+        """Finish the span with a measurement taken by its caller (the
+        stage timer closes its span with the very numbers it records)."""
+        self.start = start
+        self.duration = duration
         if exc_type is not None:
             self.error = True
             self.error_type = exc_type.__name__
         self._tracer._finish(self)
-        return False  # never swallow the exception
 
     # -- enrichment ------------------------------------------------------------------
     def set(self, **attrs) -> None:
@@ -325,8 +332,7 @@ def uninstall() -> None:
 def span_totals(spans: Iterable) -> Dict[str, Dict[str, object]]:
     """Aggregate spans (``Span`` objects or ``to_dict`` payloads) by name.
 
-    Returns ``{name: {"count", "total_s", "errors"}}`` — the shape the
-    manifest's stage table and the profiler-agreement test consume.
+    Returns ``{name: {"count", "total_s", "errors"}}``.
     """
     out: Dict[str, Dict[str, object]] = {}
     for sp in spans:

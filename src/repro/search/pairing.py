@@ -13,9 +13,9 @@ Two interchangeable rankers drive the merging pass:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..fingerprint.encoding import EncodingOptions
 from ..fingerprint.minhash import MinHashConfig, MinHashFingerprint
 from ..fingerprint.opcode_freq import OpcodeFingerprint, fingerprint_function
 from ..ir.function import Function
-from ..obs import trace
+from ..obs.stage import StageContext, stage
 from .adaptive import AdaptiveParameters, adaptive_parameters
 from .lsh import LSHIndex, LSHQueryStats
 
@@ -72,6 +72,11 @@ class Ranker:
     #: ``lsh``) are injectable like the pipeline stages.
     faults = None
 
+    #: Seconds per preprocess stage (``fingerprint``, ``index``) of the
+    #: last :meth:`preprocess`; the pass copies it into its report.
+    #: Rankers that do not time their set-up leave it empty.
+    stage_times: Mapping[str, float] = MappingProxyType({})
+
     def _fault_hit(self, stage: str) -> None:
         if self.faults is not None:
             self.faults.hit(stage)
@@ -98,13 +103,6 @@ class Ranker:
     def stats(self) -> RankingStats:
         raise NotImplementedError
 
-    @property
-    def preprocess_breakdown(self) -> Dict[str, float]:
-        """Preprocessing time split by stage (fingerprint/index), when the
-        ranker tracks it; the profiler falls back to the pass-level
-        preprocess total otherwise."""
-        return {}
-
 
 class ExhaustiveRanker(Ranker):
     """HyFM ranking: compare each function against *all* other functions.
@@ -130,11 +128,13 @@ class ExhaustiveRanker(Ranker):
         self._stats = RankingStats()
 
     def preprocess(self, functions: List[Function]) -> None:
-        # One span for the whole build: the exhaustive path interleaves
+        # One stage for the whole build: the exhaustive path interleaves
         # fingerprinting and matrix growth, so there is no index split.
-        with trace.span("fingerprint", functions=len(functions), ranker=self.name):
+        clock = StageContext()
+        with stage(clock, "fingerprint", functions=len(functions), ranker=self.name):
             for func in functions:
                 self.insert(func)
+        self.stage_times = clock.stage_times
 
     def insert(self, func: Function) -> None:
         fp = fingerprint_function(func)
@@ -259,7 +259,6 @@ class MinHashLSHRanker(Ranker):
         self._index: Optional[LSHIndex] = None
         self._functions: Dict[int, Function] = {}
         self._stats = RankingStats()
-        self._breakdown: Dict[str, float] = {}
         if adaptive:
             self.name = "f3m-adaptive"
 
@@ -286,8 +285,8 @@ class MinHashLSHRanker(Ranker):
             bucket_cap=self.bucket_cap,
             compact_ratio=self.compact_ratio,
         )
-        with trace.span("fingerprint", functions=len(functions), ranker=self.name):
-            t0 = time.perf_counter()
+        clock = StageContext()
+        with stage(clock, "fingerprint", functions=len(functions), ranker=self.name):
             fingerprints = minhash_module(
                 functions,
                 self.config,
@@ -295,13 +294,11 @@ class MinHashLSHRanker(Ranker):
                 cache=self.cache,
                 workers=self.workers,
             )
-            t1 = time.perf_counter()
-        with trace.span("index", functions=len(functions)):
+        with stage(clock, "index", functions=len(functions)):
             self._index.insert_batch([id(f) for f in functions], fingerprints)
             for func in functions:
                 self._functions[id(func)] = func
-            t2 = time.perf_counter()
-        self._breakdown = {"fingerprint": t1 - t0, "index": t2 - t1}
+        self.stage_times = clock.stage_times
 
     def insert(self, func: Function) -> None:
         assert self._index is not None, "preprocess() must run first"
@@ -342,7 +339,3 @@ class MinHashLSHRanker(Ranker):
     @property
     def stats(self) -> RankingStats:
         return self._stats
-
-    @property
-    def preprocess_breakdown(self) -> Dict[str, float]:
-        return dict(self._breakdown)

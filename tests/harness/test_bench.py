@@ -33,7 +33,9 @@ class TestGateCostRow:
     def test_static_time_sums_attempts(self):
         report = _report(static_check=True)
         row = gate_cost_row("m", report)
-        assert row["static_time"] == sum(a.static_time for a in report.attempts)
+        assert row["static_time"] == sum(
+            a.stage_times.get("staticcheck", 0.0) for a in report.attempts
+        )
 
 
 class TestBenchJson:

@@ -27,12 +27,12 @@ class TestProfilePass:
 
     def test_per_function_path_folds_preprocess_into_fingerprint(self):
         # A ranker without a fingerprint/index split (the per-function
-        # reference) is charged its whole preprocess as fingerprinting.
+        # reference) times its whole preprocess as fingerprinting.
         module = build_workload(30, "prof2")
         ranker = ReferenceMinHashRanker()
         report = FunctionMergingPass(ranker, PassConfig(verify=False)).run(module)
         profile = profile_from_report(report, ranker)
-        assert profile.stages["fingerprint"] == report.preprocess_time
+        assert profile.stages["fingerprint"] == report.preprocess_time > 0
         assert profile.stages["index"] == 0.0
 
     def test_to_row_is_flat(self):

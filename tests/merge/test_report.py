@@ -9,28 +9,28 @@ from repro.merge.report import OUTCOMES, AttemptRecord
 
 def _attempt(outcome, **times):
     record = AttemptRecord("f", "g", 0.5, outcome)
-    for key, value in times.items():
-        setattr(record, key, value)
+    record.stage_times.update(times)
     return record
 
 
 class TestStageBreakdown:
     def test_success_and_fail_buckets(self):
-        report = MergeReport(strategy="x", preprocess_time=1.0)
+        report = MergeReport(strategy="x", stage_times={"fingerprint": 0.75, "index": 0.25})
         report.attempts = [
-            _attempt("merged", ranking_time=0.1, align_time=0.2, codegen_time=0.3, update_time=0.05),
-            _attempt("unprofitable", ranking_time=0.4, align_time=0.5, codegen_time=0.6),
-            _attempt("align_fail", ranking_time=0.7, align_time=0.8),
+            _attempt("merged", rank=0.1, align=0.2, codegen=0.3, commit=0.05),
+            _attempt("unprofitable", rank=0.4, align=0.5, codegen=0.6, profitability=0.01),
+            _attempt("align_fail", rank=0.7, align=0.8),
         ]
         b = report.stage_breakdown()
         assert b["preprocess"] == 1.0
-        assert abs(b["ranking_success"] - 0.1) < 1e-12
-        assert abs(b["ranking_fail"] - 1.1) < 1e-12
+        assert abs(b["rank_success"] - 0.1) < 1e-12
+        assert abs(b["rank_fail"] - 1.1) < 1e-12
         assert abs(b["align_success"] - 0.2) < 1e-12
         assert abs(b["align_fail"] - 1.3) < 1e-12
         assert abs(b["codegen_success"] - 0.3) < 1e-12
         assert abs(b["codegen_fail"] - 0.6) < 1e-12
-        assert abs(b["update"] - 0.05) < 1e-12
+        assert abs(b["profitability"] - 0.01) < 1e-12
+        assert abs(b["commit"] - 0.05) < 1e-12
 
     def test_outcome_counts(self):
         report = MergeReport()

@@ -7,6 +7,7 @@ from typing import Dict, List, Optional
 from repro.fingerprint.encoding import EncodingOptions
 from repro.fingerprint.minhash import MinHashConfig, MinHashFingerprint, minhash_function
 from repro.ir.function import Function
+from repro.obs.stage import StageContext, stage
 from repro.search.pairing import Match, Ranker, RankingStats
 
 # LSHIndex compacts no index smaller than this many stored rows.
@@ -73,8 +74,11 @@ class ReferenceMinHashRanker(Ranker):
             self._buckets.setdefault(key, []).append(index)
 
     def preprocess(self, functions: List[Function]) -> None:
-        for func in functions:
-            self.insert(func)
+        clock = StageContext()
+        with stage(clock, "fingerprint"):
+            for func in functions:
+                self.insert(func)
+        self.stage_times = clock.stage_times
 
     def insert(self, func: Function) -> None:
         self._file(_Row(func, minhash_function(func, self.config, self.encoding)))

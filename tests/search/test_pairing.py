@@ -189,13 +189,12 @@ class TestBatchedRanker:
                 assert a.function is b.function
                 assert a.similarity == b.similarity
 
-    def test_preprocess_breakdown_reported(self):
+    def test_preprocess_stage_times_reported(self):
         funcs = self._funcs(20)
         ranker = MinHashLSHRanker()
         ranker.preprocess(funcs)
-        breakdown = ranker.preprocess_breakdown
-        assert set(breakdown) == {"fingerprint", "index"}
-        assert all(v >= 0 for v in breakdown.values())
+        assert set(ranker.stage_times) == {"fingerprint", "index"}
+        assert all(v >= 0 for v in ranker.stage_times.values())
 
     def test_batched_insert_uses_cache(self):
         from repro.fingerprint import FingerprintCache

@@ -114,7 +114,7 @@ class TestStaticGateInPass:
         verify_module(module)
         vetoed = [a for a in report.attempts if a.outcome == "static_fail"]
         assert all(a.error and a.error.startswith("static:") for a in vetoed)
-        assert all(a.static_time > 0 for a in vetoed)
+        assert all(a.stage_times["staticcheck"] > 0 for a in vetoed)
 
     def test_fixed_codegen_commits_with_zero_vetoes(self):
         module = _bug_effect_suite()

@@ -239,11 +239,6 @@ class TestObservability:
         assert manifest.kind == "merge"
         assert manifest.functions >= 30
         assert tuple(manifest.outcomes)  # outcome table present
-        # Span stage totals and the manifest's profiler stage table are two
-        # views of the same timed regions.
-        assert totals["rank"]["total_s"] == pytest.approx(
-            manifest.stages["rank"], rel=0.05, abs=1e-3
-        )
 
     def test_metrics_flag_writes_default_manifest(self, module_file, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

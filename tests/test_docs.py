@@ -130,6 +130,26 @@ class TestGeneratedCheckerDocs:
             assert f"`{info.name}`" in text
 
 
+class TestSpanCatalogue:
+    """Every span a traced run emits is documented in observability.md."""
+
+    def _catalogue(self) -> set:
+        text = _read("docs", "observability.md")
+        section = text.split("### Span catalogue", 1)[1].split("\n### ", 1)[0]
+        return set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
+
+    def test_every_emitted_span_is_catalogued(self):
+        from tests.obs.traced_runs import faulted_pass, gated_pass, optimistic_run
+
+        emitted = {
+            sp.name
+            for run in (gated_pass, faulted_pass, optimistic_run)
+            for sp in run()[1]
+        }
+        missing = sorted(emitted - self._catalogue())
+        assert not missing, f"spans absent from the docs/observability.md catalogue: {missing}"
+
+
 class TestMarkdownLint:
     def _load(self):
         spec = importlib.util.spec_from_file_location(
