@@ -34,6 +34,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.linearizer import linearize
+from ..arrays import sorted_unique
 from ..ir.function import Function
 from ..obs import trace
 from .encoding import EncodingOptions, encode_function
@@ -227,7 +228,7 @@ def _window_hashes(
         s_lens = ne_lens[short]
         s_off = ne_off[short]
         s_dest = seg_starts[short]
-        for length in np.unique(s_lens).tolist():
+        for length in sorted_unique(s_lens)[0].tolist():
             rows = s_lens == length
             gather = s_off[rows][:, None] + np.arange(length, dtype=np.int64)[None, :]
             base[s_dest[rows]] = fnv1a_32_array_u32(flat32[gather])
@@ -315,7 +316,7 @@ def _size_balanced_chunks(lens: np.ndarray, chunks: int) -> List[np.ndarray]:
     bounds = np.searchsorted(
         np.cumsum(lens), np.arange(1, chunks, dtype=np.int64) * target, "left"
     )
-    bounds = np.unique(np.concatenate([[0], bounds + 1, [lens.shape[0]]]))
+    bounds = sorted_unique(np.concatenate([[0], bounds + 1, [lens.shape[0]]]))[0]
     return [
         np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
         for i in range(bounds.shape[0] - 1)

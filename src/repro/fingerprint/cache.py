@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from .fnv import fnv1a_32_array
 from .minhash import MinHashConfig
 
@@ -110,7 +111,7 @@ def content_keys(flat: np.ndarray, lens: np.ndarray) -> List[ContentKey]:
     offsets = np.cumsum(lens) - lens
     h1 = np.empty(n, dtype=np.uint32)
     h2 = np.empty(n, dtype=np.uint32)
-    for length in np.unique(lens).tolist():
+    for length in sorted_unique(lens)[0].tolist():
         rows = np.flatnonzero(lens == length)
         if length == 0:
             empty = np.empty((rows.shape[0], 0), dtype=np.uint64)

@@ -21,17 +21,28 @@ is module-level and band-range aware so :mod:`repro.search.sharded` can build
 the identical structure per band slice in worker processes.
 
 Every query (:meth:`LSHIndex.query`, :meth:`LSHIndex.best_match`,
-:meth:`LSHIndex.probe`) runs one candidate gatherer (the capped bucket
-walk) and one similarity scorer.
+:meth:`LSHIndex.probe`, and every query of the band-sharded index) runs one
+vectorized candidate kernel, :func:`capped_runs`, and one similarity
+scorer.  The kernel reads each probed bucket as a ``[start, start+count)``
+window of a columnar layer's sorted member rows, appends the bucket's
+overflow members (functions inserted after the batch, found with one
+``dict.get`` pass over the band keys), cuts the concatenation to the first
+``bucket_cap`` members and concatenates the windows in band order.  Dead
+rows and the querying row are masked out and the survivors deduped to
+their first occurrences with one stable sort, so a query costs time in the
+members it examines, never in the rows stored.  The only Python loop left
+runs over the few buckets that hold overflow members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generic, Hashable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
+from itertools import compress, repeat
+from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
+from ..arrays import first_occurrences, segments
 from ..fingerprint.fnv import fnv1a_32_array_u32
 from ..fingerprint.minhash import MinHashFingerprint
 from ..obs import trace
@@ -43,6 +54,7 @@ __all__ = [
     "ColumnarBuckets",
     "build_columnar_buckets",
     "band_bucket_keys",
+    "capped_runs",
 ]
 
 KeyT = TypeVar("KeyT", bound=Hashable)
@@ -87,13 +99,12 @@ class ColumnarBuckets:
     Built from one stable argsort over every (band, hash) key of a batch.
     Bucket membership is stored as one sorted row array plus, per original
     (row, band) flat position, the [start, end) bounds of that position's
-    bucket — no per-bucket Python dict or list is ever built eagerly (a
-    key->slice dict over ~n*b/3 buckets costs more than the argsort itself
-    on large modules).  Bucket member lists materialize lazily on first
-    probe and are memoized keyed by slice start (unique per bucket).
+    bucket — no per-bucket Python dict or list is ever built (a key->slice
+    dict over ~n*b/3 buckets costs more than the argsort itself on large
+    modules).  A probe reads bucket windows, never member lists.
     """
 
-    __slots__ = ("rows", "sorted_keys", "starts_flat", "ends_flat", "count", "width", "_lists")
+    __slots__ = ("rows", "sorted_keys", "starts_flat", "ends_flat", "width")
 
     def __init__(
         self,
@@ -101,50 +112,42 @@ class ColumnarBuckets:
         sorted_keys: np.ndarray,
         starts_flat: np.ndarray,
         ends_flat: np.ndarray,
-        count: int,
         width: int,
     ) -> None:
-        self.rows = rows
-        self.sorted_keys = sorted_keys
-        self.starts_flat = starts_flat
-        self.ends_flat = ends_flat
-        self.count = count  # member rows covered by this layer
+        # Plain-ndarray views of possibly memmapped shard arrays: fancy
+        # indexing through np.memmap.__getitem__ is orders of magnitude
+        # slower than the base-class path, and the view shares the mapping.
+        self.rows = np.asarray(rows)
+        self.sorted_keys = np.asarray(sorted_keys)
+        self.starts_flat = np.asarray(starts_flat)
+        self.ends_flat = np.asarray(ends_flat)
         self.width = width  # bands covered by this layer
-        self._lists: Dict[int, List[int]] = {}
 
-    def slice_of(self, bucket_key: int) -> Optional[Tuple[int, int]]:
-        """Locate a bucket by key (binary search) — for post-batch rows and
-        diagnostics; batch rows read their own bounds from flat positions."""
-        sk = self.sorted_keys
-        start = int(np.searchsorted(sk, bucket_key, "left"))
-        if start == sk.shape[0] or int(sk[start]) != bucket_key:
-            return None
-        end = int(np.searchsorted(sk, bucket_key, "right"))
-        return start, end
+    def row_windows(self, rows: Union[int, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, counts)`` in :attr:`rows` of every bucket of the layer's
+        own row (or array of rows, row-major then band order), read from the
+        rows' flat positions (no key lookup)."""
+        width = self.width
+        if isinstance(rows, int):
+            flat = slice(rows * width, (rows + 1) * width)
+        else:
+            flat = (rows[:, None] * width + np.arange(width, dtype=np.int64)).ravel()
+        starts = self.starts_flat[flat]
+        return starts, self.ends_flat[flat] - starts
 
-    def members(self, start: int, end: int) -> List[int]:
-        """The member list of a bucket, materialized+memoized."""
-        cached = self._lists.get(start)
-        if cached is not None:
-            return cached
-        members = self.rows[start:end].tolist()
-        self._lists[start] = members
-        return members
+    def key_windows(self, bucket_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, counts)`` of the buckets *bucket_keys* by binary search —
+        for rows inserted after the layer was built and external probes; an
+        absent bucket is an empty window."""
+        starts = np.searchsorted(self.sorted_keys, bucket_keys, "left")
+        return starts, np.searchsorted(self.sorted_keys, bucket_keys, "right") - starts
 
-    def bounds_of_row(self, row: int) -> Iterator[Tuple[int, int]]:
-        """Per-band [start, end) bucket bounds of a batch row, in band order."""
-        flat = row * self.width
-        return zip(
-            self.starts_flat[flat : flat + self.width].tolist(),
-            self.ends_flat[flat : flat + self.width].tolist(),
-        )
-
-    def live_populations(self, alive: Sequence[bool]) -> Dict[int, int]:
+    def live_populations(self, alive: np.ndarray) -> Dict[int, int]:
         """Live member count per bucket key, in one segmented sum."""
         sk = self.sorted_keys
         if not sk.shape[0]:
             return {}
-        alive_rows = np.asarray(alive, dtype=np.int64)[self.rows]
+        alive_rows = alive[self.rows].astype(np.int64)
         first = np.empty(sk.shape[0], dtype=bool)
         first[0] = True
         np.not_equal(sk[1:], sk[:-1], out=first[1:])
@@ -159,7 +162,7 @@ def build_columnar_buckets(bucket_keys: np.ndarray) -> ColumnarBuckets:
     Row-major flattening keeps rows ascending within a bucket, i.e. exactly
     the sequential-insert order.
     """
-    n, width = bucket_keys.shape
+    width = bucket_keys.shape[1]
     flat_keys = np.ascontiguousarray(bucket_keys).ravel()
     order = np.argsort(flat_keys, kind="stable")
     sorted_keys = flat_keys[order]
@@ -175,7 +178,65 @@ def build_columnar_buckets(bucket_keys: np.ndarray) -> ColumnarBuckets:
     starts_flat[order] = np.repeat(starts, counts)
     ends_flat = np.empty(order.shape[0], dtype=np.int64)
     ends_flat[order] = np.repeat(ends, counts)
-    return ColumnarBuckets(rows, sorted_keys, starts_flat, ends_flat, n, width)
+    return ColumnarBuckets(rows, sorted_keys, starts_flat, ends_flat, width)
+
+
+# One layer's probed buckets: (member_rows, starts, counts), bucket j being
+# member_rows[starts[j] : starts[j] + counts[j]].
+Windows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def capped_runs(
+    layers: Sequence[Windows],
+    cap: Optional[int],
+    overflow: Optional[List[Sequence[int]]] = None,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The candidate kernel: the capped member runs of a sequence of buckets.
+
+    *layers* hold the probed buckets' windows into columnar layers; their
+    concatenation is the bucket order (band order for one query; query-major
+    for a batch).  *overflow*, when given, lists per bucket the members
+    appended after the columnar layer was built (empty when none).  Each
+    bucket lists its layer members, then its overflow members, and only the
+    first ``cap`` of that concatenation are taken — dead rows included, as
+    the paper's cap bounds the members examined (Section III-C).
+
+    Returns ``(runs, takes, capped)``: the taken members of every bucket
+    concatenated in bucket order (duplicates and dead rows included), the
+    members taken per bucket, and the number of buckets over the cap.
+    """
+    if len(layers) == 1:
+        counts = layers[0][2]
+    else:
+        counts = np.concatenate(
+            [c for _, _, c in layers] or [np.zeros(len(overflow or ()), dtype=np.int64)]
+        )
+    takes = counts if cap is None else np.minimum(counts, cap)
+    parts, at = [], 0
+    for member_rows, starts, c in layers:
+        parts.append(member_rows[segments(starts, takes[at : at + c.shape[0]])])
+        at += c.shape[0]
+    runs = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0, np.int64)])
+    capped = int(np.count_nonzero(counts > cap)) if cap is not None else 0
+    hits = list(compress(range(len(overflow)), overflow)) if overflow is not None else ()
+    if not hits:
+        return runs, takes, capped
+    # Overflow members follow their bucket's layer members, up to the cap.
+    counts_of = counts.tolist()
+    ov_rows: List[int] = []
+    ov_bucket: List[int] = []
+    for j in hits:
+        members = overflow[j]
+        if cap is not None and counts_of[j] + len(members) > cap:
+            capped += counts_of[j] <= cap  # not yet counted as over the cap
+            members = members[: max(cap - counts_of[j], 0)]
+        ov_rows += members
+        ov_bucket += [j] * len(members)
+    bucket = np.array(ov_bucket, dtype=np.int64)
+    # Inserting at the end of each bucket's layer run, in order, keeps every
+    # bucket's overflow members after its layer members and in their order.
+    runs = np.insert(runs, takes.cumsum()[bucket], ov_rows)
+    return runs, takes + np.bincount(bucket, minlength=takes.shape[0]), capped
 
 
 @dataclass
@@ -241,14 +302,15 @@ class LSHIndex(Generic[KeyT]):
         self._keys: List[KeyT] = []
         self._row_of: Dict[KeyT, int] = {}
         self._fingerprints: List[MinHashFingerprint] = []
-        self._alive: List[bool] = []
         self._live_count = 0
-        # Fingerprint rows and band bucket keys live in capacity-doubled
-        # matrices so inserts (including merged functions re-entering the
-        # index) stay O(1) amortized and batched similarity stays a single
-        # vector op.
+        # Fingerprint rows, band bucket keys and the alive mask live in
+        # capacity-doubled arrays so inserts (including merged functions
+        # re-entering the index) stay O(1) amortized, batched similarity
+        # stays a single vector op and a query masks dead rows with one
+        # gather.  The alive mask is private to each clone().
         self._matrix_buf: Optional[np.ndarray] = None
         self._bands_buf: Optional[np.ndarray] = None
+        self._alive = np.zeros(0, dtype=bool)
         # Set when the matrices are shared with a clone() snapshot; any
         # in-place shuffle (compaction) must un-share them first.
         self._buffers_shared = False
@@ -259,7 +321,7 @@ class LSHIndex(Generic[KeyT]):
 
     def __contains__(self, key: KeyT) -> bool:
         row = self._row_of.get(key)
-        return row is not None and self._alive[row]
+        return row is not None and bool(self._alive[row])
 
     def fingerprint(self, key: KeyT) -> MinHashFingerprint:
         return self._fingerprints[self._row_of[key]]
@@ -280,12 +342,12 @@ class LSHIndex(Generic[KeyT]):
         # a long-lived index): the key takes over a fresh row, the dead row
         # stays unreachable until compaction forgets it.
         row = len(self._keys)
+        self._ensure_capacity(row + 1, fingerprint.config.k)
         self._keys.append(key)
         self._row_of[key] = row
         self._fingerprints.append(fingerprint)
-        self._alive.append(True)
+        self._alive[row] = True
         self._live_count += 1
-        self._ensure_capacity(row + 1, fingerprint.config.k)
         self._matrix_buf[row] = fingerprint.values
         bucket_keys = self._probe_keys(fingerprint)
         self._bands_buf[row] = bucket_keys
@@ -325,10 +387,9 @@ class LSHIndex(Generic[KeyT]):
         self._bands_buf[base_row : base_row + n] = bucket_keys
 
         for offset, key in enumerate(keys):
-            row = base_row + offset
             self._keys.append(key)
-            self._row_of[key] = row
-            self._alive.append(True)
+            self._row_of[key] = base_row + offset
+        self._alive[base_row : base_row + n] = True
         self._fingerprints.extend(fingerprints)
         self._live_count += n
 
@@ -368,11 +429,13 @@ class LSHIndex(Generic[KeyT]):
         Removed keys are forgotten entirely (their rows, fingerprints and
         key mappings are freed).
         """
-        survivors = [row for row, alive in enumerate(self._alive) if alive]
+        idx = np.flatnonzero(self._alive[: len(self._keys)])
+        survivors = idx.tolist()
         n = len(survivors)
         self._keys = [self._keys[row] for row in survivors]
         self._fingerprints = [self._fingerprints[row] for row in survivors]
-        self._alive = [True] * n
+        self._alive[:n] = True
+        self._alive[n:] = False
         self._row_of = {key: row for row, key in enumerate(self._keys)}
         if self._matrix_buf is not None:
             if self._buffers_shared:
@@ -381,7 +444,6 @@ class LSHIndex(Generic[KeyT]):
                 self._matrix_buf = self._matrix_buf.copy()
                 self._bands_buf = self._bands_buf.copy()
                 self._buffers_shared = False
-            idx = np.array(survivors, dtype=np.int64)
             self._matrix_buf[:n] = self._matrix_buf[idx]
             self._bands_buf[:n] = self._bands_buf[idx]
         self._buckets = {}
@@ -398,10 +460,10 @@ class LSHIndex(Generic[KeyT]):
         The clone shares the append-only fingerprint/band matrices with its
         source — appends by the clone land past the source's row count and
         are invisible to it — and shares the immutable columnar base bucket
-        layer (its lazy member-list memo fills are idempotent).  All
-        list/dict bookkeeping is copied, so tombstones, overflow buckets
-        and key mappings diverge independently.  Compaction and capacity
-        growth un-share the matrices before mutating them in place.
+        layer.  The alive mask and all list/dict bookkeeping are copied, so
+        tombstones, overflow buckets and key mappings diverge independently.
+        Compaction and capacity growth un-share the matrices before mutating
+        them in place.
         """
         dup = self.__class__.__new__(self.__class__)
         dup.rows = self.rows
@@ -418,7 +480,7 @@ class LSHIndex(Generic[KeyT]):
         dup._keys = list(self._keys)
         dup._row_of = dict(self._row_of)
         dup._fingerprints = list(self._fingerprints)
-        dup._alive = list(self._alive)
+        dup._alive = self._alive.copy()
         dup._live_count = self._live_count
         dup._matrix_buf = self._matrix_buf
         dup._bands_buf = self._bands_buf
@@ -449,13 +511,12 @@ class LSHIndex(Generic[KeyT]):
                 capacity *= 2
             self._matrix_buf = np.empty((capacity, k), dtype=np.uint32)
             self._bands_buf = np.empty((capacity, self.bands), dtype=np.int64)
+            self._alive = np.zeros(capacity, dtype=bool)
             return
         capacity = self._matrix_buf.shape[0]
         if rows_needed <= capacity:
             return
-        # insert() may append bookkeeping before growing, so clamp to the
-        # rows that actually exist in the old buffer.
-        used = min(len(self._fingerprints), capacity)
+        used = len(self._keys)
         while capacity < rows_needed:
             capacity *= 2
         grown = np.empty((capacity, self._matrix_buf.shape[1]), dtype=np.uint32)
@@ -464,6 +525,9 @@ class LSHIndex(Generic[KeyT]):
         grown_bands = np.empty((capacity, self.bands), dtype=np.int64)
         grown_bands[:used] = self._bands_buf[:used]
         self._bands_buf = grown_bands
+        grown_alive = np.zeros(capacity, dtype=bool)
+        grown_alive[:used] = self._alive[:used]
+        self._alive = grown_alive
         # Growth copied into fresh arrays, so no snapshot shares them.
         self._buffers_shared = False
 
@@ -477,26 +541,23 @@ class LSHIndex(Generic[KeyT]):
         """The ``(bands,)`` bucket keys of one fingerprint."""
         return band_bucket_keys(fingerprint.values[None, :], self.rows, self.bands)[0]
 
-    def _bucket_members(self, bucket_key: int) -> List[int]:
-        """A bucket's base-layer members, located by key (binary search)."""
+    def _base_windows(self, me: int, band_keys: Optional[np.ndarray]) -> List[Windows]:
+        """The probed buckets' windows into the columnar base layer.  A batch
+        row reads its buckets' bounds from its own flat positions; any other
+        row or probe binary-searches its band keys."""
         base = self._base
-        slc = base.slice_of(bucket_key) if base is not None else None
-        return base.members(*slc) if slc is not None else []
+        if base is None:
+            return []
+        if 0 <= me < self._base_count:
+            return [(base.rows, *base.row_windows(me))]
+        return [(base.rows, *base.key_windows(band_keys))]
 
-    def _candidate_rows(self, me: int, stats: LSHQueryStats) -> List[int]:
-        """Candidates of resident row *me*.  A batch row reads its buckets'
-        ``[start, end)`` bounds from its own flat positions, no key lookup."""
-        bounds = self._base.bounds_of_row(me) if me < self._base_count else None
-        return self._gather(self._bands_buf[me].tolist(), bounds, me, stats)
-
-    def _gather(
-        self,
-        row_keys: List[int],
-        bounds: Optional[Iterator[Tuple[int, int]]],
-        me: int,
-        stats: LSHQueryStats,
-    ) -> List[int]:
-        """The capped bucket walk: live rows sharing a bucket, first seen first.
+    def _candidate_rows(
+        self, me: int, probe_keys: Optional[np.ndarray], stats: LSHQueryStats
+    ) -> np.ndarray:
+        """Live rows other than *me* sharing a capped bucket window with
+        resident row *me* (or with the band keys *probe_keys* of an external
+        probe), in order of first occurrence.
 
         Buckets are probed in band order.  Each bucket lists its base-layer
         members (ascending batch rows) then its overflow members in
@@ -505,70 +566,61 @@ class LSHIndex(Generic[KeyT]):
         examined (Section III-C: "we limit the number of fingerprint
         comparisons per bucket to 100").
         """
-        alive = self._alive
-        cap = self.bucket_cap
-        base = self._base
-        overflow_of = self._buckets.get
-        seen: Set[int] = {me}
-        candidates: List[int] = []
-        capped = 0
-        for bucket_key in row_keys:
-            if bounds is not None:
-                members = base.members(*next(bounds))
-            else:
-                members = self._bucket_members(bucket_key)
-            overflow = overflow_of(bucket_key)
-            if overflow:
-                members = members + overflow
-            if cap is not None and len(members) > cap:
-                members = members[:cap]
-                capped += 1
-            for row in members:
-                if row in seen or not alive[row]:
-                    continue
-                seen.add(row)
-                candidates.append(row)
-        stats.buckets_probed += len(row_keys)
+        band_keys = probe_keys
+        if band_keys is None and (self._buckets or me >= self._base_count):
+            band_keys = self._bands_buf[me]
+        overflow = None
+        if self._buckets:
+            overflow = list(map(self._buckets.get, band_keys.tolist(), repeat((), self.bands)))
+        runs, _, capped = capped_runs(self._base_windows(me, band_keys), self.bucket_cap, overflow)
+        stats.buckets_probed += self.bands
         stats.capped_buckets += capped
         self.capped_bucket_hits += capped
-        return candidates
+        # Drop dead rows and *me*, then keep each row's first occurrence;
+        # both steps cost O(runs), never O(stored rows).
+        keep = self._alive[runs]
+        if me >= 0:
+            keep &= runs != me
+        runs = runs[keep]
+        return runs[first_occurrences(runs)]
 
     def _score(
         self,
         values: np.ndarray,
         stats: Optional[LSHQueryStats],
         me: int,
-        row_keys: Optional[List[int]] = None,
-    ) -> Tuple[List[int], Optional[np.ndarray]]:
-        """Gather the candidates of resident row *me* (or of *row_keys* for
-        an external probe) and score them: the estimated Jaccard similarity
-        is the fraction of minhash entries equal to *values*."""
+        probe_keys: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Gather the candidates of resident row *me* (or of *probe_keys*
+        for an external probe, ``me=-1``) and score them: the estimated
+        Jaccard similarity is the fraction of minhash entries equal to
+        *values*."""
         stats = stats if stats is not None else LSHQueryStats()
         with trace.span("lsh_query") as sp:
             probed0, capped0 = stats.buckets_probed, stats.capped_buckets
             self.queries += 1
-            if row_keys is None:
-                candidates = self._candidate_rows(me, stats)
-            else:
-                candidates = self._gather(row_keys, None, me, stats)
-            stats.candidates_seen += len(candidates)
-            stats.comparisons += len(candidates)
+            candidates = self._candidate_rows(me, probe_keys, stats)
+            found = candidates.shape[0]
+            stats.candidates_seen += found
+            stats.comparisons += found
             sp.set(
                 buckets_probed=stats.buckets_probed - probed0,
                 capped_buckets=stats.capped_buckets - capped0,
-                candidates=len(candidates),
+                candidates=found,
             )
-            if not candidates:
+            if not found:
                 return candidates, None
-            return candidates, (self._matrix()[candidates] == values[None, :]).mean(axis=1)
+            # Integer count over k: the same float64 as the mean, cheaper.
+            equal = (self._matrix()[candidates] == values).sum(axis=1, dtype=np.int32)
+            return candidates, equal / values.shape[0]
 
     def _pairs(
-        self, candidates: List[int], sims: Optional[np.ndarray]
+        self, candidates: np.ndarray, sims: Optional[np.ndarray]
     ) -> List[Tuple[KeyT, float]]:
         if sims is None:
             return []
         keys = self._keys
-        return [(keys[row], s) for row, s in zip(candidates, sims.tolist())]
+        return [(keys[row], s) for row, s in zip(candidates.tolist(), sims.tolist())]
 
     def query(
         self, key: KeyT, stats: Optional[LSHQueryStats] = None
@@ -593,8 +645,8 @@ class LSHIndex(Generic[KeyT]):
         the probe fingerprint is never inserted.
         """
         self._check_fingerprint(fingerprint)
-        row_keys = self._probe_keys(fingerprint).tolist()
-        return self._pairs(*self._score(fingerprint.values, stats, -1, row_keys))
+        probe_keys = self._probe_keys(fingerprint)
+        return self._pairs(*self._score(fingerprint.values, stats, -1, probe_keys))
 
     def best_match(
         self, key: KeyT, stats: Optional[LSHQueryStats] = None
@@ -606,7 +658,7 @@ class LSHIndex(Generic[KeyT]):
         if sims is None:
             return None
         best = int(sims.argmax())
-        return self._keys[candidates[best]], float(sims[best])
+        return self._keys[int(candidates[best])], float(sims[best])
 
     # -- diagnostics ------------------------------------------------------------------
     def index_stats(self) -> Dict[str, int]:
@@ -633,7 +685,7 @@ class LSHIndex(Generic[KeyT]):
         """Live population of every bucket (both layers merged by key)."""
         by_key = self._base.live_populations(self._alive) if self._base is not None else {}
         for bucket_key, rows in self._buckets.items():
-            live = sum(1 for row in rows if self._alive[row])
+            live = int(np.count_nonzero(self._alive[rows]))
             by_key[bucket_key] = by_key.get(bucket_key, 0) + live
         return [p for p in by_key.values() if p > 0]
 

@@ -22,9 +22,11 @@ member list, skips dead rows and already-seen rows, and takes the first
 similarity argmax.  A shard owns a contiguous band range and shards are
 unioned in ascending range order, so the concatenation of per-shard
 capped runs is the identical global band order with the same cap windows.
-The kernel deduplicates to first occurrences per query — exactly the
-serial loop's ``seen`` set, vectorized — so its candidate list *is* the
-serial candidate list (property-tested against the serial index).
+Both the per-key queries and the batched :meth:`ShardedLSHIndex.best_match_all`
+run :func:`~repro.search.lsh.capped_runs`, the serial index's own candidate
+kernel, and deduplicate to first occurrences per query — exactly the serial
+walk's ``seen`` set — so the candidate list *is* the serial candidate list
+(property-tested against the serial index and against the reference walk).
 """
 
 from __future__ import annotations
@@ -37,14 +39,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..arrays import first_occurrences, segments
 from ..fingerprint.minhash import MinHashFingerprint
 from ..fingerprint.store import FingerprintStore
 from .lsh import (
     ColumnarBuckets,
     LSHIndex,
-    LSHQueryStats,
+    Windows,
     band_bucket_keys,
     build_columnar_buckets,
+    capped_runs,
 )
 
 __all__ = ["BandShard", "ShardedLSHIndex", "shard_ranges"]
@@ -129,59 +133,15 @@ def _shard_build_worker(payload) -> str:
     return prefix
 
 
-def _segment_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices of the concatenation of ranges ``[starts[i], starts[i]+counts[i])``."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out_starts = np.cumsum(counts) - counts
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_starts, counts)
-        + np.repeat(starts, counts)
-    )
-
-
-def _frozen_candidate_runs(
-    starts_flat: np.ndarray,
-    ends_flat: np.ndarray,
-    member_rows: np.ndarray,
-    width: int,
-    queries: np.ndarray,
-    cap: Optional[int],
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Capped candidate runs for a query batch against one frozen shard.
-
-    Returns ``(cands, per_query_counts, capped_buckets)`` where *cands* is
-    the concatenation, per query and then per band in order, of each
-    probed bucket's first ``cap`` members — exactly the serial probe
-    sequence for this band range, duplicates included.
-    """
-    # Plain-ndarray views of the (possibly memmapped) shard arrays: fancy
-    # indexing through np.memmap.__getitem__ is orders of magnitude slower
-    # than the base-class path, and the view shares the mapping (no copy).
-    starts_flat = np.asarray(starts_flat)
-    ends_flat = np.asarray(ends_flat)
-    member_rows = np.asarray(member_rows)
-    flat = (
-        queries[:, None] * width + np.arange(width, dtype=np.int64)[None, :]
-    ).ravel()
-    starts = starts_flat[flat]
-    counts = ends_flat[flat] - starts
-    if cap is not None:
-        capped = int(np.count_nonzero(counts > cap))
-        counts = np.minimum(counts, cap)
-    else:
-        capped = 0
-    cands = member_rows[_segment_gather(starts, counts)]
-    per_query = counts.reshape(-1, width).sum(axis=1)
-    return cands, per_query, capped
-
-
 def _shard_query_worker(payload) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Capped candidate runs of a query batch against one frozen shard:
+    ``(runs, per_query_counts, capped_buckets)``, the runs concatenated per
+    query and then per band in order — the serial probe sequence for this
+    band range, duplicates included."""
     prefix, width, cap, queries = payload
-    member_rows, _, starts_flat, ends_flat = _shard_files(prefix)
-    return _frozen_candidate_runs(starts_flat, ends_flat, member_rows, width, queries, cap)
+    layer = ColumnarBuckets(*_shard_files(prefix), width)
+    runs, takes, capped = capped_runs([(layer.rows, *layer.row_windows(queries))], cap)
+    return runs, takes.reshape(-1, width).sum(axis=1), capped
 
 
 # ----------------------------------------------------------------------------------
@@ -296,7 +256,7 @@ class ShardedLSHIndex(LSHIndex):
         else:
             prefixes = [_shard_build_worker(p) for p in payloads]
         band_shards = [
-            BandShard(lo, hi, ColumnarBuckets(*_shard_files(prefix), n, hi - lo))
+            BandShard(lo, hi, ColumnarBuckets(*_shard_files(prefix), hi - lo))
             for (lo, hi), prefix in zip(ranges, prefixes)
         ]
         return cls(store, band_shards, prefixes, rows, bands, bucket_cap)
@@ -331,25 +291,9 @@ class ShardedLSHIndex(LSHIndex):
     def _matrix(self) -> np.ndarray:
         return self._store_values
 
-    def _candidate_rows(self, me: int, stats: LSHQueryStats) -> List[int]:
-        """The serial capped bucket walk of row *me*, as one vectorized
-        kernel call per shard plus a first-occurrence dedup."""
-        query = np.array([me], dtype=np.int64)
-        runs = [
-            _frozen_candidate_runs(
-                shard.base.starts_flat, shard.base.ends_flat, shard.base.rows,
-                shard.width, query, self.bucket_cap,
-            )
-            for shard in self._shards
-        ]
-        capped = sum(run[2] for run in runs)
-        stats.buckets_probed += self.bands
-        stats.capped_buckets += capped
-        self.capped_bucket_hits += capped
-        cands = np.concatenate([run[0] for run in runs])
-        cands = cands[(cands != me) & self._alive[cands]]
-        _, first = np.unique(cands, return_index=True)
-        return cands[np.sort(first)].tolist()
+    def _base_windows(self, me: int, band_keys: Optional[np.ndarray]) -> List[Windows]:
+        """Every shard's windows for row *me*, in shard (i.e. band) order."""
+        return [(shard.base.rows, *shard.base.row_windows(me)) for shard in self._shards]
 
     # -- batched queries ---------------------------------------------------------------
     def best_match_all(
@@ -466,7 +410,7 @@ class ShardedLSHIndex(LSHIndex):
         cands = np.empty(grand, dtype=np.int64)
         acc = np.cumsum(totals) - totals
         for shard_cands, per_query, _ in runs:
-            dest = _segment_gather(acc, per_query)
+            dest = segments(acc, per_query)
             cands[dest] = shard_cands
             acc += per_query
         seg = np.repeat(np.arange(nq, dtype=np.int64), totals)
@@ -483,12 +427,9 @@ class ShardedLSHIndex(LSHIndex):
         # factor of ``bands``.  Only later duplicates are dropped and they
         # carry the same eq value as their first occurrence, so the
         # first-max argmax below is untouched.
-        pair_key = seg * np.int64(matrix.shape[0]) + cands
-        _, first_occurrence = np.unique(pair_key, return_index=True)
-        uniq = np.zeros(cands.shape[0], dtype=bool)
-        uniq[first_occurrence] = True
-        cands = cands[uniq]
-        seg = seg[uniq]
+        keep = first_occurrences(seg * np.int64(matrix.shape[0]) + cands)
+        cands = cands[keep]
+        seg = seg[keep]
         # Chunk the k-wide gathers: a dense batch can carry millions of
         # candidate rows (duplicates included), and materializing two
         # (m, k) gathers at once would cost gigabytes.  eq is computed in

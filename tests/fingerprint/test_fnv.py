@@ -1,9 +1,10 @@
 """Tests for FNV-1a hashing, including the vectorized variant."""
 
 import numpy as np
+import pytest
 
 from repro.fingerprint import fnv1a_32, fnv1a_32_ints, fnv1a_32_pair, salts
-from repro.fingerprint.fnv import fnv1a_32_array
+from repro.fingerprint.fnv import fnv1a_32_array, fnv1a_32_array_u32
 
 
 class TestScalar:
@@ -42,6 +43,20 @@ class TestVectorized:
     def test_empty(self):
         assert fnv1a_32_array(np.empty(0, dtype=np.uint32)).size == 0
 
+    @pytest.mark.parametrize("shape", [(0,), (5,), (7, 1), (64, 2), (9, 7), (3, 0)])
+    def test_u32_kernel_matches_reference(self, shape):
+        # fnv1a_32_array_u32 (byte view, uint32 state) hashes every engine
+        # and shingle; the masked uint64 fnv1a_32_array is its reference.
+        rng = np.random.default_rng(sum(shape) + 1)
+        values = rng.integers(0, 1 << 32, size=shape, dtype=np.uint64)
+        values.flat[:1] = 0xFFFFFFFF
+        got = fnv1a_32_array_u32(values.astype(np.uint32))
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, fnv1a_32_array(values))
+        rows = values if values.ndim == 2 else values[:, None]
+        for row, h in zip(rows.tolist()[:8], got.tolist()):
+            assert h == fnv1a_32_ints(row)
+
 
 class TestSalts:
     def test_deterministic(self):
@@ -53,3 +68,13 @@ class TestSalts:
     def test_distinct_values(self):
         s = salts(200)
         assert len(np.unique(s)) == 200
+
+    @pytest.mark.parametrize("seed", [0, 1, 0xF3F3F3, 2**40 + 3, 2**130 + 99])
+    @pytest.mark.parametrize("k", [1, 2, 3, 200, 201, 1000])
+    def test_equals_numpy_default_rng(self, k, seed):
+        # salts() spells out SeedSequence + PCG64 so the fingerprint path
+        # never imports numpy.random; numpy's generator is the oracle.
+        want = np.random.default_rng(seed).integers(0, 1 << 32, size=k, dtype=np.uint32)
+        got = salts(k, seed)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, want)

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -71,6 +77,45 @@ class TestMerge:
             )
             == 0
         )
+
+
+# Submodules numpy imports lazily, at tens of milliseconds each: the first
+# ``numpy.unique`` call loads ``numpy.ma``, ``default_rng`` loads
+# ``numpy.random``.  An F3M one-shot merge must not pay for them.
+_LAZY_NUMPY = ("numpy.ma", "numpy.random")
+
+_COLD_MERGE = """
+import json, sys
+import repro.cli
+after_import = [m for m in LAZY if m in sys.modules]
+code = repro.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "after_import": after_import,
+                  "after_merge": [m for m in LAZY if m in sys.modules]}))
+"""
+
+
+class TestColdPath:
+    @pytest.mark.parametrize("strategy", ["f3m", "f3m-adaptive"])
+    def test_f3m_merge_loads_no_lazy_numpy_submodule(self, module_file, tmp_path, strategy):
+        # A one-instruction function takes the fingerprinter's short-stream
+        # path as well as the common one.
+        with open(module_file, "a", encoding="utf-8") as handle:
+            handle.write("\ndefine i32 @tiny(i32 %arg0) {\nentry:\n  ret i32 %arg0\n}\n")
+        out = tmp_path / "out.ll"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", f"LAZY = {_LAZY_NUMPY!r}" + _COLD_MERGE,
+             "merge", str(module_file), "-s", strategy, "-o", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["code"] == 0
+        # Not moved into the CLI's import either, where setup would pay it.
+        assert result["after_import"] == []
+        assert result["after_merge"] == []
+        assert "@tiny" in out.read_text()
 
 
 class TestMergeRobustnessFlags:
