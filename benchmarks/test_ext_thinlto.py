@@ -5,10 +5,12 @@ summary-based LTO.  This experiment quantifies the two halves of that
 argument on one workload:
 
 1. splitting the program into partitions loses cross-partition merge
-   pairs, so size reduction degrades monotonically with partition count;
-2. a global MinHash summary index identifies exactly which functions' best
-   partners live elsewhere — the import list a ThinLTO integration would
-   need — showing the F3M fingerprint is the right summary format.
+   pairs, so the partition-local size reduction degrades monotonically
+   with partition count;
+2. a global MinHash index over every partition's survivors (the
+   reconcile phase) identifies exactly which pairs span partitions — the
+   import list a ThinLTO integration would need — and recovers them,
+   showing the F3M fingerprint is the right summary format.
 """
 
 from repro.harness import format_table
@@ -27,9 +29,14 @@ def _sweep():
         data = {}
         for k in PARTITIONS:
             module = workload(N, "thinlto")
-            data[k] = partitioned_merging(module, k)
+            data[k] = partitioned_merging(module, k, reconcile=True)
         _cache["data"] = data
     return _cache["data"]
+
+
+def _phase1_reduction(report) -> float:
+    """Size reduction of the partition-local passes alone."""
+    return 1.0 - report.reconcile.size_phase1 / report.size_before
 
 
 def test_ext_thinlto_partition_sweep(benchmark):
@@ -42,25 +49,36 @@ def test_ext_thinlto_partition_sweep(benchmark):
             (
                 k,
                 report.merges,
+                f"{_phase1_reduction(report):.2%}",
+                report.reconcile.cross_candidates,
+                report.reconcile.recovered_pairs,
                 f"{report.size_reduction:.2%}",
-                report.cross_partition_candidates,
             )
         )
     print(
         format_table(
-            ["partitions", "merges", "size reduction", "cross-partition partners"],
+            [
+                "partitions",
+                "merges",
+                "size reduction",
+                "cross-partition partners",
+                "recovered pairs",
+                "after reconcile",
+            ],
             rows,
         )
     )
     print(
-        "cross-partition partners = functions whose best global match (per "
-        "the MinHash summary index) lives in another partition; a ThinLTO "
-        "integration would import those."
+        "cross-partition partners = survivors whose best global match (per "
+        "the reconcile phase's MinHash index) lives in another partition; a "
+        "ThinLTO integration would import those."
     )
     # Monotone degradation with partition count.
-    reductions = [data[k].size_reduction for k in PARTITIONS]
+    reductions = [_phase1_reduction(data[k]) for k in PARTITIONS]
     assert all(b <= a + 0.005 for a, b in zip(reductions, reductions[1:]))
     assert reductions[0] > reductions[-1]
     # The summary index sees the loss coming.
-    assert data[8].cross_partition_candidates > data[2].cross_partition_candidates
-    assert data[1].cross_partition_candidates == 0
+    assert (
+        data[8].reconcile.cross_candidates > data[2].reconcile.cross_candidates
+    )
+    assert data[1].reconcile.cross_candidates == 0

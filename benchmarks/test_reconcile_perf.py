@@ -1,7 +1,7 @@
 """Tier-2 regression gates for optimistic cross-partition merging.
 
 Runs the same machinery as ``repro bench-perf --reconcile`` at CI size
-and gates on the properties the two-phase sweep must never lose:
+and gates on the properties the two-phase run must never lose:
 
 * **Recovery** — on a workload whose similarity families straddle
   partition boundaries (the standard generated workload with 4
@@ -10,12 +10,11 @@ and gates on the properties the two-phase sweep must never lose:
   smaller than the partition-local result (``recovered_size_delta > 0``;
   the headline gate is >= 0 — reconciliation may at worst break even,
   never lose bytes).
-* **Replay fidelity** — the optimistic sweep's phase-1 size equals the
+* **Phase-1 fidelity** — the reconcile run's phase-1 size equals the
   partition-local baseline's final size, so the recovered delta measures
   exactly the reconcile phase.
-* **Determinism** — the sweep digest (partition decisions plus phase-2
-  reconcile decisions) is identical across repeated runs and across
-  worker counts.
+* **Determinism** — the run digest (partition decisions plus phase-2
+  reconcile decisions) is identical across repeated runs.
 
 Run with::
 
@@ -61,7 +60,7 @@ class TestRecovery:
         assert metadata["headline"]["recovered_size_delta"] >= 0
 
 
-class TestReplayFidelity:
+class TestPhase1Fidelity:
     def test_phase1_size_matches_partition_local_baseline(self, sweep):
         rows, _ = sweep
         for row in rows:
@@ -71,15 +70,14 @@ class TestReplayFidelity:
                 "baseline_size_after": row["baseline_size_after"],
             }
 
-    def test_replay_never_diverges(self, sweep):
+    def test_phase1_merges_match_baseline(self, sweep):
         rows, _ = sweep
         for row in rows:
-            assert row["replay_diverged"] == 0, row["size"]
-            assert row["replay_merges"] == row["baseline_merges"], row["size"]
+            assert row["phase1_merges"] == row["baseline_merges"], row["size"]
 
 
 class TestDeterminism:
-    def test_decisions_deterministic_across_runs_and_workers(self, sweep):
+    def test_decisions_deterministic_across_runs(self, sweep):
         rows, metadata = sweep
         for row in rows:
             assert row["decisions_deterministic"] is True, row["size"]

@@ -114,101 +114,122 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_merge_partitioned(args: argparse.Namespace, module: Module) -> None:
-    """ThinLTO-style merging: partition-local sweeps, optionally followed
-    by the phase-2 optimistic cross-partition reconciliation."""
+def _traced(trace_path: Optional[str], run):
+    """Call *run*, streaming its spans to *trace_path* when one is given."""
+    if not trace_path:
+        return run()
+    with obs_trace.Tracer(sink=trace_path).install():
+        return run()
+
+
+def _emit_manifest(args: argparse.Namespace, manifest) -> None:
+    manifest_path = args.manifest or "run-manifest.json"
+    save_manifest(manifest, manifest_path)
+    print(f"wrote manifest {manifest_path}", file=sys.stderr)
+    if args.metrics:
+        print(render_manifest(manifest), file=sys.stderr)
+
+
+def _print_outcomes(reports) -> Dict[str, int]:
+    """Print the outcome table summed over *reports* and every contained
+    failure; returns the summed outcome counts."""
+    outcomes: Dict[str, int] = {}
+    for report in reports:
+        for outcome, count in report.outcome_counts().items():
+            outcomes[outcome] = outcomes.get(outcome, 0) + count
+    print(format_outcome_table(outcomes), file=sys.stderr)
+    for report in reports:
+        for att in report.contained_failures():
+            print(f"contained failure: @{att.function} ({att.error})", file=sys.stderr)
+    return outcomes
+
+
+def _merge_pass(args, module, config, faults, want_manifest):
+    """One whole-module pass; returns its manifest when one is wanted."""
+    ranker = make_ranker(args.strategy)
+    registry = Registry() if want_manifest else None
+    pass_ = FunctionMergingPass(ranker, config, faults=faults, metrics=registry)
+    report = _traced(args.trace, lambda: pass_.run(module))
+    print(report.summary(), file=sys.stderr)
+    _print_outcomes([report])
+    if not want_manifest:
+        return None
+    collect_pass_telemetry(pass_, report, registry)
+    return build_merge_manifest(
+        report, ranker, config, module, registry, module_name=args.module
+    )
+
+
+def _merge_partitioned(args, module, config, faults, want_manifest):
+    """ThinLTO-style merging: partition-local passes, then with
+    ``--reconcile`` the cross-partition phase; returns its manifest when
+    one is wanted."""
+    import dataclasses
     import functools
+    import time
 
-    from .merge.partitioned import optimistic_sweep, partitioned_merging
+    from .merge.partitioned import partitioned_merging
+    from .obs.manifest import RunManifest, git_revision, module_digest
 
-    ranker_factory = functools.partial(make_ranker, args.strategy)
-    config = PassConfig(
-        threshold=args.threshold,
-        verify=not args.no_verify,
-        static_check=args.static_check,
-        validate=args.validate,
-        oracle=args.oracle,
-        on_error=args.on_error,
+    report = _traced(
+        args.trace,
+        lambda: partitioned_merging(
+            module,
+            args.partitions,
+            functools.partial(make_ranker, args.strategy),
+            config,
+            reconcile=args.reconcile,
+            faults=faults,
+        ),
     )
-    if not args.reconcile:
-        report = partitioned_merging(
-            module, args.partitions, ranker_factory, config, workers=args.workers
-        )
-        print(
-            f"partitioned merging ({args.partitions} partitions): "
-            f"{report.merges} merges, size {report.size_before} -> "
-            f"{report.size_after} ({report.size_reduction:.1%} reduction), "
-            f"{report.cross_partition_candidates} cross-partition candidates lost",
-            file=sys.stderr,
-        )
-        return
-    faults = FaultInjector.parse(args.inject_fault) if args.inject_fault else None
-    sweep = optimistic_sweep(
-        module,
-        args.partitions,
-        ranker_factory,
-        config,
-        workers=args.workers,
-        faults=faults,
-    )
-    rc = sweep.reconcile
+    rc = report.reconcile
     print(
-        f"optimistic sweep ({args.partitions} partitions, {sweep.workers} workers): "
-        f"{rc.replay_merges} partition-local merges replayed "
-        f"({rc.replay_diverged} diverged), "
-        f"{rc.recovered_pairs} cross-partition pairs recovered "
-        f"(+{rc.recovered_saving} bytes saved), "
-        f"conflicts {rc.conflicts_resolved} resolved / "
-        f"{rc.conflicts_skipped} skipped, "
-        f"size {rc.size_phase1} -> {rc.size_after} "
-        f"(recovered delta {rc.recovered_size_delta})",
+        f"partitioned merging ({args.partitions} partitions): "
+        f"{report.merges} partition-local merges, size {report.size_before} -> "
+        f"{report.size_after} ({report.size_reduction:.1%} reduction)",
         file=sys.stderr,
     )
-    if args.metrics or args.manifest or args.trace:
-        import time as _time
-
-        from .obs.manifest import RunManifest, git_revision, module_digest
-
-        manifest = RunManifest(
-            kind="reconcile",
-            strategy=args.strategy,
-            config={
-                "partitions": args.partitions,
-                "workers": sweep.workers,
-                "threshold": config.threshold,
-                "reconcile": True,
-            },
-            git_rev=git_revision(),
-            created_unix=_time.time(),
-            module_name=args.module,
-            module_digest=module_digest(module),
-            functions=sum(r.num_functions for r in sweep.results),
-            merges=rc.replay_merges + rc.recovered_pairs,
-            size_before=sum(r.size_before for r in sweep.results),
-            size_after=rc.size_after,
-            total_time=sweep.total_time + rc.elapsed,
-            metrics={
-                "reconcile": {
-                    "cross_candidates": rc.cross_candidates,
-                    "attempted": rc.attempted,
-                    "recovered_pairs": rc.recovered_pairs,
-                    "recovered_saving": rc.recovered_saving,
-                    "recovered_size_delta": rc.recovered_size_delta,
-                    "conflicts_considered": rc.conflicts_considered,
-                    "conflicts_resolved": rc.conflicts_resolved,
-                    "conflicts_skipped": rc.conflicts_skipped,
-                    "rollbacks": rc.rollbacks,
-                    "reapplied": rc.reapplied,
-                    "replay_merges": rc.replay_merges,
-                    "replay_diverged": rc.replay_diverged,
-                }
-            },
+    if rc is not None:
+        print(
+            f"reconcile: {rc.recovered_pairs} cross-partition pairs recovered "
+            f"(+{rc.recovered_saving} bytes saved), "
+            f"conflicts {rc.conflicts_resolved} resolved / "
+            f"{rc.conflicts_skipped} skipped, "
+            f"size {rc.size_phase1} -> {rc.size_after} "
+            f"(recovered delta {rc.recovered_size_delta})",
+            file=sys.stderr,
         )
-        manifest_path = args.manifest or "run-manifest.json"
-        save_manifest(manifest, manifest_path)
-        print(f"wrote manifest {manifest_path}", file=sys.stderr)
-        if args.metrics:
-            print(render_manifest(manifest), file=sys.stderr)
+    outcomes = _print_outcomes(report.reports)
+    if not want_manifest:
+        return None
+    metrics: Dict[str, object] = {}
+    if rc is not None:
+        metrics["reconcile"] = {
+            key: value
+            for key, value in dataclasses.asdict(rc).items()
+            if key not in ("partitions", "decisions")
+        }
+    return RunManifest(
+        kind="partitioned",
+        strategy=args.strategy,
+        config={
+            **dataclasses.asdict(config),
+            "partitions": args.partitions,
+            "reconcile": args.reconcile,
+        },
+        git_rev=git_revision(),
+        created_unix=time.time(),
+        module_name=args.module,
+        module_digest=module_digest(module),
+        functions=sum(part.num_functions for part in report.reports),
+        merges=report.merges + (rc.recovered_pairs if rc is not None else 0),
+        size_before=report.size_before,
+        size_after=report.size_after,
+        total_time=report.total_time,
+        stages=dict(report.stage_times),
+        outcomes=outcomes,
+        metrics=metrics,
+    )
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
@@ -221,10 +242,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             f"{report.call_sites_rewritten} call sites rewritten",
             file=sys.stderr,
         )
-    elif args.partitions:
-        _cmd_merge_partitioned(args, module)
     else:
-        ranker = make_ranker(args.strategy)
         config = PassConfig(
             threshold=args.threshold,
             verify=not args.no_verify,
@@ -240,33 +258,10 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         # renders the run manifest to stderr; either one (or an explicit
         # --manifest PATH) also writes the manifest JSON.
         want_manifest = bool(args.metrics or args.manifest or args.trace)
-        registry = Registry() if want_manifest else None
-        pass_ = FunctionMergingPass(ranker, config, faults=faults, metrics=registry)
-        if args.trace:
-            tracer = obs_trace.Tracer(sink=args.trace)
-            with tracer.install():
-                merge_report = pass_.run(module)
-        else:
-            merge_report = pass_.run(module)
-        print(merge_report.summary(), file=sys.stderr)
-        print(format_outcome_table(merge_report.outcome_counts()), file=sys.stderr)
-        for att in merge_report.contained_failures():
-            print(f"contained failure: @{att.function} ({att.error})", file=sys.stderr)
-        if want_manifest:
-            collect_pass_telemetry(pass_, merge_report, registry)
-            manifest = build_merge_manifest(
-                merge_report,
-                ranker,
-                config,
-                module,
-                registry,
-                module_name=args.module,
-            )
-            manifest_path = args.manifest or "run-manifest.json"
-            save_manifest(manifest, manifest_path)
-            print(f"wrote manifest {manifest_path}", file=sys.stderr)
-            if args.metrics:
-                print(render_manifest(manifest), file=sys.stderr)
+        run = _merge_partitioned if args.partitions else _merge_pass
+        manifest = run(args, module, config, faults, want_manifest)
+        if manifest is not None:
+            _emit_manifest(args, manifest)
     if args.optimize:
         optimize_module(module, drop_dead_functions=False)
     verify_module(module)
@@ -522,12 +517,11 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
             f"largest size {headline['size']}: "
             f"bounded_identical={headline['bounded_identical']}, "
             f"cached_identical={headline['cached_identical']}, "
-            f"sweep_identical={headline['sweep_digest_identical']}, "
             f"bound_sound={headline['bound_sound']}"
         )
         return 0
     rows, metadata = run_perf_bench(
-        sizes=sizes, repeats=args.repeats, workload=args.workload, workers=args.workers
+        sizes=sizes, repeats=args.repeats, workload=args.workload
     )
     write_bench_json(args.output, "f3m_perf", rows, metadata)
     if args.manifest:
@@ -771,16 +765,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--reconcile",
         action="store_true",
         help=(
-            "with --partitions: after the parallel partition-local sweeps, "
-            "re-rank survivors globally and merge the cross-partition pairs "
-            "the partitions had to forgo (optimistic two-phase merging)"
+            "with --partitions: after the partition-local passes, re-rank "
+            "survivors globally and merge the cross-partition pairs the "
+            "partitions had to forgo (optimistic two-phase merging)"
         ),
-    )
-    p_merge.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="with --partitions: process-pool size for the partition sweeps",
     )
     p_merge.add_argument(
         "--trace",
@@ -849,17 +837,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--repeats", type=int, default=3, help="best-of-N timing runs")
     p_perf.add_argument("--workload", default="perf", help="workload family name")
     p_perf.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool fan-out for very large modules",
-    )
-    p_perf.add_argument(
         "--attempts",
         action="store_true",
         help=(
-            "run the attempt-stage suite instead: pre-alignment bound, "
-            "cache and partition-sweep equivalence "
+            "run the attempt-stage suite instead: profitability bound "
+            "and alignment-cache equivalence "
             "(default sizes 200,600,2000 -> BENCH_attempt_perf.json)"
         ),
     )
@@ -920,8 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "run the optimistic cross-partition suite instead: partition-"
-            "local sweep vs two-phase optimistic sweep, recovered pairs and "
-            "size delta, decision determinism across worker counts "
+            "local merging vs the two-phase reconcile run, recovered pairs "
+            "and size delta, decision determinism across runs "
             "(default sizes 48,96 -> BENCH_reconcile.json)"
         ),
     )

@@ -33,7 +33,7 @@ to the pre-request snapshot is genuinely exercised — and
 ``serve_disconnect`` simulates the client vanishing mid-request (the
 response cannot be delivered; the daemon must stay consistent anyway).
 
-The optimistic cross-partition sweep adds one *reconcile* stage
+Optimistic cross-partition merging adds one *reconcile* stage
 (:data:`RECONCILE_FAULT_STAGES`): ``reconcile`` fires at the start of a
 phase-2 cross-partition merge attempt, inside the attempt's transaction,
 so a reconcile-stage fault is contained per pair and the module stays
@@ -79,10 +79,12 @@ WORKER_FAULT_STAGES = ("worker_crash", "worker_hang")
 #: worker stages.
 SERVE_FAULT_STAGES = ("serve_commit", "serve_disconnect")
 
-#: Sweep-level stage: a fault at the start of each phase-2 cross-partition
-#: attempt in :func:`repro.merge.partitioned.optimistic_sweep`.  Kept out
-#: of :data:`FAULT_STAGES` because it only exists in the reconcile driver,
-#: not in a plain :class:`~repro.merge.pass_.FunctionMergingPass` run.
+#: Reconcile-phase stage: a fault at the start of each phase-2
+#: cross-partition attempt of
+#: :func:`repro.merge.partitioned.partitioned_merging` with
+#: ``reconcile=True``.  Kept out of :data:`FAULT_STAGES` because it only
+#: exists in the reconcile phase, not in a plain
+#: :class:`~repro.merge.pass_.FunctionMergingPass` run.
 RECONCILE_FAULT_STAGES = ("reconcile",)
 
 

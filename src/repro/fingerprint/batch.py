@@ -15,9 +15,7 @@ the same fingerprints in a handful of module-wide passes:
   salts, and reduces per-function minima with ``np.minimum.reduceat``;
 * :func:`minhash_module` ties both together with the content-addressed
   :class:`~repro.fingerprint.cache.FingerprintCache` (identical-bodied
-  functions share one computation) and an optional
-  ``ProcessPoolExecutor`` fan-out, chunked by encoded-stream size, for
-  large modules.
+  functions share one computation).
 
 Every path is bit-identical to :func:`minhash_function` — property-tested
 in ``tests/fingerprint/test_batch.py``.
@@ -26,7 +24,6 @@ in ``tests/fingerprint/test_batch.py``.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -293,55 +290,6 @@ def minhash_encoded_batch(
 
 
 # ---------------------------------------------------------------------------
-# Process-pool fan-out
-# ---------------------------------------------------------------------------
-
-
-def _minhash_worker(payload):
-    """Top-level worker (picklable): fingerprint one packed chunk."""
-    flat, lens, config = payload
-    return minhash_encoded_batch(flat, lens, config)
-
-
-def _size_balanced_chunks(lens: np.ndarray, chunks: int) -> List[np.ndarray]:
-    """Split function indices into contiguous runs of ~equal stream size.
-
-    Chunking by encoded-stream size (not function count) keeps workers
-    balanced when a few giant functions dominate the module.
-    """
-    total = int(lens.sum())
-    if total == 0 or chunks <= 1:
-        return [np.arange(lens.shape[0], dtype=np.int64)]
-    target = max(1, total // chunks)
-    bounds = np.searchsorted(
-        np.cumsum(lens), np.arange(1, chunks, dtype=np.int64) * target, "left"
-    )
-    bounds = sorted_unique(np.concatenate([[0], bounds + 1, [lens.shape[0]]]))[0]
-    return [
-        np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
-        for i in range(bounds.shape[0] - 1)
-        if bounds[i + 1] > bounds[i]
-    ]
-
-
-def _minhash_parallel(
-    flat: np.ndarray, lens: np.ndarray, config: MinHashConfig, workers: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fan :func:`minhash_encoded_batch` out over a process pool."""
-    offsets = np.cumsum(lens) - lens
-    chunks = _size_balanced_chunks(lens, workers * 2)
-    payloads = []
-    for chunk in chunks:
-        idx = _segment_indices(offsets[chunk], lens[chunk])
-        payloads.append((flat[idx], lens[chunk], config))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_minhash_worker, payloads))
-    values = np.concatenate([v for v, _ in results], axis=0)
-    counts = np.concatenate([c for _, c in results], axis=0)
-    return values, counts
-
-
-# ---------------------------------------------------------------------------
 # Top-level entry points
 # ---------------------------------------------------------------------------
 
@@ -352,8 +300,6 @@ def minhash_module(
     encoding: Optional[EncodingOptions] = None,
     *,
     cache=None,
-    workers: Optional[int] = None,
-    min_parallel: int = 4096,
 ) -> List[MinHashFingerprint]:
     """MinHash fingerprints for a whole module in one batched pass.
 
@@ -361,9 +307,7 @@ def minhash_module(
     functions]``.  With *cache* (a :class:`FingerprintCache`) fingerprints
     are shared content-addressed: functions with identical encoded streams
     — within this call, across calls, and across CLI invocations when the
-    cache has a disk layer — are hashed once.  With ``workers > 1`` and at
-    least *min_parallel* functions the hash computation fans out over a
-    ``ProcessPoolExecutor``, chunked by encoded-stream size.
+    cache has a disk layer — are hashed once.
     """
     functions = list(functions)
     if not functions:
@@ -371,15 +315,9 @@ def minhash_module(
     with trace.span("encode", functions=len(functions)):
         flat, lens = encode_module(functions, encoding)
     n = len(functions)
-
-    def compute(sel_flat, sel_lens):
-        if workers is not None and workers > 1 and sel_lens.shape[0] >= min_parallel:
-            return _minhash_parallel(sel_flat, sel_lens, config, workers)
-        return minhash_encoded_batch(sel_flat, sel_lens, config)
-
     if cache is None:
         with trace.span("minhash", functions=n, hashed=n):
-            values, counts = compute(flat, lens)
+            values, counts = minhash_encoded_batch(flat, lens, config)
         return [
             MinHashFingerprint(values[i], config, int(counts[i])) for i in range(n)
         ]
@@ -402,7 +340,7 @@ def minhash_module(
             rows = np.array(compute_rows, dtype=np.int64)
             offsets = np.cumsum(lens) - lens
             idx = _segment_indices(offsets[rows], lens[rows])
-            values, counts = compute(flat[idx], lens[rows])
+            values, counts = minhash_encoded_batch(flat[idx], lens[rows], config)
             for pos, i in enumerate(compute_rows):
                 entry = (values[pos], int(counts[pos]))
                 resolved[keys[i]] = entry

@@ -2,8 +2,7 @@
 
 Merge workloads are full of identical-bodied functions — exact duplicates
 in the input, clones produced by earlier merges, and whole re-runs over the
-same module (the remerge loop, benchmark repeats, partitioned passes that
-consult a global summary first).  Fingerprints are pure functions of the
+same module (the remerge loop, benchmark repeats, a warm serve daemon).  Fingerprints are pure functions of the
 *encoded instruction stream* and the :class:`MinHashConfig`, so they can be
 shared content-addressed:
 
@@ -136,9 +135,7 @@ def content_keys(flat: np.ndarray, lens: np.ndarray) -> List[ContentKey]:
 class FingerprintCache:
     """LRU fingerprint store keyed by encoded-stream content + config.
 
-    Thread-safe (one lock around the entry map); process pools do not
-    share it — each worker computes raw values and the parent process owns
-    the cache, so there is nothing to synchronize across processes.
+    Thread-safe (one lock around the entry map).
     """
 
     def __init__(

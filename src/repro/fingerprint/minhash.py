@@ -57,8 +57,7 @@ class MinHashConfig:
 # Bounded LRU of derived salt vectors.  A handful of (k, seed) pairs are
 # ever live at once (static + adaptive configs and ablation sweeps), but
 # unbounded growth would leak across long parameter sweeps.  The lock makes
-# the cache safe under threaded rankers; pool workers are separate
-# processes, so each builds its own copy once and reuses it per chunk.
+# the cache safe under threaded rankers.
 _SALT_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _SALT_CACHE_MAX = 16
 _SALT_CACHE_LOCK = threading.Lock()

@@ -172,7 +172,6 @@ def run_attempt_bench(
     sizes: Sequence[int] = (200, 600, 2000),
     repeats: int = 3,
     workload: str = "perf",
-    sweep_partitions: int = 4,
 ) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
     """The ``bench-perf --attempts`` suite for ``BENCH_attempt_perf.json``.
 
@@ -183,13 +182,10 @@ def run_attempt_bench(
       printed module bit-for-bit;
     * bound soundness: the pairs ``rejected_bound`` skipped, intersected
       with the pairs the *unbounded* pipeline merged (must be empty);
-    * a serial-vs-parallel :func:`repro.merge.partitioned.partition_sweep`
-      digest comparison;
     * a profiled pass with the bound/align/codegen stage split.
     """
     from ..alignment.batch import BatchAlignmentEngine
     from ..ir.printer import print_module
-    from ..merge.partitioned import partition_sweep
     from ..workloads.suites import build_workload
 
     rows: List[Dict[str, object]] = []
@@ -248,17 +244,6 @@ def run_attempt_bench(
         row["cached_identical"] = text_cached == text_bound
         row["cache_hits_during_warm_run"] = hits_after - hits_before
 
-        # Serial vs parallel partition sweep over the same snapshot.
-        sweep_module = fresh()
-        serial = partition_sweep(sweep_module, sweep_partitions, workers=1)
-        parallel = partition_sweep(
-            sweep_module, sweep_partitions, workers=sweep_partitions
-        )
-        row["sweep_digest_identical"] = serial.digest() == parallel.digest()
-        row["sweep_merges"] = serial.merges
-        row["sweep_serial_s"] = serial.total_time
-        row["sweep_parallel_s"] = parallel.total_time
-
         # Stage split of the production configuration.
         row["f3m_profile"] = _best_profile(fresh, "f3m", repeats).to_row()
 
@@ -267,14 +252,12 @@ def run_attempt_bench(
             "size": size,
             "bounded_identical": row["bounded_identical"],
             "cached_identical": row["cached_identical"],
-            "sweep_digest_identical": row["sweep_digest_identical"],
             "bound_sound": not row["bound_unsound_rejections"],
         }
 
     metadata: Dict[str, object] = {
         "workload": workload,
         "repeats": repeats,
-        "sweep_partitions": sweep_partitions,
         "cpu_count": os.cpu_count(),
         "headline": headline,
     }
@@ -297,7 +280,6 @@ def run_perf_bench(
     sizes: Sequence[int] = (100, 500, 1000),
     repeats: int = 3,
     workload: str = "perf",
-    workers: Optional[int] = None,
 ) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
     """The ``bench-perf`` suite: rows + metadata for ``BENCH_f3m_perf.json``.
 
@@ -346,7 +328,6 @@ def run_perf_bench(
     metadata: Dict[str, object] = {
         "workload": workload,
         "repeats": repeats,
-        "workers": workers,
         "cpu_count": os.cpu_count(),
         "headline": headline,
         "speedup_vs_hyfm_definition": (

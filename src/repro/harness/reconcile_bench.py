@@ -1,23 +1,23 @@
 """Optimistic cross-partition merging benchmark (``bench-perf --reconcile``).
 
-Per workload size, against the same module text:
+Per workload size, on fresh builds of the same module:
 
-* **partition-local baseline** — :func:`~repro.merge.partitioned.partition_sweep`
-  applied via the phase-1 replay only: what ThinLTO-style partitioning
-  achieves when cross-partition pairs are simply forgone;
-* **optimistic two-phase** — :func:`~repro.merge.partitioned.optimistic_sweep`:
-  the same partition-local decisions plus the phase-2 global re-ranking
-  that recovers cross-partition pairs (rolling back lower-benefit
-  optimistic merges where they conflict).
+* **partition-local baseline** —
+  :func:`~repro.merge.partitioned.partitioned_merging` with
+  ``reconcile=False``: what ThinLTO-style partitioning achieves when
+  cross-partition pairs are simply forgone;
+* **optimistic two-phase** — the same driver with ``reconcile=True``: the
+  same partition-local passes plus the phase-2 global re-ranking that
+  recovers cross-partition pairs (rolling back lower-benefit optimistic
+  merges where they conflict).
 
 Identity checks ride along and become the tier-2 gate
-(``benchmarks/test_reconcile_perf.py``): the optimistic sweep's phase-1
-size must equal the partition-local baseline's final size (the replay is
-faithful), the recovered size delta must be nonnegative (reconciliation
-never loses bytes — its conflict resolution only ever trades up), and
-the sweep digest — every partition decision plus every phase-2
-reconcile decision — must be identical across repeated runs and across
-worker counts (1 vs. the partition count).
+(``benchmarks/test_reconcile_perf.py``): the reconcile run's phase-1 size
+must equal the partition-local baseline's final size, the recovered size
+delta must be nonnegative (reconciliation never loses bytes — its conflict
+resolution only ever trades up), and the run digest — every partition
+decision plus every phase-2 reconcile decision — must be identical across
+repeated runs.
 """
 
 from __future__ import annotations
@@ -25,32 +25,14 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Tuple
 
-from ..analysis.size import module_size
-from ..merge.partitioned import optimistic_sweep, partition_sweep
+from ..merge.partitioned import partitioned_merging
 from ..merge.pass_ import PassConfig
-from ..merge.reconcile import ReconcileReport, _OptimisticDriver, _replay_phase
 from ..search.pairing import MinHashLSHRanker
 from ..workloads.suites import build_workload
 
 __all__ = ["DEFAULT_RECONCILE_SIZES", "run_reconcile_bench"]
 
 DEFAULT_RECONCILE_SIZES = (48, 96)
-
-
-def _baseline_size(
-    workload: str, n: int, partitions: int, config: PassConfig
-) -> Tuple[int, int, int]:
-    """Partition-local result applied to a fresh module: (size_before,
-    size_after, merges).  Uses the same sweep+replay machinery as the
-    optimistic path with the reconcile phase simply absent, so the two
-    sides differ in exactly the feature under test."""
-    module = build_workload(n, f"{workload}{n}")
-    size_before = module_size(module)
-    sweep = partition_sweep(module, partitions, MinHashLSHRanker, config)
-    driver = _OptimisticDriver(module, config, None)
-    report = ReconcileReport(partitions=partitions)
-    _replay_phase(driver, sweep.results, report)
-    return size_before, module_size(module), report.replay_merges
 
 
 def run_reconcile_bench(
@@ -63,40 +45,36 @@ def run_reconcile_bench(
     config = PassConfig(verify=True)
     rows: List[Dict[str, object]] = []
     for n in sizes:
-        size_before, baseline_after, baseline_merges = _baseline_size(
-            workload, n, partitions, config
+        baseline = partitioned_merging(
+            build_workload(n, f"{workload}{n}"), partitions, MinHashLSHRanker, config
         )
 
         digests: List[str] = []
         last = None
         t_opt = None
-        for run in range(max(2, repeats)):
-            # Alternate worker counts so digest equality also covers the
-            # serial-vs-parallel axis, not just run-to-run stability.
-            workers = 1 if run % 2 == 0 else partitions
+        for _ in range(max(2, repeats)):
             module = build_workload(n, f"{workload}{n}")
             t0 = time.perf_counter()
-            sweep = optimistic_sweep(
-                module, partitions, MinHashLSHRanker, config, workers=workers
+            report = partitioned_merging(
+                module, partitions, MinHashLSHRanker, config, reconcile=True
             )
             elapsed = time.perf_counter() - t0
             if t_opt is None or elapsed < t_opt:
                 t_opt = elapsed
-            digests.append(sweep.digest())
-            last = sweep
+            digests.append(report.digest())
+            last = report
         rc = last.reconcile
 
         rows.append(
             {
                 "size": n,
                 "partitions": partitions,
-                "size_before": size_before,
-                "baseline_size_after": baseline_after,
-                "baseline_merges": baseline_merges,
+                "size_before": baseline.size_before,
+                "baseline_size_after": baseline.size_after,
+                "baseline_merges": baseline.merges,
                 "size_phase1": rc.size_phase1,
                 "size_after": rc.size_after,
-                "replay_merges": rc.replay_merges,
-                "replay_diverged": rc.replay_diverged,
+                "phase1_merges": last.merges,
                 "cross_candidates": rc.cross_candidates,
                 "attempted": rc.attempted,
                 "recovered_pairs": rc.recovered_pairs,
@@ -109,9 +87,9 @@ def run_reconcile_bench(
                 "reapplied": rc.reapplied,
                 "reapply_failures": rc.reapply_failures,
                 "optimistic_time": t_opt,
-                "reconcile_time": rc.elapsed,
+                "reconcile_time": last.stage_times["reconcile"],
                 "decisions_deterministic": len(set(digests)) == 1,
-                "phase1_size_identical": rc.size_phase1 == baseline_after,
+                "phase1_size_identical": rc.size_phase1 == baseline.size_after,
             }
         )
 

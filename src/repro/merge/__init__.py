@@ -5,11 +5,7 @@ from .identical import IdenticalMergeReport, merge_identical_functions, structur
 from .merger import MergeOptions, MergeResult, merge_functions
 from .partitioned import (
     PartitionedMergeReport,
-    SweepPartitionResult,
-    SweepReport,
-    optimistic_sweep,
     partition_functions,
-    partition_sweep,
     partitioned_merging,
 )
 from .pass_ import FunctionMergingPass, PassConfig
@@ -33,11 +29,7 @@ __all__ = [
     "PartitionedMergeReport",
     "ReconcileReport",
     "RetainingTransaction",
-    "SweepPartitionResult",
-    "SweepReport",
-    "optimistic_sweep",
     "partition_functions",
-    "partition_sweep",
     "partitioned_merging",
     "ProfileGuidedPass",
     "profile_module",

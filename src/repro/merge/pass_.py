@@ -146,9 +146,9 @@ class FunctionMergingPass:
         self.ranker = ranker
         self.config = config
         # Every attempt runs inside a transaction this factory produces.
-        # The optimistic-sweep replay passes a retaining factory whose
-        # commit() keeps the snapshots, so reconciliation can later undo
-        # an already-committed optimistic merge bit-identically.
+        # Partitioned merging with reconciliation passes a retaining
+        # factory whose commit() keeps the snapshots, so the reconcile
+        # phase can later undo an already-committed merge bit-identically.
         self.transaction_factory = transaction_factory or MergeTransaction
         # Optional obs.metrics.Registry: when attached, run() folds the
         # report's stage timings and outcome tallies into it.

@@ -1,17 +1,16 @@
 """Phase-2 reconciliation for optimistic cross-partition merging.
 
-``partition_sweep`` parallelizes the attempt stage by keeping partitions
-independent, which silently forgoes every pair spanning a partition
-boundary.  The Optimistic Global Function Merger idea (Lee/Ren/Hoag,
-PAPERS.md) recovers that coverage in two phases:
+Partition-local merging (:func:`repro.merge.partitioned.partitioned_merging`)
+silently forgoes every pair spanning a partition boundary.  The Optimistic
+Global Function Merger idea (Lee/Ren/Hoag, PAPERS.md) recovers that
+coverage in two phases:
 
-* **Phase 1 (optimistic, parallel)** — the existing partition-local
-  sweeps run in a process pool and their *decisions* (not their module
-  mutations) come back to the parent, which replays them onto the live
-  module through the ordinary transactional pipeline.  Each replayed
-  commit runs inside a :class:`RetainingTransaction` whose ``commit()``
-  keeps the pre-merge snapshots instead of dropping them, so phase 2 can
-  later undo any optimistic merge bit-identically.
+* **Phase 1 (optimistic)** — the partition passes run in place on the
+  live module.  Each commit runs inside a :class:`RetainingTransaction`
+  whose ``commit()`` keeps the pre-merge snapshots instead of dropping
+  them, so phase 2 can later undo any optimistic merge bit-identically.
+  The driver pairs each partition's merged attempts with its committed
+  transactions into :class:`RetainedMerge` entries.
 
 * **Phase 2 (reconcile)** — the surviving fingerprints of every
   partition (unmerged originals, merged winners, and the originals
@@ -30,17 +29,15 @@ PAPERS.md) recovers that coverage in two phases:
   phase-1 state exactly.
 
 Rolling back an optimistic merge after *later* commits touched the same
-functions would clobber those commits, so every commit logs the function
-names it captured and an **overlap guard** refuses (deterministically)
-to undo a merge whose capture set intersects any later commit's; such
-candidates are counted as ``conflicts_skipped`` and the optimistic
-merges stand.
+functions would clobber those commits, so every commit — phase 1's
+included — logs the function names it captured and an **overlap guard**
+refuses (deterministically) to undo a merge whose capture set intersects
+any later commit's; such candidates are counted as ``conflicts_skipped``
+and the optimistic merges stand.
 
-Determinism: phase 1's decisions are serial≡parallel by construction
-(see ``partition_sweep``), the replay is a serial pure function of those
-decisions, and phase 2 ranks and attempts in a canonical order — so two
-runs over the same module snapshot produce identical
-:meth:`ReconcileReport.decisions` regardless of worker count.
+Determinism: phase 1 is a serial walk over the partitions, and phase 2
+ranks and attempts in a canonical order — so two runs over the same
+module produce identical :attr:`ReconcileReport.decisions`.
 """
 
 from __future__ import annotations
@@ -48,13 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..alignment.batch import BatchAlignmentEngine
 from ..analysis.size import module_size
 from ..faults import FaultInjector
 from ..ir.clone import clone_function_into
 from ..ir.function import Function
 from ..ir.module import Module
 from ..obs import trace
-from ..obs.stage import StageContext, stage
 from ..search.pairing import Match, Ranker, RankingStats
 from .pass_ import FunctionMergingPass, PassConfig
 from .report import Outcome
@@ -66,7 +63,7 @@ __all__ = [
     "ReconcileReport",
     "RetainedMerge",
     "RetainingTransaction",
-    "run_optimistic_phases",
+    "run_reconcile_phase",
 ]
 
 
@@ -166,9 +163,9 @@ class RetainedMerge:
 class FixedPairRanker(Ranker):
     """A ranker that proposes exactly the pair the driver prescribes.
 
-    The replay and reconcile drivers already know which two functions an
-    attempt concerns; routing the pair through this ranker lets them
-    reuse ``FunctionMergingPass`` — every stage, gate, timing bucket and
+    The reconcile driver already knows which two functions an attempt
+    concerns; routing the pair through this ranker lets it reuse
+    ``FunctionMergingPass`` — every stage, gate, timing bucket and
     containment path — without a search index.  ``fault_stage`` (set to
     ``"reconcile"`` during phase 2) fires the injector *inside* the
     pass's guarded rank stage, so an injected reconcile fault is
@@ -210,18 +207,16 @@ class FixedPairRanker(Ranker):
 
 @dataclass
 class ReconcileReport:
-    """What the optimistic replay + reconciliation pass did.
+    """What the reconciliation phase did.
 
     ``decisions`` is the canonical record — one tuple per phase-2
     attempt, ``(function, candidate, similarity, outcome, action,
-    saving)`` — folded into :meth:`SweepReport.digest` so determinism
-    across runs and worker counts stays bit-checkable.
+    saving)`` — folded into
+    :meth:`~repro.merge.partitioned.PartitionedMergeReport.digest` so
+    determinism across runs stays bit-checkable.
     """
 
     partitions: int
-    # Phase-1 replay accounting.
-    replay_merges: int = 0
-    replay_diverged: int = 0
     # Phase-2 candidate discovery and attempts.
     cross_candidates: int = 0
     attempted: int = 0
@@ -238,16 +233,9 @@ class ReconcileReport:
     # after reconciliation.
     size_phase1: int = 0
     size_after: int = 0
-    # Phase name ("replay", "reconcile") -> seconds.
-    stage_times: Dict[str, float] = field(default_factory=dict)
     decisions: List[Tuple[str, str, float, str, str, int]] = field(
         default_factory=list
     )
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds spent in both phases."""
-        return sum(self.stage_times.values())
 
     @property
     def recovered_size_delta(self) -> int:
@@ -256,12 +244,18 @@ class ReconcileReport:
 
 
 class _OptimisticDriver:
-    """Shared state of the replay + reconcile phases on one module."""
+    """Shared state of the reconcile phase on one module.
+
+    The commit log starts with phase 1's retained merges, so the overlap
+    guard sees every commit, not only phase 2's.
+    """
 
     def __init__(
         self,
         module: Module,
         config: PassConfig,
+        retained: List[RetainedMerge],
+        engine: BatchAlignmentEngine,
         faults: Optional[FaultInjector],
     ) -> None:
         self.module = module
@@ -278,12 +272,15 @@ class _OptimisticDriver:
             self.ranker,
             config,
             faults=faults,
+            alignment_engine=engine,
             transaction_factory=factory,
         )
-        self.seq = 0
+        self.seq = max((r.seq for r in retained), default=0)
         self.consumed_ids: Set[int] = set()
         # Commit log for the overlap guard: (seq, names touched).
-        self.log: List[Tuple[int, Set[str]]] = []
+        self.log: List[Tuple[int, Set[str]]] = [
+            (r.seq, r.touched_names) for r in retained
+        ]
 
     def attempt(self, func: Function, other: Function, similarity: float):
         """One transactional pipeline trip for the prescribed pair.
@@ -324,45 +321,6 @@ class _OptimisticDriver:
         self.pass_._invalidate(restored)
 
 
-def _replay_phase(
-    driver: _OptimisticDriver,
-    sweep_results,
-    report: ReconcileReport,
-) -> Tuple[List[RetainedMerge], Dict[str, int]]:
-    """Apply each partition's committed decisions to the parent module.
-
-    Worker-side names are mapped to parent-side functions through
-    ``name_map`` as merged functions are created, so remerge chains
-    (a merged function consumed by a later merge in the same partition)
-    replay correctly even when ``unique_name`` suffixes diverge.
-    """
-    retained_merges: List[RetainedMerge] = []
-    name_map: Dict[str, str] = {}
-    merged_partition: Dict[str, int] = {}
-    for result in sweep_results:
-        for decision in result.decisions:
-            function, candidate, similarity, outcome = decision[:4]
-            merged_name = decision[6] if len(decision) > 6 else None
-            if outcome != str(Outcome.MERGED) or candidate is None:
-                continue
-            func = driver.module.get_function(name_map.get(function, function))
-            other = driver.module.get_function(name_map.get(candidate, candidate))
-            if func is None or other is None:
-                report.replay_diverged += 1
-                continue
-            record, retained = driver.attempt(func, other, similarity)
-            if retained is None:
-                report.replay_diverged += 1
-                continue
-            retained.partition = result.partition
-            retained_merges.append(retained)
-            report.replay_merges += 1
-            merged_partition[retained.merged_name] = result.partition
-            if merged_name is not None:
-                name_map[merged_name] = retained.merged_name
-    return retained_merges, merged_partition
-
-
 @dataclass
 class _PoolEntry:
     """One fingerprintable survivor in the phase-2 global ranking."""
@@ -377,7 +335,6 @@ def _survivor_pool(
     module: Module,
     config: PassConfig,
     partition_of: Dict[str, int],
-    merged_partition: Dict[str, int],
     retained_merges: List[RetainedMerge],
 ) -> List[_PoolEntry]:
     """Collect the fingerprints phase 2 re-ranks globally.
@@ -387,6 +344,7 @@ def _survivor_pool(
     each optimistic merge consumed (ranked by their *pre-merge* backup
     bodies, so a better cross-partition partner can still claim them).
     """
+    merged_partition = {r.merged_name: r.partition for r in retained_merges}
     pool: List[_PoolEntry] = []
     for func in module.defined_functions():
         if func.num_instructions < config.min_instructions:
@@ -566,32 +524,25 @@ def _reconcile_phase(
         )
 
 
-def run_optimistic_phases(
+def run_reconcile_phase(
     module: Module,
-    sweep_results,
     partitions: int,
     partition_of: Dict[str, int],
+    retained_merges: List[RetainedMerge],
     ranker_factory: Callable[[], Ranker],
     config: PassConfig,
-    faults: Optional[FaultInjector] = None,
+    engine: BatchAlignmentEngine,
+    faults: Optional[FaultInjector],
 ) -> ReconcileReport:
-    """Replay phase-1 decisions onto *module*, then reconcile across
-    partitions.  Mutates *module*; returns the combined report."""
-    report = ReconcileReport(partitions=partitions)
-    clock = StageContext(report.stage_times)
-    with stage(clock, "replay", partitions=partitions):
-        driver = _OptimisticDriver(module, config, faults)
-        retained_merges, merged_partition = _replay_phase(
-            driver, sweep_results, report
-        )
-        report.size_phase1 = module_size(module)
-    with stage(clock, "reconcile", merges=len(retained_merges)):
-        pool = _survivor_pool(
-            module, config, partition_of, merged_partition, retained_merges
-        )
-        driver.ranker.fault_stage = "reconcile"
-        candidates = _rank_cross_candidates(pool, ranker_factory, config)
-        report.cross_candidates = len(candidates)
-        _reconcile_phase(driver, candidates, report)
-        report.size_after = module_size(module)
+    """Reconcile across partitions after phase 1 left *module* with
+    *retained_merges* committed.  Mutates *module*; *partition_of* maps
+    each original function name to its partition."""
+    report = ReconcileReport(partitions=partitions, size_phase1=module_size(module))
+    driver = _OptimisticDriver(module, config, retained_merges, engine, faults)
+    pool = _survivor_pool(module, config, partition_of, retained_merges)
+    driver.ranker.fault_stage = "reconcile"
+    candidates = _rank_cross_candidates(pool, ranker_factory, config)
+    report.cross_candidates = len(candidates)
+    _reconcile_phase(driver, candidates, report)
+    report.size_after = module_size(module)
     return report

@@ -225,8 +225,7 @@ class MinHashLSHRanker(Ranker):
 
     Preprocessing fingerprints the whole module through the vectorized
     batch engine and bulk-inserts into the LSH index.  ``cache`` shares
-    fingerprints content-addressed across runs and partitions; ``workers``
-    fans large modules out over a process pool.
+    fingerprints content-addressed across runs and partitions.
     """
 
     name = "f3m"
@@ -241,7 +240,6 @@ class MinHashLSHRanker(Ranker):
         adaptive: bool = False,
         encoding: Optional[EncodingOptions] = None,
         cache: Optional[FingerprintCache] = None,
-        workers: Optional[int] = None,
         compact_ratio: Optional[float] = 1.0,
     ) -> None:
         self._requested_config = config
@@ -252,7 +250,6 @@ class MinHashLSHRanker(Ranker):
         self.adaptive = adaptive
         self.encoding = encoding or EncodingOptions()
         self.cache = cache
-        self.workers = workers
         self.compact_ratio = compact_ratio
         self.config: Optional[MinHashConfig] = None
         self.parameters: Optional[AdaptiveParameters] = None
@@ -292,7 +289,6 @@ class MinHashLSHRanker(Ranker):
                 self.config,
                 self.encoding,
                 cache=self.cache,
-                workers=self.workers,
             )
         with stage(clock, "index", functions=len(functions)):
             self._index.insert_batch([id(f) for f in functions], fingerprints)

@@ -7,9 +7,9 @@ with **zero** cross-shard coordination.  :class:`ShardedLSHIndex` is the
 frozen, corpus-scale form of :class:`~repro.search.lsh.LSHIndex`
 (:meth:`ShardedLSHIndex.from_store`): shard bucket structures are built
 from a :class:`~repro.fingerprint.store.FingerprintStore` by worker
-processes — reusing the fork-pool + order-preserving ``map`` pattern of
-:mod:`repro.merge.partitioned`, with ``workers=1`` running the identical
-worker inline — and written to ``.npy`` files that the parent (and query
+processes — a fork pool with an order-preserving ``map``, with
+``workers=1`` running the identical worker inline — and written to
+``.npy`` files that the parent (and query
 workers) re-open memory-mapped.  Neither the signature matrix nor the
 bucket arrays are ever RAM-resident as Python objects; the working set is
 page cache.  :meth:`ShardedLSHIndex.best_match_all` answers every query

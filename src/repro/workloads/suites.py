@@ -179,7 +179,7 @@ def build_workload(
         optimize_module(module, max_rounds=2, drop_dead_functions=False)
     # Generated loops reuse local names like %iv; make every function's
     # names unique so the module's printed form round-trips through the
-    # parser (partition sweeps snapshot modules as text).
+    # parser (the CLI and the serve daemon exchange modules as text).
     for func in module.defined_functions():
         func.uniquify_names()
     return module

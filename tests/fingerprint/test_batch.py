@@ -152,15 +152,6 @@ class TestMinhashModule:
         assert cache.stats.hits > before
         assert cache.stats.hit_rate > 0
 
-    def test_pool_path_identical(self):
-        funcs = _functions(30, "pool")
-        config = MinHashConfig(k=24)
-        parallel = minhash_module(funcs, config, workers=2, min_parallel=1)
-        serial = minhash_module(funcs, config)
-        for a, b in zip(parallel, serial):
-            assert np.array_equal(a.values, b.values)
-            assert a.num_shingles == b.num_shingles
-
     def test_minhash_single_matches_and_caches(self):
         funcs = _functions(10, "single")
         config = MinHashConfig(k=40)

@@ -2,7 +2,7 @@
 
 Covers the profitability bound's two checks, before and after alignment
 (their accounting, their soundness, and the work they save), and the
-parallel partition sweep's serial/parallel decision identity.
+partition driver's report order.
 """
 
 import pytest
@@ -14,11 +14,11 @@ from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.merge import pass_ as pass_module
 from repro.merge.merger import MergeOptions, merge_functions
-from repro.merge.partitioned import partition_sweep
+from repro.merge.partitioned import partition_functions, partitioned_merging
 from repro.merge.pass_ import FunctionMergingPass, PassConfig
 from repro.merge.profitability import ProfitabilityBound, ProfitabilityModel
 from repro.merge.report import Outcome
-from repro.search.pairing import ExhaustiveRanker, MinHashLSHRanker
+from repro.search.pairing import ExhaustiveRanker
 from repro.workloads import build_workload
 from repro.workloads.suites import WorkloadConfig
 
@@ -169,24 +169,13 @@ bad:
 
 
 class TestPartitionSweep:
-    @pytest.mark.parametrize("ranker_factory", [ExhaustiveRanker, MinHashLSHRanker])
-    def test_serial_equals_parallel(self, ranker_factory):
-        module = build_workload(80, "sweep")
-        before = print_module(module)
-        serial = partition_sweep(module, 4, ranker_factory=ranker_factory, workers=1)
-        parallel = partition_sweep(module, 4, ranker_factory=ranker_factory, workers=2)
-        assert serial.digest() == parallel.digest()
-        assert serial.workers == 1 and parallel.workers == 2
-        # Sweeps work on snapshots; the parent module is never mutated.
-        assert print_module(module) == before
-
     def test_results_ordered_by_partition(self):
-        module = build_workload(60, "sweep-order")
-        report = partition_sweep(module, 3, workers=2)
-        assert [r.partition for r in report.results] == [0, 1, 2]
-        assert sum(r.num_functions for r in report.results) >= 60
+        report = partitioned_merging(build_workload(60, "sweep-order"), 3)
+        groups = partition_functions(build_workload(60, "sweep-order"), 3)
+        assert [r.num_functions for r in report.reports] == [len(g) for g in groups]
+        assert sum(r.num_functions for r in report.reports) >= 60
 
     def test_rejects_nonpositive_partitions(self):
         module = build_workload(10, "sweep-bad")
         with pytest.raises(ValueError):
-            partition_sweep(module, 0)
+            partitioned_merging(module, 0)

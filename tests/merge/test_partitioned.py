@@ -61,15 +61,24 @@ class TestPartitionedMerging:
 
     def test_summary_counts_cross_partition_losses(self):
         module = build_workload(150, "thinlost")
-        report = partitioned_merging(module, 4)
+        report = partitioned_merging(module, 4, reconcile=True)
         # With families scattered by name hash, some best partners must
         # land in other partitions.
-        assert report.cross_partition_candidates > 0
+        assert report.reconcile.cross_candidates > 0
 
     def test_lost_pairs_disabled(self):
-        module = build_workload(80, "thinoff")
-        report = partitioned_merging(module, 4, count_lost_pairs=False)
-        assert report.cross_partition_candidates == 0
+        from repro.search import MinHashLSHRanker
+
+        built = []
+
+        def factory():
+            built.append(1)
+            return MinHashLSHRanker()
+
+        report = partitioned_merging(build_workload(80, "thinoff"), 4, factory)
+        # Without reconcile no global ranker is built: one per partition.
+        assert report.reconcile is None
+        assert len(built) == 4
 
     def test_report_aggregation(self):
         module = build_workload(80, "thinagg")
@@ -77,38 +86,3 @@ class TestPartitionedMerging:
         assert len(report.reports) == 3
         assert report.merges == sum(r.merges for r in report.reports)
         assert report.total_time > 0
-
-
-class TestPrewarmedCache:
-    def test_prewarm_preserves_results_and_hits(self):
-        from repro.fingerprint import FingerprintCache
-
-        baseline = partitioned_merging(build_workload(120, "warm"), 4)
-        cache = FingerprintCache()
-        warmed = partitioned_merging(
-            build_workload(120, "warm"), 4, cache=cache, prewarm=True
-        )
-        # Same merge outcome, with the module fingerprinted once up front.
-        assert warmed.merges == baseline.merges
-        assert warmed.size_reduction == baseline.size_reduction
-        assert warmed.prewarm_time > 0
-        assert warmed.cache_stats is not None
-        assert warmed.cache_stats["hits"] > 0
-
-    def test_prewarm_without_explicit_cache(self):
-        report = partitioned_merging(build_workload(60, "warm2"), 3, prewarm=True)
-        assert report.cache_stats is not None
-        assert report.cache_stats["hits"] > 0
-
-    def test_adaptive_factory_skips_prewarm(self):
-        from repro.search import MinHashLSHRanker
-
-        report = partitioned_merging(
-            build_workload(60, "warm3"),
-            3,
-            ranker_factory=lambda: MinHashLSHRanker(adaptive=True),
-            prewarm=True,
-        )
-        # No static config to prewarm with: prewarm is skipped, merging runs.
-        assert report.prewarm_time == 0.0
-        assert report.reports

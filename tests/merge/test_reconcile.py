@@ -6,37 +6,37 @@ uses), so each scenario controls exactly which pairs phase 1 can see and
 which pairs only the global re-ranking can surface.
 """
 
+import json
+
 import pytest
 
 from repro.analysis.size import module_size
 from repro.faults import FaultInjector
 from repro.fingerprint.fnv import fnv1a_32
 from repro.ir import Interpreter, parse_module, print_module, verify_module
-from repro.merge import PassConfig, optimistic_sweep, partition_sweep
-from repro.merge.reconcile import (
-    ReconcileReport,
-    _OptimisticDriver,
-    _replay_phase,
-)
+from repro.merge import PassConfig, partitioned_merging
 from repro.search.pairing import MinHashLSHRanker
 from repro.workloads import build_workload
 
 CONFIG = PassConfig(verify=True)
 
 
-def _replay_only(n_or_text, partitions, tag="reconref"):
-    """The phase-1-only reference: sweep + replay, no reconciliation.
+def _reconcile(module, partitions, config=CONFIG, faults=None):
+    return partitioned_merging(
+        module, partitions, MinHashLSHRanker, config, reconcile=True, faults=faults
+    )
 
-    Returns ``(module, sweep_results)`` — the partition-local result the
-    reconcile phase is measured against (and must fall back to under an
-    injected fault)."""
+
+def _phase1_only(n_or_text, partitions, tag="reconref"):
+    """The phase-1-only reference: the same driver with ``reconcile=False``.
+
+    Returns the partition-local result the reconcile phase is measured
+    against (and must fall back to under an injected fault)."""
     if isinstance(n_or_text, int):
         module = build_workload(n_or_text, f"{tag}{n_or_text}")
     else:
         module = parse_module(n_or_text)
-    sweep = partition_sweep(module, partitions, MinHashLSHRanker, CONFIG)
-    driver = _OptimisticDriver(module, CONFIG, None)
-    _replay_phase(driver, sweep.results, ReconcileReport(partitions=partitions))
+    partitioned_merging(module, partitions, MinHashLSHRanker, CONFIG)
     return module
 
 
@@ -93,10 +93,9 @@ class TestRecovery:
         # partitions by name hash, so partition-local merging provably
         # forgoes cross-partition pairs (see
         # test_partitioned.py::test_summary_counts_cross_partition_losses).
-        baseline = _replay_only(48, 4, tag="reconbl")
+        baseline = _phase1_only(48, 4, tag="reconbl")
         module = build_workload(48, "reconbl48")
-        report = optimistic_sweep(module, 4, MinHashLSHRanker, CONFIG)
-        rc = report.reconcile
+        rc = _reconcile(module, 4).reconcile
         assert rc.recovered_pairs > 0
         assert rc.size_phase1 == module_size(baseline)
         assert rc.size_after < rc.size_phase1
@@ -105,17 +104,18 @@ class TestRecovery:
         verify_module(module)
 
     def test_replay_reproduces_partition_decisions(self):
-        module = build_workload(48, "reconrep48")
-        report = optimistic_sweep(module, 4, MinHashLSHRanker, CONFIG)
-        rc = report.reconcile
-        assert rc.replay_diverged == 0
-        assert rc.replay_merges == report.merges
+        # Phase 1 of a reconcile run is the plain partition-local run:
+        # same attempts, same decisions, same merges.
+        plain = partitioned_merging(build_workload(48, "reconrep48"), 4, MinHashLSHRanker, CONFIG)
+        report = _reconcile(build_workload(48, "reconrep48"), 4)
+        assert report.merges == plain.merges
+        assert json.loads(report.digest())[:-1] == json.loads(plain.digest())
 
     def test_semantics_preserved(self):
         module = build_workload(60, "reconsem")
         driver = module.get_function("driver")
         ref = {x: Interpreter().run(driver, [x]).value for x in (0, 3, 11)}
-        optimistic_sweep(module, 4, MinHashLSHRanker, CONFIG)
+        _reconcile(module, 4)
         verify_module(module)
         for x, expected in ref.items():
             got = Interpreter().run(module.get_function("driver"), [x]).value
@@ -129,50 +129,57 @@ class TestRecovery:
             verify=True, static_check=True, validate="gate", oracle=True
         )
         module = build_workload(32, "recongate")
-        report = optimistic_sweep(module, 4, MinHashLSHRanker, config)
-        rc = report.reconcile
-        assert rc.replay_diverged == 0
+        rc = _reconcile(module, 4, config).reconcile
         assert rc.recovered_pairs > 0
         verify_module(module)
 
 
+class TestPhase1Agreement:
+    def test_phase1_equals_plain_run_where_the_snapshot_sweep_differed(self):
+        # 320 functions in 5 partitions: the replayed snapshot sweep's
+        # phase 1 once ended 9 bytes larger than the in-place passes.
+        # With one driver, reconcile=True's phase 1 is the plain run.
+        config = PassConfig(verify=False)
+        plain = build_workload(320, "agree320")
+        plain_report = partitioned_merging(plain, 5, MinHashLSHRanker, config)
+        module = build_workload(320, "agree320")
+        texts = []
+
+        def factory():
+            # The sixth ranker (after five partition passes) is phase 2's
+            # global one, so the last text recorded is the phase-1 module.
+            texts.append(print_module(module))
+            return MinHashLSHRanker()
+
+        report = partitioned_merging(module, 5, factory, config, reconcile=True)
+        assert len(texts) == 6
+        assert report.reconcile.size_phase1 == plain_report.size_after
+        assert texts[-1] == print_module(plain)
+
+
 class TestDeterminism:
-    def test_digest_identical_across_runs_and_worker_counts(self):
+    def test_digest_identical_across_runs(self):
         digests = set()
-        for workers in (1, 4, 1):
+        for _ in range(3):
             module = build_workload(48, "recondet")
-            report = optimistic_sweep(
-                module, 4, MinHashLSHRanker, CONFIG, workers=workers
-            )
-            digests.add(report.digest())
+            digests.add(_reconcile(module, 4).digest())
         assert len(digests) == 1
 
-    def test_module_bytes_identical_across_worker_counts(self):
+    def test_module_bytes_identical_across_runs(self):
         texts = set()
-        for workers in (1, 4):
+        for _ in range(2):
             module = build_workload(48, "reconbytes")
-            optimistic_sweep(module, 4, MinHashLSHRanker, CONFIG, workers=workers)
+            _reconcile(module, 4)
             texts.add(print_module(module))
         assert len(texts) == 1
 
-    def test_serial_exhaustive_reference_still_valid(self):
-        # workers=1 runs the sweep worker inline (no process pool); the
-        # serial path must remain a valid reference for the parallel one
-        # even with the reconcile phase appended.
-        m1 = build_workload(40, "reconserial")
-        r1 = optimistic_sweep(m1, 3, MinHashLSHRanker, CONFIG, workers=1)
-        m2 = build_workload(40, "reconserial")
-        r2 = optimistic_sweep(m2, 3, MinHashLSHRanker, CONFIG, workers=3)
-        assert r1.digest() == r2.digest()
-        assert print_module(m1) == print_module(m2)
-
     def test_digest_includes_reconcile_decisions(self):
         module = build_workload(48, "recondig")
-        report = optimistic_sweep(module, 4, MinHashLSHRanker, CONFIG)
+        report = _reconcile(module, 4)
         assert report.reconcile is not None
         assert '"reconcile"' in report.digest()
         plain = build_workload(48, "recondig")
-        sweep = partition_sweep(plain, 4, MinHashLSHRanker, CONFIG)
+        sweep = partitioned_merging(plain, 4, MinHashLSHRanker, CONFIG)
         assert '"reconcile"' not in sweep.digest()
 
 
@@ -183,9 +190,9 @@ class TestConflictResolution:
         # must roll BOTH back and commit the far-better global pair.
         text = _conflict_module_text(diff_count=20)
         module = parse_module(text)
-        report = optimistic_sweep(module, 2, MinHashLSHRanker, CONFIG)
+        report = _reconcile(module, 2)
         rc = report.reconcile
-        assert rc.replay_merges == 2
+        assert report.merges == 2
         assert rc.conflicts_considered >= 1
         assert rc.conflicts_resolved == 1
         assert rc.rollbacks == 2  # both optimistic merges undone
@@ -208,8 +215,7 @@ class TestConflictResolution:
         # re-apply phase 1's decisions (bit-identical re-commit).
         text = _conflict_module_text(diff_count=6)
         module = parse_module(text)
-        report = optimistic_sweep(module, 2, MinHashLSHRanker, CONFIG)
-        rc = report.reconcile
+        rc = _reconcile(module, 2).reconcile
         assert rc.conflicts_considered >= 1
         assert rc.conflicts_resolved == 0
         kept = [d for d in rc.decisions if d[4] == "conflict_kept"]
@@ -225,7 +231,7 @@ class TestConflictResolution:
         for func in ref_module.defined_functions():
             refs[func.name] = Interpreter().run(func, [5, 9]).value
         module = parse_module(text)
-        optimistic_sweep(module, 2, MinHashLSHRanker, CONFIG)
+        _reconcile(module, 2)
         verify_module(module)
         for name, expected in refs.items():
             live = module.get_function(name)
@@ -236,14 +242,11 @@ class TestConflictResolution:
 
 class TestFaultContainment:
     def test_reconcile_fault_leaves_phase1_result_byte_identical(self):
-        reference = _replay_only(48, 4, tag="reconflt")
+        reference = _phase1_only(48, 4, tag="reconflt")
         ref_text = print_module(reference)
         module = build_workload(48, "reconflt48")
         faults = FaultInjector("reconcile")
-        report = optimistic_sweep(
-            module, 4, MinHashLSHRanker, CONFIG, faults=faults
-        )
-        rc = report.reconcile
+        rc = _reconcile(module, 4, faults=faults).reconcile
         assert faults.fired > 0
         assert rc.recovered_pairs == 0
         assert rc.size_after == rc.size_phase1
@@ -252,15 +255,10 @@ class TestFaultContainment:
     def test_single_fault_is_contained_per_pair(self):
         # Fault only the first phase-2 attempt: later attempts still
         # recover pairs and the module stays verifiable.
-        clean = build_workload(48, "reconflt1")
-        clean_rc = optimistic_sweep(
-            clean, 4, MinHashLSHRanker, CONFIG
-        ).reconcile
+        clean_rc = _reconcile(build_workload(48, "reconflt1"), 4).reconcile
         module = build_workload(48, "reconflt1")
         faults = FaultInjector("reconcile", at=1)
-        rc = optimistic_sweep(
-            module, 4, MinHashLSHRanker, CONFIG, faults=faults
-        ).reconcile
+        rc = _reconcile(module, 4, faults=faults).reconcile
         assert faults.fired == 1
         assert rc.recovered_pairs >= clean_rc.recovered_pairs - 1
         assert rc.recovered_pairs > 0
@@ -274,20 +272,19 @@ class TestFaultContainment:
 class TestReportShape:
     def test_sweep_report_carries_reconcile(self):
         module = build_workload(40, "reconshape")
-        report = optimistic_sweep(module, 4, MinHashLSHRanker, CONFIG)
+        report = _reconcile(module, 4)
         rc = report.reconcile
         assert rc.partitions == 4
         assert rc.size_phase1 >= rc.size_after
         assert rc.recovered_size_delta == rc.size_phase1 - rc.size_after
         assert rc.attempted >= rc.recovered_pairs
-        assert rc.elapsed > 0.0
+        assert report.stage_times["reconcile"] > 0.0
+        assert report.size_after == rc.size_after
         for decision in rc.decisions:
             assert len(decision) == 6
 
     def test_plain_partition_sweep_has_no_reconcile(self):
         module = build_workload(40, "reconshape2")
-        sweep = partition_sweep(module, 4, MinHashLSHRanker, CONFIG)
-        assert sweep.reconcile is None
-        # partition_sweep still never mutates the parent module.
-        fresh = build_workload(40, "reconshape2")
-        assert print_module(module) == print_module(fresh)
+        report = partitioned_merging(module, 4, MinHashLSHRanker, CONFIG)
+        assert report.reconcile is None
+        assert set(report.stage_times) == {"partition"}

@@ -9,7 +9,7 @@ from functools import lru_cache
 from repro.faults import FaultInjector
 from repro.harness.experiments import make_ranker
 from repro.merge import FunctionMergingPass, PassConfig
-from repro.merge.partitioned import optimistic_sweep
+from repro.merge.partitioned import partitioned_merging
 from repro.obs.trace import Tracer
 from repro.workloads import build_workload
 from repro.workloads.suites import WorkloadConfig
@@ -45,10 +45,10 @@ def faulted_pass():
 
 @lru_cache(maxsize=None)
 def optimistic_run():
-    """A serial two-partition optimistic sweep with reconciliation."""
+    """A two-partition run with reconciliation."""
     module = build_workload(60, "stage-sweep", WorkloadConfig(seed=16))
     return _traced(
-        lambda: optimistic_sweep(
-            module, 2, lambda: make_ranker("f3m"), PassConfig(verify=False), workers=1
+        lambda: partitioned_merging(
+            module, 2, lambda: make_ranker("f3m"), PassConfig(verify=False), reconcile=True
         )
     )

@@ -198,6 +198,50 @@ class TestMergeRobustnessFlags:
         assert out.read_text() == module_file.read_text()
 
 
+class TestPartitionedMerge:
+    def test_trace_has_partition_pass_spans(self, module_file, tmp_path):
+        trace_path = tmp_path / "t.jsonl"
+        out = tmp_path / "out.ll"
+        args = ["merge", str(module_file), "-s", "f3m", "--partitions", "4"]
+        args += ["--reconcile", "--trace", str(trace_path)]
+        args += ["--manifest", str(tmp_path / "run.json"), "-o", str(out)]
+        assert main(args) == 0
+        from repro.obs.trace import load_trace, span_totals
+
+        totals = span_totals(load_trace(str(trace_path)))
+        assert totals["partition"]["count"] == 1
+        assert totals["reconcile"]["count"] == 1
+        assert totals["attempt"]["count"] >= 30  # one per candidate
+
+    def test_manifest_without_reconcile(self, module_file, tmp_path):
+        manifest_path = tmp_path / "run.json"
+        out = tmp_path / "out.ll"
+        args = ["merge", str(module_file), "-s", "f3m", "--partitions", "4"]
+        args += ["--manifest", str(manifest_path), "-o", str(out)]
+        assert main(args) == 0
+        from repro.obs.manifest import load_manifest
+
+        manifest = load_manifest(str(manifest_path))
+        assert manifest.kind == "partitioned"
+        assert manifest.config["partitions"] == 4
+        assert manifest.config["reconcile"] is False
+        assert set(manifest.stages) == {"partition"}
+        assert manifest.functions >= 30
+        assert tuple(manifest.outcomes)
+
+    def test_inject_fault_is_contained(self, module_file, tmp_path, capsys):
+        out = tmp_path / "merged.ll"
+        args = ["merge", str(module_file), "-s", "f3m", "--partitions", "4"]
+        args += ["--inject-fault", "commit:1", "-o", str(out)]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "contained failure" in err
+        assert "commit:InjectedFault" in err
+        from repro.ir import parse_module, verify_module
+
+        verify_module(parse_module(out.read_text()))
+
+
 class TestRun:
     def test_missing_entry_fails(self, module_file):
         assert main(["run", str(module_file), "--entry", "nope"]) == 1
