@@ -14,7 +14,7 @@ Run on a quiet machine::
 import pytest
 
 from repro.harness.experiments import make_ranker
-from repro.harness.profile import _best_of_paired
+from repro.harness.bench import best_of
 from repro.merge import FunctionMergingPass, PassConfig
 from repro.obs.metrics import Registry
 from repro.obs.trace import Tracer
@@ -54,7 +54,7 @@ class TestEnabledTracingOverhead:
         def run_traced():
             _run_pass(traced.pop(), tracer=Tracer(), registry=Registry())
 
-        best = _best_of_paired(
+        best = best_of(
             {"plain": run_plain, "traced": run_traced}, _REPEATS
         )
         overhead = best["traced"] / best["plain"] - 1.0

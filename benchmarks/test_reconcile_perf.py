@@ -1,6 +1,6 @@
 """Tier-2 regression gates for optimistic cross-partition merging.
 
-Runs the same machinery as ``repro bench-perf --reconcile`` at CI size
+Runs the same machinery as ``repro bench-perf reconcile`` at CI size
 and gates on the properties the two-phase run must never lose:
 
 * **Recovery** — on a workload whose similarity families straddle

@@ -1,6 +1,6 @@
-"""Tier-2 regression gates for the corpus-scale sweep (ROADMAP item 2).
+"""Tier-2 regression gates for the corpus-scale sweep.
 
-Runs the same machinery as ``repro bench-perf --scale`` at a CI-sized
+Runs the same machinery as ``repro bench-perf scale`` at a CI-sized
 corpus and gates on the two properties the scaling work must never lose:
 
 * **Exactness** — fingerprints in the memmap store are bit-identical to
@@ -11,10 +11,10 @@ corpus and gates on the two properties the scaling work must never lose:
   path's.  This is the reason the store exists; losing it silently would
   make the 10^5-10^6 regime unreachable again.
 
-There is deliberately **no multi-shard speedup gate**: shard parallelism
-only pays on multi-core boxes, and this suite must not flake on a
-single-CPU runner.  Wall-clock ratios are recorded in the emitted bench
-JSON for post-hoc inspection instead.
+There is deliberately **no multi-shard speedup gate**: shards are built
+and queried inline, one after another, so sharding bounds build memory
+rather than buying speed.  Wall-clock ratios are recorded in the emitted
+bench JSON for post-hoc inspection instead.
 
 Run with::
 

@@ -1,6 +1,6 @@
 """Tier-2 regression gates for the merge daemon (``repro serve``).
 
-Runs the same machinery as ``repro bench-perf --serve`` at a CI-sized
+Runs the same machinery as ``repro bench-perf serve`` at a CI-sized
 corpus and gates on the two properties the daemon must never lose:
 
 * **Warm speedup** — a merge served from hot caches (fingerprints,

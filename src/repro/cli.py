@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 from .analysis.size import module_size
 from .diagnostics import Severity, has_errors
 from .faults import FAULT_STAGES, FaultInjector
+from .harness.bench import BENCH_SUITES, run_suite
 from .harness.experiments import make_ranker
 from .harness.table import format_outcome_table, format_table
 from .ir.interp import Interpreter
@@ -369,169 +370,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_bench_manifest(
-    path: str, name: str, rows: List[dict], metadata: dict
-) -> None:
-    """A bench run as a manifest: headline + stage table of the largest size."""
-    import time as _time
-
-    from .obs.manifest import RunManifest, git_revision
-
-    largest = rows[-1] if rows else {}
-    profile_row = largest.get("f3m_profile") or largest.get("f3m") or {}
-    stages = {
-        key[len("stage_") :]: value
-        for key, value in profile_row.items()
-        if key.startswith("stage_")
-    }
-    manifest = RunManifest(
-        kind=f"bench-{name}",
-        strategy=str(profile_row.get("strategy", "f3m")),
-        config={
-            k: v
-            for k, v in metadata.items()
-            if isinstance(v, (int, float, str, bool, type(None)))
-        },
-        git_rev=git_revision(),
-        created_unix=_time.time(),
-        functions=int(largest.get("size", 0)),
-        merges=int(profile_row.get("merges", 0)),
-        comparisons=int(profile_row.get("comparisons", 0)),
-        total_time=float(profile_row.get("total_time", 0.0)),
-        stages=stages,
-        metrics={"headline": dict(metadata.get("headline", {}))},
-    )
-    save_manifest(manifest, path)
-    print(f"wrote manifest {path}", file=sys.stderr)
-
-
 def _cmd_bench_perf(args: argparse.Namespace) -> int:
-    from .harness.bench import write_bench_json
-    from .harness.profile import run_attempt_bench, run_perf_bench
-
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    if args.reconcile:
-        from .harness.reconcile_bench import (
-            DEFAULT_RECONCILE_SIZES,
-            run_reconcile_bench,
-        )
-
-        if args.sizes == "100,500,1000":  # the fingerprint-bench default
-            sizes = list(DEFAULT_RECONCILE_SIZES)
-        output = args.output
-        if output == "BENCH_f3m_perf.json":  # default untouched: reconcile name
-            output = "BENCH_reconcile.json"
-        rows, metadata = run_reconcile_bench(
-            sizes=sizes,
-            partitions=args.partitions,
-            repeats=args.repeats,
-            workload=args.workload if args.workload != "perf" else "reconcile",
-        )
-        write_bench_json(output, "reconcile", rows, metadata)
-        headline = metadata["headline"]
-        print(f"wrote {output}")
-        print(
-            f"largest size {headline['largest_size']}: "
-            f"{headline['recovered_pairs']} cross-partition pairs recovered, "
-            f"size delta {headline['recovered_size_delta']} bytes "
-            f"({headline['extra_reduction']:.2%} extra reduction over "
-            f"partition-local), "
-            f"decisions_deterministic={headline['decisions_deterministic']}, "
-            f"phase1_size_identical={headline['phase1_size_identical']}"
-        )
-        return 0
-    if args.serve:
-        from .harness.serve_bench import DEFAULT_SERVE_SIZES, run_serve_bench
-
-        if args.sizes == "100,500,1000":  # the fingerprint-bench default
-            sizes = list(DEFAULT_SERVE_SIZES)
-        output = args.output
-        if output == "BENCH_f3m_perf.json":  # default untouched: serve name
-            output = "BENCH_serve.json"
-        rows, metadata = run_serve_bench(
-            sizes=sizes,
-            repeats=args.repeats,
-            delta_fraction=args.delta_fraction,
-            workload=args.workload if args.workload != "perf" else "serve",
-        )
-        write_bench_json(output, "serve", rows, metadata)
-        headline = metadata["headline"]
-        print(f"wrote {output}")
-        print(
-            f"largest size {headline['largest_size']}: "
-            f"warm daemon {headline['warm_speedup']:.1f}x vs cold one-shot "
-            f"(pipeline-warm {headline['pipeline_speedup']:.1f}x), "
-            f"delta update {headline['delta_speedup']:.1f}x vs full rebuild, "
-            f"decisions_identical={headline['decisions_identical']}, "
-            f"serial_identical={headline['serial_identical']}, "
-            f"rebuild_agreement={headline['rebuild_agreement']:.3f}"
-        )
-        return 0
-    if args.scale:
-        from .harness.scale import DEFAULT_SCALE_SIZES, run_scale_bench
-
-        if args.sizes == "100,500,1000":  # the fingerprint-bench default
-            sizes = list(DEFAULT_SCALE_SIZES)
-        output = args.output
-        if output == "BENCH_f3m_perf.json":  # default untouched: scale name
-            output = "BENCH_scale.json"
-        shard_counts = [int(s) for s in args.shards.split(",") if s.strip()]
-        rows, metadata = run_scale_bench(
-            sizes=sizes,
-            chunk=args.chunk,
-            shard_counts=shard_counts,
-            shard_workers=args.shard_workers,
-            query_workers=args.query_workers,
-            workload=args.workload if args.workload != "perf" else "scale",
-            work_dir=args.scale_dir,
-        )
-        write_bench_json(output, "scale", rows, metadata)
-        headline = metadata["headline"]
-        print(f"wrote {output}")
-        speedup = headline.get("sharded_speedup") or 0.0
-        print(
-            f"largest size {headline['largest_size']}: "
-            f"store peak RSS {headline['store_peak_rss_kb']} kB vs "
-            f"in-RAM {headline['inram_peak_rss_kb']} kB "
-            f"(ratio {headline['rss_ratio']:.2f}), "
-            f"sharded speedup {speedup:.2f}x, "
-            f"fingerprints_bit_identical={headline['fingerprints_bit_identical']}, "
-            f"decisions_identical={headline['decisions_identical']}"
-        )
-        return 0
-    if args.attempts:
-        if args.sizes == "100,500,1000":  # the fingerprint-bench default
-            sizes = [200, 600, 2000]
-        output = args.output
-        if output == "BENCH_f3m_perf.json":  # default untouched: attempt name
-            output = "BENCH_attempt_perf.json"
-        rows, metadata = run_attempt_bench(
-            sizes=sizes, repeats=args.repeats, workload=args.workload
-        )
-        write_bench_json(output, "attempt_perf", rows, metadata)
-        if args.manifest:
-            _write_bench_manifest(args.manifest, "attempt_perf", rows, metadata)
-        headline = metadata["headline"]
-        print(f"wrote {output}")
-        print(
-            f"largest size {headline['size']}: "
-            f"bounded_identical={headline['bounded_identical']}, "
-            f"cached_identical={headline['cached_identical']}, "
-            f"bound_sound={headline['bound_sound']}"
-        )
-        return 0
-    rows, metadata = run_perf_bench(
-        sizes=sizes, repeats=args.repeats, workload=args.workload
+    sizes = [int(s) for s in args.sizes.split(",") if s.strip()] if args.sizes else None
+    output, metadata = run_suite(
+        args.suite,
+        sizes=sizes,
+        repeats=args.repeats,
+        output=args.output,
+        work_dir=args.scale_dir,
     )
-    write_bench_json(args.output, "f3m_perf", rows, metadata)
-    if args.manifest:
-        _write_bench_manifest(args.manifest, "f3m_perf", rows, metadata)
-    headline = metadata["headline"]
-    print(f"wrote {args.output}")
-    print(
-        f"largest size {headline['size']}: "
-        f"F3M runs at {headline['speedup_vs_hyfm']:.2f}x HyFM's speed"
-    )
+    print(f"wrote {output}")
+    print(BENCH_SUITES[args.suite].headline(metadata["headline"]))
     return 0
 
 
@@ -827,97 +676,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_perf = sub.add_parser(
         "bench-perf",
-        help="HyFM vs F3M pipeline profile benchmark",
+        help="run one benchmark suite and write its BENCH_*.json",
+    )
+    p_perf.add_argument(
+        "suite",
+        nargs="?",
+        default="perf",
+        choices=list(BENCH_SUITES),
+        help="suite to run (default: perf); see docs/benchmarks.md",
     )
     p_perf.add_argument(
         "--sizes",
-        default="100,500,1000",
-        help="comma-separated workload sizes (functions per module)",
+        default=None,
+        help="comma-separated workload sizes (default: the suite's own)",
     )
     p_perf.add_argument("--repeats", type=int, default=3, help="best-of-N timing runs")
-    p_perf.add_argument("--workload", default="perf", help="workload family name")
-    p_perf.add_argument(
-        "--attempts",
-        action="store_true",
-        help=(
-            "run the attempt-stage suite instead: profitability bound "
-            "and alignment-cache equivalence "
-            "(default sizes 200,600,2000 -> BENCH_attempt_perf.json)"
-        ),
-    )
-    p_perf.add_argument(
-        "--scale",
-        action="store_true",
-        help=(
-            "run the corpus-scale sweep instead: memmap fingerprint store vs "
-            "in-RAM path, band-sharded vs serial LSH, per-stage wall-clock + "
-            "peak RSS (default sizes 2000,20000,200000 -> BENCH_scale.json)"
-        ),
-    )
-    p_perf.add_argument(
-        "--chunk",
-        type=int,
-        default=2000,
-        help="--scale: functions generated/streamed per chunk",
-    )
-    p_perf.add_argument(
-        "--shards",
-        default="1,4",
-        help="--scale: comma-separated LSH shard counts to sweep",
-    )
-    p_perf.add_argument(
-        "--shard-workers",
-        type=int,
-        default=1,
-        help="--scale: shard-build process-pool size (1 = inline, same worker)",
-    )
-    p_perf.add_argument(
-        "--query-workers",
-        type=int,
-        default=1,
-        help="--scale: query fan-out process-pool size (1 = inline, same kernel)",
-    )
     p_perf.add_argument(
         "--scale-dir",
         default=None,
-        help="--scale: working directory for stores (kept; default: temp, deleted)",
+        help="scale: working directory for stores (kept; default: temp, deleted)",
     )
     p_perf.add_argument(
-        "--serve",
-        action="store_true",
-        help=(
-            "run the merge-as-a-service suite instead: warm daemon vs cold "
-            "one-shot merge, delta update vs full rebuild, decision identity "
-            "(default sizes 2000,20000 -> BENCH_serve.json)"
-        ),
-    )
-    p_perf.add_argument(
-        "--delta-fraction",
-        type=float,
-        default=0.01,
-        help="--serve: fraction of corpus functions changed per delta",
-    )
-    p_perf.add_argument(
-        "--reconcile",
-        action="store_true",
-        help=(
-            "run the optimistic cross-partition suite instead: partition-"
-            "local merging vs the two-phase reconcile run, recovered pairs "
-            "and size delta, decision determinism across runs "
-            "(default sizes 48,96 -> BENCH_reconcile.json)"
-        ),
-    )
-    p_perf.add_argument(
-        "--partitions",
-        type=int,
-        default=4,
-        help="--reconcile: number of hash-assigned partitions",
-    )
-    p_perf.add_argument("-o", "--output", default="BENCH_f3m_perf.json")
-    p_perf.add_argument(
-        "--manifest",
-        metavar="FILE.json",
-        help="also write a run manifest describing this bench run",
+        "-o", "--output", default=None, help="output file (default: the suite's own)"
     )
     p_perf.set_defaults(func=_cmd_bench_perf)
 

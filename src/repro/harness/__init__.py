@@ -1,15 +1,7 @@
 """Experiment harness: drivers and helpers for the paper's tables/figures."""
 
-from .bench import gate_cost_row, load_bench_json, write_bench_json
-from .profile import (
-    DEFAULT_SCALE_SIZES,
-    PERF_STAGES,
-    PipelineProfile,
-    profile_pass,
-    run_perf_bench,
-    run_scale_bench,
-)
-from .rss import IsolatedRun, RssSampler, current_rss_kb, peak_rss_kb, run_isolated
+from .bench import best_of, gate_cost_row, load_bench_json, write_bench_json
+from .profile import PERF_STAGES, PipelineProfile, profile_pass, run_perf_bench
 from .experiments import (
     CompileTimeModel,
     CorrelationResult,
@@ -23,20 +15,14 @@ from .stats import binned_sums, histogram2d, mean_ci95, pearson
 from .table import format_gate_cost_table, format_outcome_table, format_table
 
 __all__ = [
+    "best_of",
     "gate_cost_row",
     "load_bench_json",
     "write_bench_json",
-    "DEFAULT_SCALE_SIZES",
     "PERF_STAGES",
     "PipelineProfile",
     "profile_pass",
     "run_perf_bench",
-    "run_scale_bench",
-    "IsolatedRun",
-    "RssSampler",
-    "current_rss_kb",
-    "peak_rss_kb",
-    "run_isolated",
     "CompileTimeModel",
     "CorrelationResult",
     "correlation_experiment",

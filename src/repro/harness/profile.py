@@ -1,4 +1,4 @@
-"""Pipeline profiler and the ``bench-perf`` performance benchmark.
+"""Pipeline profiler and the ``perf``/``attempts`` bench-perf suites.
 
 Two layers:
 
@@ -8,7 +8,7 @@ Two layers:
   :data:`PERF_STAGES` stage.
 * :func:`run_perf_bench` profiles HyFM, F3M and F3M adaptive on the same
   workloads and reports HyFM's pass time over F3M's (``speedup_vs_hyfm``);
-  ``repro bench-perf`` emits the result as ``BENCH_f3m_perf.json``.
+  ``repro bench-perf perf`` emits the result as ``BENCH_f3m_perf.json``.
   :func:`run_attempt_bench` checks the attempt-stage engine's identity and
   soundness flags (``BENCH_attempt_perf.json``).
 
@@ -18,9 +18,6 @@ minimum is the stable estimator of the actual cost.
 
 from __future__ import annotations
 
-import gc
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -30,21 +27,15 @@ from ..fingerprint.minhash import MinHashConfig
 from ..ir.module import Module
 from ..merge.pass_ import FunctionMergingPass, PassConfig
 from ..merge.report import PERF_STAGES, MergeReport
+from .bench import best_of
 from .experiments import make_ranker
-
-# The corpus-scale sweep lives in its own module (it is store/shard-side,
-# not pass-side) but is re-exported here: profile.py is the façade every
-# bench entry point imports from.
-from .scale import DEFAULT_SCALE_SIZES, run_scale_bench  # noqa: F401  (re-export)
 
 __all__ = [
     "PipelineProfile",
     "profile_pass",
     "run_perf_bench",
     "run_attempt_bench",
-    "run_scale_bench",
     "PERF_STAGES",
-    "DEFAULT_SCALE_SIZES",
 ]
 
 @dataclass
@@ -124,44 +115,6 @@ def profile_pass(
 # ---------------------------------------------------------------------------
 
 
-def _best_of(fn: Callable[[], object], repeats: int) -> float:
-    """Minimum wall-clock of ``repeats`` runs, with the cyclic GC quiesced.
-
-    Collecting before each rep and disabling the collector inside the timed
-    region (standard benchmarking hygiene, cf. pyperf) keeps one run's
-    garbage from being charged to the next.
-    """
-    return _best_of_paired({"t": fn}, repeats)["t"]
-
-
-def _best_of_paired(
-    fns: Dict[str, Callable[[], object]], repeats: int
-) -> Dict[str, float]:
-    """Best-of-``repeats`` for several workloads, timed in interleaved rounds.
-
-    Machine speed drifts on timescales of seconds (host scheduling,
-    frequency scaling), which poisons A-then-B timing: A's minimum can come
-    from a fast window and B's from a slow one, skewing their ratio either
-    way.  Running one rep of every workload per round means each round
-    samples the same machine state for all of them, so the minima — and any
-    ratio taken between them — stay comparable.
-    """
-    best = {name: float("inf") for name in fns}
-    gc_was_enabled = gc.isenabled()
-    for _ in range(max(1, repeats)):
-        for name, fn in fns.items():
-            gc.collect()
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                fn()
-                best[name] = min(best[name], time.perf_counter() - t0)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-    return best
-
-
 def _merged_pairs(report: MergeReport) -> set:
     return {
         (a.function, a.candidate) for a in report.attempts if a.outcome == "merged"
@@ -169,11 +122,11 @@ def _merged_pairs(report: MergeReport) -> set:
 
 
 def run_attempt_bench(
-    sizes: Sequence[int] = (200, 600, 2000),
+    sizes: Sequence[int],
     repeats: int = 3,
     workload: str = "perf",
 ) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
-    """The ``bench-perf --attempts`` suite for ``BENCH_attempt_perf.json``.
+    """The ``bench-perf attempts`` suite for ``BENCH_attempt_perf.json``.
 
     Per workload size:
 
@@ -258,7 +211,6 @@ def run_attempt_bench(
     metadata: Dict[str, object] = {
         "workload": workload,
         "repeats": repeats,
-        "cpu_count": os.cpu_count(),
         "headline": headline,
     }
     return rows, metadata
@@ -277,11 +229,11 @@ def _best_profile(
 
 
 def run_perf_bench(
-    sizes: Sequence[int] = (100, 500, 1000),
+    sizes: Sequence[int],
     repeats: int = 3,
     workload: str = "perf",
 ) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
-    """The ``bench-perf`` suite: rows + metadata for ``BENCH_f3m_perf.json``.
+    """The ``bench-perf perf`` suite: rows + metadata for ``BENCH_f3m_perf.json``.
 
     Per workload size: profiled pass runs for ExhaustiveRanker (HyFM), F3M
     (static config) and F3M adaptive, HyFM's pass time over F3M's
@@ -310,9 +262,10 @@ def run_perf_bench(
         cache = FingerprintCache()
         funcs = fresh().defined_functions()
         minhash_module(funcs, MinHashConfig(), cache=cache)
-        t_warm = _best_of(
-            lambda: minhash_module(funcs, MinHashConfig(), cache=cache), repeats
-        )
+        t_warm = best_of(
+            {"t": lambda: minhash_module(funcs, MinHashConfig(), cache=cache)},
+            repeats,
+        )["t"]
         row["cache_remerge"] = {
             "warm_fingerprint_s": t_warm,
             **cache.stats.to_dict(),
@@ -328,7 +281,6 @@ def run_perf_bench(
     metadata: Dict[str, object] = {
         "workload": workload,
         "repeats": repeats,
-        "cpu_count": os.cpu_count(),
         "headline": headline,
         "speedup_vs_hyfm_definition": (
             "HyFM pass time / F3M (static) pass time at the largest size, "

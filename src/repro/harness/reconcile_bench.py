@@ -1,4 +1,4 @@
-"""Optimistic cross-partition merging benchmark (``bench-perf --reconcile``).
+"""Optimistic cross-partition merging benchmark (``bench-perf reconcile``).
 
 Per workload size, on fresh builds of the same module:
 
@@ -22,21 +22,19 @@ repeated runs.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..merge.partitioned import partitioned_merging
 from ..merge.pass_ import PassConfig
 from ..search.pairing import MinHashLSHRanker
 from ..workloads.suites import build_workload
+from .bench import best_of
 
-__all__ = ["DEFAULT_RECONCILE_SIZES", "run_reconcile_bench"]
-
-DEFAULT_RECONCILE_SIZES = (48, 96)
+__all__ = ["run_reconcile_bench"]
 
 
 def run_reconcile_bench(
-    sizes=DEFAULT_RECONCILE_SIZES,
+    sizes: Sequence[int],
     partitions: int = 4,
     repeats: int = 2,
     workload: str = "reconcile",
@@ -49,20 +47,22 @@ def run_reconcile_bench(
             build_workload(n, f"{workload}{n}"), partitions, MinHashLSHRanker, config
         )
 
-        digests: List[str] = []
-        last = None
-        t_opt = None
-        for _ in range(max(2, repeats)):
-            module = build_workload(n, f"{workload}{n}")
-            t0 = time.perf_counter()
-            report = partitioned_merging(
-                module, partitions, MinHashLSHRanker, config, reconcile=True
+        # Modules are built up front so only partitioned_merging is timed.
+        modules = [
+            build_workload(n, f"{workload}{n}") for _ in range(max(2, repeats))
+        ]
+        reports = []
+
+        def optimistic() -> None:
+            reports.append(
+                partitioned_merging(
+                    modules.pop(), partitions, MinHashLSHRanker, config, reconcile=True
+                )
             )
-            elapsed = time.perf_counter() - t0
-            if t_opt is None or elapsed < t_opt:
-                t_opt = elapsed
-            digests.append(report.digest())
-            last = report
+
+        t_opt = best_of({"optimistic": optimistic}, len(modules))["optimistic"]
+        digests = [report.digest() for report in reports]
+        last = reports[-1]
         rc = last.reconcile
 
         rows.append(

@@ -1,4 +1,4 @@
-"""The corpus-scale sweep behind ``repro bench-perf --scale`` (ROADMAP item 2).
+"""The corpus-scale sweep behind ``repro bench-perf scale``.
 
 Every other benchmark in this repo holds the whole module in RAM; this one
 opens the 10^5–10^6-function regime where that stops being an option and
@@ -52,9 +52,8 @@ from ..search.lsh import LSHIndex
 from ..search.sharded import ShardedLSHIndex
 from .rss import IsolatedRun, run_isolated
 
-__all__ = ["run_scale_bench", "DEFAULT_SCALE_SIZES"]
+__all__ = ["run_scale_bench"]
 
-DEFAULT_SCALE_SIZES = (2000, 20000, 200000)
 _SCALE_SEED = 0x5CA1E
 
 
@@ -128,8 +127,6 @@ def _store_fingerprint_stage(
 def _store_index_stage(
     size_dir: str,
     shards: int,
-    build_workers: int,
-    query_workers: int,
     rows: int,
     bands: int,
     bucket_cap: Optional[int],
@@ -144,12 +141,11 @@ def _store_index_stage(
         bands=bands,
         bucket_cap=bucket_cap,
         shards=shards,
-        workers=build_workers,
         shard_dir=shard_dir,
     )
     build_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    best, sims = index.best_match_all(workers=query_workers)
+    best, sims = index.best_match_all()
     query_s = time.perf_counter() - t0
     return {
         "build_s": build_s,
@@ -215,11 +211,9 @@ def _stage_row(run: IsolatedRun) -> Dict[str, object]:
 
 
 def run_scale_bench(
-    sizes: Sequence[int] = DEFAULT_SCALE_SIZES,
+    sizes: Sequence[int],
     chunk: int = 2000,
     shard_counts: Sequence[int] = (1, 4),
-    shard_workers: int = 1,
-    query_workers: int = 1,
     bucket_cap: Optional[int] = 100,
     workload: str = "scale",
     work_dir: Optional[str] = None,
@@ -227,10 +221,8 @@ def run_scale_bench(
 ) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
     """Rows + metadata for ``BENCH_scale.json``; see the module docstring.
 
-    ``shard_workers`` controls the shard *build* pool (1 = run the
-    identical shard worker inline — the honest default on a single-CPU
-    box); ``query_workers`` likewise for the query fan-out.  Sizes are
-    prefixes of one generated corpus, so generation cost is paid once.
+    Sizes are prefixes of one generated corpus, so generation cost is paid
+    once.
     """
     sizes = sorted(set(int(s) for s in sizes))
     if not sizes:
@@ -278,8 +270,6 @@ def run_scale_bench(
                     _store_index_stage,
                     size_dir,
                     shards,
-                    shard_workers,
-                    query_workers,
                     params.rows,
                     params.bands,
                     bucket_cap,
@@ -348,12 +338,9 @@ def run_scale_bench(
         "sizes": list(sizes),
         "chunk": chunk,
         "shard_counts": list(shard_counts),
-        "shard_workers": shard_workers,
-        "query_workers": query_workers,
         "bucket_cap": bucket_cap,
         "workload": workload,
         "seed": _SCALE_SEED,
-        "cpu_count": os.cpu_count(),
         "generation": generation,
         "headline": headline,
         "protocol": (

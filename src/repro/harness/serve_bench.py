@@ -1,4 +1,4 @@
-"""Warm-daemon vs cold one-shot benchmark (``repro bench-perf --serve``).
+"""Warm-daemon vs cold one-shot benchmark (``repro bench-perf serve``).
 
 Three comparisons per workload size, all against the same module text:
 
@@ -30,8 +30,7 @@ import random
 import subprocess
 import sys
 import tempfile
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..fingerprint.batch import minhash_module
 from ..fingerprint.encoding import EncodingOptions
@@ -46,6 +45,7 @@ from ..search.lsh import LSHIndex
 from ..serve import ServeClient, ServeConfig, ServeDaemon
 from ..workloads.mutate import make_variant
 from ..workloads.suites import build_workload
+from .bench import best_of
 from .experiments import make_ranker
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
     "build_delta_text",
     "run_serve_bench",
 ]
-
-DEFAULT_SERVE_SIZES = (2000, 20000)
 
 
 def declare_external_callees(module: Module) -> None:
@@ -95,18 +93,6 @@ def _one_shot_merge(text: str) -> Tuple[str, int]:
     pass_ = FunctionMergingPass(make_ranker("f3m"), PassConfig())
     report = pass_.run(module)
     return print_module(module), report.merges
-
-
-def _best_of(repeats: int, fn) -> Tuple[float, object]:
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best, result
 
 
 def _subprocess_env() -> Dict[str, str]:
@@ -176,19 +162,20 @@ def _serial_replay_identical(
 
 
 def run_serve_bench(
-    sizes: Optional[List[int]] = None,
+    sizes: Sequence[int],
     repeats: int = 3,
     delta_fraction: float = 0.01,
     workload: str = "serve",
 ) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
     """Run the serve suite; returns ``(rows, metadata)`` for bench JSON."""
-    sizes = list(sizes) if sizes else list(DEFAULT_SERVE_SIZES)
+    sizes = list(sizes)
     rows: List[Dict[str, object]] = []
     env = _subprocess_env()
 
     for size in sizes:
         module = build_workload(size, name=f"{workload}{size}")
         text = print_module(module)
+        last: Dict[str, object] = {}
 
         with tempfile.TemporaryDirectory(prefix="serve-bench-") as tmp:
             in_path = os.path.join(tmp, "in.ir")
@@ -219,25 +206,35 @@ def run_serve_bench(
                 with open(out_path, "r", encoding="utf-8") as handle:
                     return handle.read()
 
-            cold_subprocess_s, cold_text = _best_of(repeats, cold_subprocess)
-
-        cold_inprocess_s, one_shot = _best_of(repeats, lambda: _one_shot_merge(text))
-        one_shot_text, one_shot_merges = one_shot
+            cold = best_of(
+                {
+                    "subprocess": cold_subprocess,
+                    "inprocess": lambda: _one_shot_merge(text),
+                },
+                repeats,
+                last,
+            )
+        one_shot_text, one_shot_merges = last["inprocess"]
 
         daemon = ServeDaemon(ServeConfig())
         client = ServeClient(daemon=daemon)
 
-        warm_first_s, first = _best_of(1, lambda: client.merge(module=text))
-        warm_steady_s, steady = _best_of(
-            max(repeats, 3), lambda: client.merge(module=text)
-        )
-        warm_pipeline_s, pipeline = _best_of(
-            repeats, lambda: client.merge(module=text, no_result_cache=True)
-        )
+        warm_first_s = best_of(
+            {"first": lambda: client.merge(module=text)}, 1, last
+        )["first"]
+        warm_steady_s = best_of(
+            {"steady": lambda: client.merge(module=text)}, max(repeats, 3)
+        )["steady"]
+        warm_pipeline_s = best_of(
+            {"pipeline": lambda: client.merge(module=text, no_result_cache=True)},
+            repeats,
+            last,
+        )["pipeline"]
+        first, pipeline = last["first"], last["pipeline"]
 
         decisions_identical = (
             first["module"] == one_shot_text
-            and first["module"] == cold_text
+            and first["module"] == last["subprocess"]
             and pipeline["module"] == one_shot_text
             and first["merges"] == one_shot_merges
         )
@@ -247,18 +244,20 @@ def run_serve_bench(
             module.defined_functions(), MinHashConfig(), EncodingOptions()
         )
         corpus_names = [f.name for f in module.defined_functions()]
-        submit_full_s, _ = _best_of(1, lambda: client.submit(module=text))
+        submit_full_s = best_of({"t": lambda: client.submit(module=text)}, 1)["t"]
         delta_text, changed = build_delta_text(
             daemon.db.module, delta_fraction, seed=0xDE17A
         )
-        delta_update_s, _ = _best_of(1, lambda: client.submit(module=delta_text))
+        delta_update_s = best_of(
+            {"t": lambda: client.submit(module=delta_text)}, 1
+        )["t"]
 
         post_text = client.dump()["module"]
         rebuild_daemon = ServeDaemon(ServeConfig())
         rebuild_client = ServeClient(daemon=rebuild_daemon)
-        full_rebuild_s, _ = _best_of(
-            1, lambda: rebuild_client.submit(module=post_text)
-        )
+        full_rebuild_s = best_of(
+            {"t": lambda: rebuild_client.submit(module=post_text)}, 1
+        )["t"]
 
         serial_identical, rebuild_agreement = _serial_replay_identical(
             daemon, corpus_names, corpus_fps, delta_text
@@ -268,13 +267,13 @@ def run_serve_bench(
             {
                 "size": size,
                 "merges": first["merges"],
-                "cold_subprocess_s": cold_subprocess_s,
-                "cold_inprocess_s": cold_inprocess_s,
+                "cold_subprocess_s": cold["subprocess"],
+                "cold_inprocess_s": cold["inprocess"],
                 "warm_first_s": warm_first_s,
                 "warm_steady_s": warm_steady_s,
                 "warm_pipeline_s": warm_pipeline_s,
-                "warm_speedup": cold_subprocess_s / warm_steady_s,
-                "pipeline_speedup": cold_subprocess_s / warm_pipeline_s,
+                "warm_speedup": cold["subprocess"] / warm_steady_s,
+                "pipeline_speedup": cold["subprocess"] / warm_pipeline_s,
                 "submit_full_s": submit_full_s,
                 "delta_functions": len(changed),
                 "delta_update_s": delta_update_s,

@@ -20,7 +20,7 @@ manifests are optional at runtime:
   existing counters (fingerprint/alignment caches, LSH index state,
   outcome tallies) behind one :meth:`Registry.snapshot`.
 * :mod:`repro.obs.manifest` — the run manifest: one self-describing JSON
-  per ``repro merge`` / ``repro bench-perf`` run (config, adaptive
+  per ``repro merge`` run or served request (config, adaptive
   parameters, git revision, metrics snapshot, stage table, outcome
   table, module digest) so any two runs are diffable
   (:func:`diff_manifests`) and renderable (``repro report``).

@@ -47,7 +47,7 @@ MANIFEST_SCHEMA = 1
 class RunManifest:
     """One run of the pipeline, described completely enough to diff."""
 
-    kind: str  # "merge" | "bench-perf"
+    kind: str  # "merge" | "partitioned" | "serve" | "fuzz"
     strategy: str = ""
     config: Dict[str, object] = field(default_factory=dict)
     # Adaptive-policy choices (threshold t, rows r, bands b, fingerprint

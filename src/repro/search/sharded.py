@@ -6,15 +6,13 @@ banded LSH index partition cleanly into contiguous band ranges ("shards")
 with **zero** cross-shard coordination.  :class:`ShardedLSHIndex` is the
 frozen, corpus-scale form of :class:`~repro.search.lsh.LSHIndex`
 (:meth:`ShardedLSHIndex.from_store`): shard bucket structures are built
-from a :class:`~repro.fingerprint.store.FingerprintStore` by worker
-processes — a fork pool with an order-preserving ``map``, with
-``workers=1`` running the identical worker inline — and written to
-``.npy`` files that the parent (and query
-workers) re-open memory-mapped.  Neither the signature matrix nor the
-bucket arrays are ever RAM-resident as Python objects; the working set is
-page cache.  :meth:`ShardedLSHIndex.best_match_all` answers every query
-vectorized (optionally fanning batches out to shard worker processes and
-unioning the candidate runs in shard order).
+from a :class:`~repro.fingerprint.store.FingerprintStore` one band range
+at a time and written to ``.npy`` files that the index re-opens
+memory-mapped.  Neither the signature matrix nor the bucket arrays are
+ever RAM-resident as Python objects; the working set is page cache, and
+building shard by shard bounds the build's peak memory by the widest
+shard.  :meth:`ShardedLSHIndex.best_match_all` answers every query
+vectorized, unioning each shard's candidate runs in shard order.
 
 Exactness argument, spelled out once: the serial index probes bands
 ``0..b-1`` in order, applies the bucket cap *window* to each bucket's
@@ -31,10 +29,7 @@ walk's ``seen`` set — so the candidate list *is* the serial candidate list
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -62,6 +57,19 @@ def shard_ranges(bands: int, shards: int) -> List[Tuple[int, int]]:
     ]
 
 
+# Byte budget per (rows, k) gather temporary in the batched kernel's eq
+# slices; keeps peak kernel memory in the tens of MB even when a dense
+# corpus floods a batch with millions of duplicate candidates.
+_EQ_CHUNK_BYTES = 1 << 22
+
+# Candidate-row budget per reduction: a batch whose shard runs exceed this
+# is split into contiguous query groups so the O(total-candidates) scatter
+# arrays stay bounded regardless of bucket density.
+_REDUCE_BUDGET_ROWS = 1 << 20
+
+_SHARD_SUFFIXES = (".rows.npy", ".keys.npy", ".starts.npy", ".ends.npy")
+
+
 class BandShard:
     """The memory-mapped columnar bucket layer of one band range ``[lo, hi)``."""
 
@@ -76,75 +84,57 @@ class BandShard:
     def width(self) -> int:
         return self.band_hi - self.band_lo
 
+    @classmethod
+    def build(
+        cls,
+        values: np.ndarray,
+        rows: int,
+        bands: int,
+        band_lo: int,
+        band_hi: int,
+        out_dir: str,
+        chunk_rows: int,
+    ) -> "BandShard":
+        """Build the shard's columnar bucket layer from the signature matrix
+        *values*, persist it as ``.npy`` files under *out_dir* and re-open
+        them memory-mapped.
 
-# ----------------------------------------------------------------------------------
-# Frozen-mode worker functions.  Top-level and fed by picklable payloads so
-# they run in a fork pool; ``workers=1`` calls them inline — the serial
-# fallback executes the identical code path.
+        Only this band slice's arrays are materialized — peak RSS is bounded
+        by the shard, not the corpus.
+        """
+        n = values.shape[0]
+        width = band_hi - band_lo
+        keys = np.empty((n, width), dtype=np.int64)
+        for start in range(0, n, chunk_rows):
+            stop = min(start + chunk_rows, n)
+            keys[start:stop] = band_bucket_keys(
+                values[start:stop], rows, bands, band_lo, band_hi
+            )
+        buckets = build_columnar_buckets(keys)
+        prefix = os.path.join(out_dir, f"shard-{band_lo:04d}-{band_hi:04d}")
+        arrays = (buckets.rows, buckets.sorted_keys, buckets.starts_flat, buckets.ends_flat)
+        mapped = []
+        for suffix, array in zip(_SHARD_SUFFIXES, arrays):
+            # Write-then-rename: an index still mapping the previous build's
+            # file keeps reading its own (unlinked) copy.
+            path = prefix + suffix
+            with open(path + ".tmp", "wb") as handle:
+                np.save(handle, array)
+            os.replace(path + ".tmp", path)
+            mapped.append(np.load(path, mmap_mode="r"))
+        return cls(band_lo, band_hi, ColumnarBuckets(*mapped, width))
 
-# Per-process memo of memmapped shard files, so a pool worker re-opens each
-# shard once per process instead of once per query batch.
-_SHARD_FILE_CACHE: Dict[str, Tuple[np.ndarray, ...]] = {}
-
-# Byte budget per (rows, k) gather temporary in the batched kernel's eq
-# slices; keeps peak kernel memory in the tens of MB even when a dense
-# corpus floods a batch with millions of duplicate candidates.
-_EQ_CHUNK_BYTES = 1 << 22
-
-# Candidate-row budget per reduction: a batch whose shard runs exceed this
-# is split into contiguous query groups so the O(total-candidates) scatter
-# arrays stay bounded regardless of bucket density.
-_REDUCE_BUDGET_ROWS = 1 << 20
-
-
-def _shard_files(prefix: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    cached = _SHARD_FILE_CACHE.get(prefix)
-    if cached is None:
-        cached = tuple(
-            np.load(prefix + suffix, mmap_mode="r")
-            for suffix in (".rows.npy", ".keys.npy", ".starts.npy", ".ends.npy")
+    def runs(
+        self, queries: np.ndarray, cap: Optional[int]
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Capped candidate runs of a query batch against this shard:
+        ``(runs, per_query_counts, capped_buckets)``, the runs concatenated
+        per query and then per band in order — the serial probe sequence for
+        this band range, duplicates included."""
+        runs, takes, capped = capped_runs(
+            [(self.base.rows, *self.base.row_windows(queries))], cap
         )
-        _SHARD_FILE_CACHE[prefix] = cached
-    return cached
-
-
-def _shard_build_worker(payload) -> str:
-    """Build one shard's columnar bucket layer and persist it as .npy.
-
-    The worker touches only a memmapped view of the store's signature
-    matrix and its own band slice's arrays — peak RSS is bounded by the
-    shard, not the corpus.
-    """
-    values_path, n, k, rows, bands, band_lo, band_hi, out_dir, chunk_rows = payload
-    values = np.memmap(values_path, dtype=np.uint32, mode="r", shape=(n, k))
-    width = band_hi - band_lo
-    keys = np.empty((n, width), dtype=np.int64)
-    for start in range(0, n, chunk_rows):
-        stop = min(start + chunk_rows, n)
-        keys[start:stop] = band_bucket_keys(
-            values[start:stop], rows, bands, band_lo, band_hi
-        )
-    buckets = build_columnar_buckets(keys)
-    prefix = os.path.join(out_dir, f"shard-{band_lo:04d}-{band_hi:04d}")
-    np.save(prefix + ".rows.npy", buckets.rows)
-    np.save(prefix + ".keys.npy", buckets.sorted_keys)
-    np.save(prefix + ".starts.npy", buckets.starts_flat)
-    np.save(prefix + ".ends.npy", buckets.ends_flat)
-    return prefix
-
-
-def _shard_query_worker(payload) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Capped candidate runs of a query batch against one frozen shard:
-    ``(runs, per_query_counts, capped_buckets)``, the runs concatenated per
-    query and then per band in order — the serial probe sequence for this
-    band range, duplicates included."""
-    prefix, width, cap, queries = payload
-    layer = ColumnarBuckets(*_shard_files(prefix), width)
-    runs, takes, capped = capped_runs([(layer.rows, *layer.row_windows(queries))], cap)
-    return runs, takes.reshape(-1, width).sum(axis=1), capped
-
-
-# ----------------------------------------------------------------------------------
+        return runs, takes.reshape(-1, self.width).sum(axis=1), capped
 
 
 class _IdentityRows:
@@ -188,7 +178,6 @@ class ShardedLSHIndex(LSHIndex):
         self,
         store: FingerprintStore,
         shards: List[BandShard],
-        prefixes: List[str],
         rows: int,
         bands: int,
         bucket_cap: Optional[int],
@@ -196,7 +185,6 @@ class ShardedLSHIndex(LSHIndex):
         super().__init__(rows=rows, bands=bands, bucket_cap=bucket_cap, compact_ratio=None)
         n = len(store)
         self._shards = shards
-        self._shard_prefixes = prefixes
         self._store = store
         # Plain-ndarray view of the memmapped signature matrix: fancy
         # gathering through np.memmap.__getitem__ is drastically slower than
@@ -218,48 +206,30 @@ class ShardedLSHIndex(LSHIndex):
         bands: Optional[int] = None,
         bucket_cap: Optional[int] = 100,
         shards: int = 1,
-        workers: int = 1,
         shard_dir: Optional[str] = None,
         chunk_rows: int = 65536,
     ) -> "ShardedLSHIndex":
         """Build a frozen index over every row of *store*, sharded by band.
 
-        Shard bucket structures are built by :func:`_shard_build_worker` —
-        in a fork pool when ``workers > 1``, inline otherwise (identical
-        code either way) — and persisted as ``.npy`` files under
+        Each shard's bucket structure is built by :meth:`BandShard.build`,
+        one shard after another, and persisted as ``.npy`` files under
         *shard_dir* (default: ``<store>/lsh-shards``), which the index then
-        memory-maps.
+        memory-maps.  Rebuilding into the same directory replaces the files.
         """
         k = store.config.k
         if bands is None:
             bands = k // rows
         if bands <= 0 or rows * bands > k:
             raise ValueError(f"rows*bands {rows}*{bands} does not fit k={k}")
-        n = len(store)
-        values_path = os.path.join(store.directory, "values.u32")
         if shard_dir is None:
             shard_dir = os.path.join(store.directory, "lsh-shards")
         os.makedirs(shard_dir, exist_ok=True)
-        ranges = shard_ranges(bands, shards)
-        payloads = [
-            (values_path, n, k, rows, bands, lo, hi, shard_dir, chunk_rows)
-            for lo, hi in ranges
-        ]
-        if workers > 1 and n:
-            if sys.platform != "win32":
-                ctx = multiprocessing.get_context("fork")
-            else:  # pragma: no cover - windows fallback
-                ctx = multiprocessing.get_context()
-            with ProcessPoolExecutor(max_workers=min(workers, len(payloads)),
-                                     mp_context=ctx) as pool:
-                prefixes = list(pool.map(_shard_build_worker, payloads))
-        else:
-            prefixes = [_shard_build_worker(p) for p in payloads]
+        values = np.asarray(store.values)
         band_shards = [
-            BandShard(lo, hi, ColumnarBuckets(*_shard_files(prefix), hi - lo))
-            for (lo, hi), prefix in zip(ranges, prefixes)
+            BandShard.build(values, rows, bands, lo, hi, shard_dir, chunk_rows)
+            for lo, hi in shard_ranges(bands, shards)
         ]
-        return cls(store, band_shards, prefixes, rows, bands, bucket_cap)
+        return cls(store, band_shards, rows, bands, bucket_cap)
 
     # -- frozen maintenance ------------------------------------------------------------
     def _frozen(self, op: str) -> None:
@@ -301,7 +271,6 @@ class ShardedLSHIndex(LSHIndex):
         queries: Optional[np.ndarray] = None,
         *,
         batch_rows: int = 1024,
-        workers: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``best_match`` for every query row, vectorized.
 
@@ -313,10 +282,6 @@ class ShardedLSHIndex(LSHIndex):
         masks ``me``/dead rows order-preservingly, deduplicates to first
         occurrences per query (the serial loop's ``seen`` set, vectorized),
         and takes a first-occurrence argmax per query.
-
-        ``workers > 1`` fans each batch out to one process per shard (fork
-        pool, shard files re-opened memmapped per worker); ``workers=1``
-        runs the identical per-shard kernel inline.
         """
         n = len(self._keys)
         if queries is None:
@@ -330,34 +295,12 @@ class ShardedLSHIndex(LSHIndex):
         best = np.full(queries.shape[0], -1, dtype=np.int64)
         sims = np.zeros(queries.shape[0], dtype=np.float64)
         self.queries += int(queries.shape[0])
-
-        pool = None
-        try:
-            if workers > 1 and len(self._shards) > 1:
-                ctx = (
-                    multiprocessing.get_context("fork")
-                    if sys.platform != "win32"
-                    else multiprocessing.get_context()
-                )
-                pool = ProcessPoolExecutor(
-                    max_workers=min(workers, len(self._shards)), mp_context=ctx
-                )
-            for lo in range(0, queries.shape[0], batch_rows):
-                batch = queries[lo : lo + batch_rows]
-                payloads = [
-                    (prefix, shard.width, cap, batch)
-                    for prefix, shard in zip(self._shard_prefixes, self._shards)
-                ]
-                if pool is not None:
-                    runs = list(pool.map(_shard_query_worker, payloads))
-                else:
-                    runs = [_shard_query_worker(p) for p in payloads]
-                b, s = self._reduce_batch(batch, runs, matrix, k, alive)
-                best[lo : lo + batch.shape[0]] = b
-                sims[lo : lo + batch.shape[0]] = s
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        for lo in range(0, queries.shape[0], batch_rows):
+            batch = queries[lo : lo + batch_rows]
+            runs = [shard.runs(batch, cap) for shard in self._shards]
+            b, s = self._reduce_batch(batch, runs, matrix, k, alive)
+            best[lo : lo + batch.shape[0]] = b
+            sims[lo : lo + batch.shape[0]] = s
         return best, sims
 
     def _reduce_batch(

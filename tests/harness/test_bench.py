@@ -1,5 +1,8 @@
 """Tests for the BENCH_*.json emission helpers and the gate-cost table."""
 
+import os
+import platform
+
 from repro.harness import (
     format_gate_cost_table,
     gate_cost_row,
@@ -7,6 +10,7 @@ from repro.harness import (
     write_bench_json,
 )
 from repro.merge import FunctionMergingPass, PassConfig
+from repro.obs.manifest import git_revision
 from repro.search import ExhaustiveRanker
 from repro.workloads import build_workload
 
@@ -46,9 +50,20 @@ class TestBenchJson:
         write_bench_json(str(path), "test", rows, metadata={"sizes": [40]})
         payload = load_bench_json(str(path))
         assert payload["bench"] == "test"
-        assert payload["metadata"] == {"sizes": [40]}
+        metadata = dict(payload["metadata"])
+        metadata.pop("provenance")
+        assert metadata == {"sizes": [40]}
         assert payload["rows"][0]["module"] == "m"
         assert payload["rows"][0]["static_time"] > 0
+
+    def test_provenance_stamp(self, tmp_path):
+        path = tmp_path / "BENCH_test.json"
+        write_bench_json(str(path), "test", [], config={"sizes": [40], "repeats": 1})
+        stamp = load_bench_json(str(path))["metadata"]["provenance"]
+        assert stamp["cpu_count"] == os.cpu_count()
+        assert stamp["git_rev"] == git_revision()
+        assert stamp["python"] == platform.python_version()
+        assert stamp["config"] == {"sizes": [40], "repeats": 1}
 
 
 class TestGateCostTable:

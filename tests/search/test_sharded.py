@@ -34,11 +34,14 @@ class TestShardRanges:
                 assert len(ranges) == min(max(1, shards), bands)
 
 
-def _store_with(tmp_path, streams, config=CFG):
+def _flat(streams):
     lens = np.array([len(s) for s in streams], dtype=np.int64)
-    flat = np.array(
-        [v for s in streams for v in s], dtype=np.uint64
-    )
+    flat = np.array([v for s in streams for v in s], dtype=np.uint64)
+    return flat, lens
+
+
+def _store_with(tmp_path, streams, config=CFG):
+    flat, lens = _flat(streams)
     store = FingerprintStore.create(str(tmp_path / "store"), config)
     store.append_encoded(flat, lens)
     return store, flat, lens
@@ -89,23 +92,24 @@ class TestFrozenStoreMode:
             else:
                 assert (best[key], sims[key]) == expected
 
-    def test_worker_pool_matches_inline(self, tmp_path):
-        store, flat, lens = _store_with(tmp_path, _streams(40))
+    def test_rebuild_after_store_grows_reads_new_shards(self, tmp_path):
+        # A second build into the same (default) shard directory must map
+        # the new shard files, not a previous build's.
+        streams = _streams(60)
+        store, _, _ = _store_with(tmp_path, streams[:20])
+        ShardedLSHIndex.from_store(store, rows=ROWS, bands=BANDS, bucket_cap=3, shards=2)
+        store.append_encoded(*_flat(streams[20:]))
         index = ShardedLSHIndex.from_store(
-            store, rows=ROWS, bands=BANDS, bucket_cap=3, shards=2, workers=2
+            store, rows=ROWS, bands=BANDS, bucket_cap=3, shards=2
         )
-        inline = ShardedLSHIndex.from_store(
-            store,
-            rows=ROWS,
-            bands=BANDS,
-            bucket_cap=3,
-            shards=2,
-            shard_dir=str(tmp_path / "alt-shards"),
-        )
-        b1, s1 = index.best_match_all(workers=2)
-        b2, s2 = inline.best_match_all()
-        assert np.array_equal(b1, b2)
-        assert np.array_equal(s1, s2)
+        serial = _serial_reference(*_flat(streams))
+        best, sims = index.best_match_all()
+        for key in range(60):
+            expected = serial.best_match(key)
+            if expected is None:
+                assert best[key] == -1
+            else:
+                assert (best[key], sims[key]) == expected
 
     def test_frozen_remove_tombstones_and_guards(self, tmp_path):
         store, flat, lens = _store_with(tmp_path, _streams(20))

@@ -117,6 +117,43 @@ class TestColdPath:
         assert result["after_merge"] == []
         assert "@tiny" in out.read_text()
 
+    def test_cli_import_loads_no_bench_harness(self):
+        # The bench suites are imported only when ``bench-perf`` runs one.
+        heavy = [f"repro.harness.{m}" for m in ("scale", "rss", "serve_bench", "reconcile_bench")]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, repro.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestBenchPerf:
+    @pytest.mark.parametrize(
+        "suite, sizes, output",
+        [
+            ("perf", "20", "BENCH_f3m_perf.json"),
+            ("attempts", "20", "BENCH_attempt_perf.json"),
+            ("scale", "300", "BENCH_scale.json"),
+            ("serve", "20", "BENCH_serve.json"),
+            ("reconcile", "24", "BENCH_reconcile.json"),
+        ],
+    )
+    def test_suite_writes_stamped_bench_file(self, tmp_path, monkeypatch, capsys, suite, sizes, output):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench-perf", suite, "--sizes", sizes, "--repeats", "1"]) == 0
+        assert f"wrote {output}" in capsys.readouterr().out
+        payload = json.loads((tmp_path / output).read_text())
+        assert payload["bench"] and payload["rows"]
+        assert payload["metadata"]["headline"]
+        stamp = payload["metadata"]["provenance"]
+        assert stamp["cpu_count"] >= 1
+        assert "git_rev" in stamp
+        assert stamp["config"]["sizes"] == [int(sizes)]
+
 
 class TestMergeRobustnessFlags:
     def test_oracle_flag_preserves_semantics(self, module_file, tmp_path, capsys):
