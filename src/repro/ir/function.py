@@ -149,6 +149,31 @@ class Function(Value):
             block.parent = None
         self.blocks.clear()
 
+    def detach_body(self) -> List[BasicBlock]:
+        """Take the blocks out of this function, turning it into a
+        declaration, and return them.
+
+        The blocks keep their instructions and the instructions their
+        operand lists, but every operand use is unregistered: a detached
+        body counts as no uses of anything.  :meth:`attach_body` puts it
+        back.
+        """
+        blocks = self.blocks
+        for block in blocks:
+            for inst in block.instructions:
+                inst.unlink_operands()
+        self.blocks = []
+        return blocks
+
+    def attach_body(self, blocks: List[BasicBlock]) -> None:
+        """Replace the body with *blocks* from :meth:`detach_body`,
+        registering their operand uses again."""
+        self.drop_body()
+        for block in blocks:
+            for inst in block.instructions:
+                inst.link_operands()
+        self.blocks = blocks
+
     def erase_from_parent(self) -> None:
         self.drop_body()
         if self.parent is not None:

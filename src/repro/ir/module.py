@@ -21,6 +21,10 @@ class Module:
     def __init__(self, name: str = "module") -> None:
         self.name = name
         self._functions: Dict[str, Function] = {}
+        # The journal of the merge transaction that is capturing on this
+        # module, if any (``repro.merge.transaction``): merge commits log
+        # their mutations there so the transaction can undo them.
+        self.open_journal = None
 
     # -- access ------------------------------------------------------------------
     @property

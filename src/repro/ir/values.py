@@ -125,9 +125,20 @@ class User(Value):
 
     def drop_all_references(self) -> None:
         """Detach this user from all of its operands (pre-deletion hygiene)."""
+        self.unlink_operands()
+        self._operands.clear()
+
+    def unlink_operands(self) -> None:
+        """Unregister this user's operand uses but keep its operand list,
+        so :meth:`link_operands` can register them again."""
         for idx, op in enumerate(self._operands):
             op._remove_use(self, idx)
-        self._operands.clear()
+
+    def link_operands(self) -> None:
+        """Register the uses of the operand list :meth:`unlink_operands`
+        kept."""
+        for idx, op in enumerate(self._operands):
+            op._add_use(self, idx)
 
 
 class Constant(Value):

@@ -23,7 +23,6 @@ from ..ir.clone import clone_function
 from ..ir.function import Function
 from ..ir.module import Module
 from ..ir.printer import print_function
-from .thunks import rewrite_call_sites
 
 __all__ = ["IdenticalMergeReport", "structural_hash", "merge_identical_functions"]
 

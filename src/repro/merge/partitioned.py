@@ -150,8 +150,7 @@ def _retained_merges(
             function_b=attempt.candidate,
             merged_name=attempt.merged_name,
             saving=attempt.saving,
-            backups=txn.retained,
-            pre_order=txn.retained_order,
+            journal=txn.retained,
         )
         for offset, (attempt, txn) in enumerate(zip(merged, committed), start=1)
     ]

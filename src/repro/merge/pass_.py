@@ -258,9 +258,9 @@ class FunctionMergingPass:
 
         Called with every function a transaction captured: a committed
         merge rewrote call sites inside their blocks (or replaced their
-        bodies with thunks), and a commit-stage rollback re-cloned their
-        bodies into fresh block objects.  Cheap failure paths never
-        capture, so their memo entries stay live.
+        bodies with thunks), and a commit-stage rollback replayed its
+        journal onto them.  Cheap failure paths never capture, so their
+        memo entries stay live.
         """
         for func in functions:
             self.engine.invalidate_function(func)

@@ -7,8 +7,10 @@ coverage in two phases:
 
 * **Phase 1 (optimistic)** — the partition passes run in place on the
   live module.  Each commit runs inside a :class:`RetainingTransaction`
-  whose ``commit()`` keeps the pre-merge snapshots instead of dropping
-  them, so phase 2 can later undo any optimistic merge bit-identically.
+  whose ``commit()`` keeps the journal of what the commit changed (the
+  replaced call sites, the originals' bodies moved aside, the table
+  order), so phase 2 can later undo any optimistic merge bit-identically
+  by replaying it backwards.
   The driver pairs each partition's merged attempts with its committed
   transactions into :class:`RetainedMerge` entries.
 
@@ -20,7 +22,7 @@ coverage in two phases:
   (bound → align → codegen → verify → static/validate/oracle → commit).
   When a cross-partition pair needs a function an optimistic merge
   already consumed, the conflict is resolved by *benefit*: the
-  optimistic merge is rolled back (bodies restored onto the original
+  optimistic merge is rolled back (its journal replayed onto the same
   ``Function`` objects, the merged function erased, the function-table
   order reconstructed), the cross-partition merge is attempted, and the
   lower-benefit side loses — if the cross-partition saving does not beat
@@ -30,7 +32,7 @@ coverage in two phases:
 
 Rolling back an optimistic merge after *later* commits touched the same
 functions would clobber those commits, so every commit — phase 1's
-included — logs the function names it captured and an **overlap guard**
+included — logs the function names it touched and an **overlap guard**
 refuses (deterministically) to undo a merge whose capture set intersects
 any later commit's; such candidates are counted as ``conflicts_skipped``
 and the optimistic merges stand.
@@ -48,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..alignment.batch import BatchAlignmentEngine
 from ..analysis.size import module_size
 from ..faults import FaultInjector
-from ..ir.clone import clone_function_into
 from ..ir.function import Function
 from ..ir.module import Module
 from ..obs import trace
@@ -56,7 +57,7 @@ from ..search.pairing import Match, Ranker, RankingStats
 from .pass_ import FunctionMergingPass, PassConfig
 from .report import Outcome
 from .thunks import thunk_target
-from .transaction import MergeTransaction, _FunctionBackup
+from .transaction import Journal, MergeTransaction
 
 __all__ = [
     "FixedPairRanker",
@@ -68,23 +69,22 @@ __all__ = [
 
 
 class RetainingTransaction(MergeTransaction):
-    """A merge transaction whose commit keeps the undo snapshots.
+    """A merge transaction whose commit keeps its journal.
 
-    ``commit()`` closes the transaction like the base class but moves the
-    captured backups (and the baseline function-table order) into
-    :attr:`retained` instead of discarding them, so the reconciliation
-    pass can undo the committed merge later.  ``rollback()`` is
-    inherited unchanged — a failed attempt leaves nothing retained.
+    ``commit()`` closes the transaction like the base class but keeps the
+    journal, with the pre-merge function-table order recorded, as
+    :attr:`retained`, so the reconciliation pass can undo the committed
+    merge later.  ``rollback()`` is inherited unchanged — a failed
+    attempt leaves nothing retained.
     """
 
     def __init__(self, module: Module) -> None:
         super().__init__(module)
-        self.retained: Optional[Dict[int, _FunctionBackup]] = None
-        self.retained_order: Optional[List[str]] = None
+        self.retained: Optional[Journal] = None
 
     def commit(self) -> None:
-        self.retained = dict(self._backups)
-        self.retained_order = list(self._baseline_order)
+        self.journal.record_order()
+        self.retained = self.journal
         super().commit()
 
 
@@ -105,13 +105,13 @@ class RetainedMerge:
     function_b: str
     merged_name: str
     saving: int
-    backups: Dict[int, _FunctionBackup]
-    pre_order: List[str]
+    # The committing transaction's retained journal.
+    journal: Journal
     undone: bool = False
 
     @property
     def touched_names(self) -> Set[str]:
-        names = {backup.name for backup in self.backups.values()}
+        names = self.journal.touched_names()
         names.add(self.merged_name)
         return names
 
@@ -120,41 +120,15 @@ class RetainedMerge:
         functions whose bodies were restored (for memo invalidation).
 
         Only safe when no later commit touched :attr:`touched_names` —
-        the caller enforces that via the overlap guard.  Restores the
-        captured bodies onto the *same* ``Function`` objects, erases the
-        merged function this commit created, and rebuilds the
-        function-table order as if the merge never ran (functions added
-        by later commits keep their positions after the restored ones,
-        which is exactly where they would have been appended).
+        the caller enforces that via the overlap guard.  Replays the
+        journal backwards onto the *same* ``Function`` objects, erases
+        the merged function this commit created, and rebuilds the
+        function-table order as if the merge never ran
+        (:meth:`Journal.undo`).
         """
         if self.undone:
             return []
-        restored: List[Function] = []
-        for backup in self.backups.values():
-            func = backup.function
-            func.drop_body()
-            vmap = {
-                id(src): dst for src, dst in zip(backup.body.args, func.args)
-            }
-            clone_function_into(backup.body, func, vmap)
-            func.internal = backup.internal
-            func.name = backup.name
-            func._name_counter = backup.name_counter
-            if module._functions.get(func.name) is not func:
-                func.parent = module
-                module._functions[func.name] = func
-            restored.append(func)
-        merged = module.get_function(self.merged_name)
-        if merged is not None:
-            merged.erase_from_parent()
-        pre = set(self.pre_order)
-        order = [name for name in self.pre_order if name in module._functions]
-        order.extend(
-            name
-            for name in module._functions
-            if name not in pre and name != self.merged_name
-        )
-        module._functions = {name: module._functions[name] for name in order}
+        restored = self.journal.undo(module, self.merged_name)
         self.undone = True
         trace.event("reconcile_undo", merged=self.merged_name, saving=self.saving)
         return restored
@@ -304,8 +278,7 @@ class _OptimisticDriver:
                 function_b=other.name,
                 merged_name=record.merged_name,
                 saving=record.saving,
-                backups=txn.retained or {},
-                pre_order=txn.retained_order or [],
+                journal=txn.retained,
             )
             self.log.append((retained.seq, retained.touched_names))
         return record, retained
@@ -327,7 +300,7 @@ class _PoolEntry:
 
     name: str  # parent-module name the attempt resolves at runtime
     partition: int
-    proxy: Function  # live function, or a detached pre-merge backup body
+    proxy: Function  # live function, or a view of a pre-merge body
     retained: Optional[RetainedMerge] = None  # set for consumed originals
 
 
@@ -341,8 +314,9 @@ def _survivor_pool(
 
     Three populations: unmerged originals still live in the module,
     merged winners (ranked by their merged bodies), and the originals
-    each optimistic merge consumed (ranked by their *pre-merge* backup
-    bodies, so a better cross-partition partner can still claim them).
+    each optimistic merge consumed (ranked by their *pre-merge* bodies,
+    read from the journal, so a better cross-partition partner can still
+    claim them).
     """
     merged_partition = {r.merged_name: r.partition for r in retained_merges}
     pool: List[_PoolEntry] = []
@@ -356,16 +330,13 @@ def _survivor_pool(
             continue
         pool.append(_PoolEntry(func.name, partition, func))
     for retained in retained_merges:
-        by_name = {b.name: b for b in retained.backups.values()}
         for original in (retained.function_a, retained.function_b):
-            backup = by_name.get(original)
-            if backup is None:  # pragma: no cover - capture always includes both
+            body = retained.journal.pre_merge_body(original)
+            if body is None:  # pragma: no cover - a commit moves both bodies
                 continue
-            if backup.body.num_instructions < config.min_instructions:
+            if body.num_instructions < config.min_instructions:
                 continue
-            pool.append(
-                _PoolEntry(original, retained.partition, backup.body, retained)
-            )
+            pool.append(_PoolEntry(original, retained.partition, body, retained))
     return pool
 
 
@@ -510,8 +481,7 @@ def _reconcile_phase(
                 report.reapply_failures += 1
                 continue
             redone.partition = conflict.partition
-            conflict.backups = redone.backups
-            conflict.pre_order = redone.pre_order
+            conflict.journal = redone.journal
             conflict.seq = redone.seq
             conflict.merged_name = redone.merged_name
             conflict.saving = redone.saving

@@ -19,6 +19,7 @@ from ..ir.types import I1
 from ..ir.values import ConstantInt, UndefValue, Value
 from .errors import CommitError
 from .merger import MergeResult
+from .transaction import Journal, journal_for
 
 __all__ = ["commit_merge", "rewrite_call_sites", "make_thunk", "thunk_target"]
 
@@ -61,8 +62,21 @@ def _merged_args(
     return args
 
 
-def rewrite_call_sites(original: Function, merged: Function, param_map: List[int], fid: int) -> int:
-    """Retarget every direct call/invoke of *original* to *merged*."""
+def rewrite_call_sites(
+    original: Function,
+    merged: Function,
+    param_map: List[int],
+    fid: int,
+    journal: Optional[Journal] = None,
+) -> int:
+    """Retarget every direct call/invoke of *original* to *merged*.
+
+    Each replaced site moves into *journal* (by default the module's open
+    journal, :func:`~repro.merge.transaction.journal_for`), so the
+    rewrite can be undone.
+    """
+    if journal is None:
+        journal = journal_for(original.parent)
     rewritten = 0
     for site in original.callers():
         block = site.parent
@@ -83,14 +97,23 @@ def rewrite_call_sites(original: Function, merged: Function, param_map: List[int
         new_inst.name = site.name
         block.insert_before(site, new_inst)
         site.replace_all_uses_with(new_inst)
-        site.erase_from_parent()
+        journal.replace_instruction(site, new_inst)
         rewritten += 1
     return rewritten
 
 
-def make_thunk(original: Function, merged: Function, param_map: List[int], fid: int) -> None:
-    """Replace *original*'s body with a tail-call into *merged*."""
-    original.drop_body()
+def make_thunk(
+    original: Function,
+    merged: Function,
+    param_map: List[int],
+    fid: int,
+    journal: Optional[Journal] = None,
+) -> None:
+    """Replace *original*'s body with a tail-call into *merged*; the old
+    body moves into *journal* (by default the module's open journal)."""
+    if journal is None:
+        journal = journal_for(original.parent)
+    journal.detach_body(original)
     entry = BasicBlock("entry", original)
     call = Call(merged, _merged_args(merged, param_map, list(original.args), fid))
     call.name = "fwd" if not call.type.is_void else ""
@@ -98,19 +121,29 @@ def make_thunk(original: Function, merged: Function, param_map: List[int], fid: 
     entry.append(Ret(None if original.return_type.is_void else call))
 
 
-def commit_merge(result: MergeResult, faults: Optional[FaultInjector] = None) -> None:
+def commit_merge(
+    result: MergeResult,
+    faults: Optional[FaultInjector] = None,
+    journal: Optional[Journal] = None,
+) -> None:
     """Apply a profitable merge to the module: redirect, thunk or delete.
 
     Not atomic on its own — a failure part-way (including one injected via
     *faults*, which fires between the two originals so the module is
-    genuinely half-rewritten) leaves the module inconsistent.  The pass
-    wraps this call in a :class:`~repro.merge.transaction.MergeTransaction`
-    that restores the pre-attempt state on any escape.
+    genuinely half-rewritten) leaves the module inconsistent.  Every
+    call-site rewrite, thunked body and erased original is logged in
+    *journal*, by default the module's open journal: the pass wraps this
+    call in a :class:`~repro.merge.transaction.MergeTransaction`, whose
+    rollback (or the reconcile phase's undo of a retained commit) replays
+    the log backwards onto the same objects.  With no transaction open the
+    log is a throwaway one and the merge simply stands.
     """
     merged = result.merged
     module = merged.parent
     if module is None:
         raise CommitError("merged function must be in a module")
+    if journal is None:
+        journal = journal_for(module)
     for index, (func, param_map, fid) in enumerate(
         (
             (result.function_a, result.param_map_a, 0),
@@ -119,10 +152,10 @@ def commit_merge(result: MergeResult, faults: Optional[FaultInjector] = None) ->
     ):
         if index == 1 and faults is not None:
             faults.hit("commit")
-        rewrite_call_sites(func, merged, param_map, fid)
+        rewrite_call_sites(func, merged, param_map, fid, journal)
         if func.address_taken or not func.internal:
-            make_thunk(func, merged, param_map, fid)
+            make_thunk(func, merged, param_map, fid, journal)
         else:
             if func.num_uses != 0:
                 raise CommitError(f"dangling uses of @{func.name}")
-            func.erase_from_parent()
+            journal.erase(func)

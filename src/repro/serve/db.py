@@ -8,9 +8,11 @@ current snapshot once and never lock; the writer (``submit``) clones the
 index copy-on-write (:meth:`~repro.search.lsh.LSHIndex.clone`), mutates the
 clone and the corpus module under a :class:`~repro.merge.transaction
 .MergeTransaction`, and publishes the new snapshot only after everything
-succeeded.  A failure anywhere mid-commit — including an injected
-``serve_commit`` fault — rolls the corpus module back and discards the
-clone, so concurrent and subsequent readers only ever observe the
+succeeded.  Every body the delta replaces, demotes or erases is moved into
+the transaction's journal rather than dropped, so a failure anywhere
+mid-commit — including an injected ``serve_commit`` fault — replays the
+journal, rolling the corpus module back byte-identically, and discards the
+clone: concurrent and subsequent readers only ever observe the
 pre-request or post-request state, never a half-commit.
 
 Hot state that outlives any request:
@@ -259,12 +261,12 @@ class FingerprintDatabase:
 
         # Clone new bodies in.  Changed functions keep their identity (the
         # corpus Function object survives, so existing call sites stay
-        # valid); only their body is replaced.
+        # valid); only their body is replaced.  The journal keeps the old
+        # body (empty for a declaration the delta defines), its linkage and
+        # argument names.
         for func in defined:
             dest = vmap[id(func)]
-            if dest.blocks:
-                txn.capture(dest)
-                dest.drop_body()
+            txn.journal.detach_body(dest)
             for src_arg, dst_arg in zip(func.args, dest.args):
                 dst_arg.name = src_arg.name
             clone_function_into(func, dest, vmap)
@@ -274,13 +276,7 @@ class FingerprintDatabase:
         # a still-referenced function demotes to a declaration, an
         # unreferenced one is erased outright.
         for name in removed_names:
-            func = corpus.get_function(name)
-            txn.capture(func)
-            if func.callers():
-                func.drop_body()
-                func.internal = False
-            else:
-                func.erase_from_parent()
+            self._drop(corpus.get_function(name), txn)
 
         # Fingerprints flow through the shared content-addressed cache —
         # an unchanged body re-submitted later is a pure cache hit.
@@ -329,6 +325,17 @@ class FingerprintDatabase:
             "functions": len(entries),
         }
 
+    @staticmethod
+    def _drop(func: Function, txn: MergeTransaction) -> None:
+        """Take *func* out of the corpus through the transaction's journal:
+        a still-referenced function demotes to a declaration, an
+        unreferenced one is erased."""
+        if func.callers():
+            txn.journal.detach_body(func)
+            func.internal = False
+        else:
+            txn.journal.erase(func)
+
     def _evict(
         self,
         entries: Dict[str, CorpusEntry],
@@ -344,13 +351,7 @@ class FingerprintDatabase:
         victims = victims[: len(entries) - cap]
         evicted: List[str] = []
         for entry in victims:
-            func = self.module.get_function(entry.name)
-            txn.capture(func)
-            if func.callers():
-                func.drop_body()
-                func.internal = False
-            else:
-                func.erase_from_parent()
+            self._drop(self.module.get_function(entry.name), txn)
             index.remove(entry.name)
             del entries[entry.name]
             evicted.append(entry.name)

@@ -11,19 +11,27 @@ bit-identical answers:
 * :class:`PureAlignmentEngine` — alignment through the pure-Python
   aligner, accepted by ``FunctionMergingPass(alignment_engine=...)``;
 * :class:`ReferenceDominatorTree` and :func:`reference_violations` — the
-  per-block dominator loop and ``list.index`` dominance scan.
+  per-block dominator loop and ``list.index`` dominance scan;
+* :class:`ReferenceMergeTransaction` and
+  :class:`ReferenceRetainingTransaction` — merge transactions that clone
+  both originals and every caller before a commit and re-clone them on
+  rollback or undo, accepted by
+  ``FunctionMergingPass(transaction_factory=...)``.
 """
 
 from .alignment import PureAlignmentEngine, alignment_shape
 from .dominance import ReferenceDominatorTree, reference_violations
 from .lsh import ReferenceLSHIndex
 from .ranking import ReferenceMinHashRanker
+from .transaction import ReferenceMergeTransaction, ReferenceRetainingTransaction
 
 __all__ = [
     "PureAlignmentEngine",
     "ReferenceDominatorTree",
     "ReferenceLSHIndex",
+    "ReferenceMergeTransaction",
     "ReferenceMinHashRanker",
+    "ReferenceRetainingTransaction",
     "alignment_shape",
     "reference_violations",
 ]

@@ -108,3 +108,41 @@ class TestServeDisconnect:
         # The dropped request's commit was already published.
         assert responses[1]["result"]["version"] == 1
         assert responses[1]["result"]["functions"] > 0
+
+
+class TestServeCommitJournal:
+    def test_rollback_restores_renamed_arguments_and_declarations(self):
+        """A delta that renames a changed function's arguments and defines
+        a function the corpus only declared must leave neither behind when
+        its commit rolls back."""
+        from repro.ir import print_module
+
+        db = FingerprintDatabase(faults=FaultInjector("serve_commit", at=2))
+        db.apply_delta(
+            module_text="""
+declare i32 @ext(i32)
+define i32 @f(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %b = call i32 @ext(i32 %a)
+  ret i32 %b
+}
+"""
+        )
+        before = print_module(db.module)
+        with pytest.raises(InjectedFault):
+            db.apply_delta(
+                module_text="""
+define i32 @f(i32 %q) {
+entry:
+  %a = mul i32 %q, 3
+  ret i32 %a
+}
+define i32 @ext(i32 %z) {
+entry:
+  ret i32 %z
+}
+"""
+            )
+        assert print_module(db.module) == before
+        assert db.module.get_function("ext").is_declaration
