@@ -198,6 +198,7 @@ class FunctionMergingPass:
 
         self.ranker.preprocess(functions)
         report.stage_times.update(self.ranker.stage_times)
+        clock = StageContext(report.stage_times)
 
         consumed = set()
         # The ranker's threshold (adaptive variant) overrides the static one.
@@ -215,7 +216,8 @@ class FunctionMergingPass:
             if attempt.success:
                 report.merges += 1
                 if self.config.remerge and merged is not None:
-                    self.ranker.insert(merged)
+                    with stage(clock, "insert", fn=merged.name):
+                        self.ranker.insert(merged)
                     worklist.append(merged)
 
         report.total_time = time.perf_counter() - start

@@ -20,19 +20,25 @@ from typing import Dict, List, Optional, Union
 
 __all__ = ["Outcome", "AttemptRecord", "MergeReport", "OUTCOMES", "PERF_STAGES"]
 
-#: The canonical stage names, in pipeline order: the keys of every stage
-#: table (records, profiles, metrics, manifests) and the names of the
-#: stage spans.  The ranker's set-up stages come first, timed once per pass
-#: into ``MergeReport.stage_times``; the rest are timed per attempt into
-#: ``AttemptRecord.stage_times`` (``profitability`` is the size model plus
-#: the rollback of an unprofitable merge).  Sub-stages (``codegen.verify``)
-#: are recorded too, but nest inside their stage and are not listed.
-PERF_STAGES = (
-    "fingerprint", "index",
+#: The ranker's set-up stages, timed once per pass into
+#: ``MergeReport.stage_times``.
+PREPROCESS_STAGES = ("fingerprint", "index")
+#: The stages of one attempt, timed into ``AttemptRecord.stage_times``
+#: (``profitability`` is the size model plus the rollback of an
+#: unprofitable merge).
+ATTEMPT_STAGES = (
     "rank", "bound", "align", "codegen", "profitability",
     "staticcheck", "validate", "oracle", "commit",
 )
-PREPROCESS_STAGES, ATTEMPT_STAGES = PERF_STAGES[:2], PERF_STAGES[2:]
+#: The stages timed into ``MergeReport.stage_times``: set-up, and
+#: ``insert``, which files each merged function in the ranker so later
+#: attempts can merge it again (remerging).
+PASS_STAGES = PREPROCESS_STAGES + ("insert",)
+#: The canonical stage names, in pipeline order: the keys of every stage
+#: table (records, profiles, metrics, manifests) and the names of the
+#: stage spans.  Sub-stages (``codegen.verify``) are recorded too, but nest
+#: inside their stage and are not listed.
+PERF_STAGES = PREPROCESS_STAGES + ATTEMPT_STAGES + ("insert",)
 
 # Stages whose breakdown is split by whether the attempt merged.
 _SPLIT_BY_OUTCOME = ("rank", "align", "codegen")
@@ -132,7 +138,7 @@ class MergeReport:
     num_functions: int = 0
     size_before: int = 0
     size_after: int = 0
-    # Preprocess stage name (PREPROCESS_STAGES) -> seconds.
+    # Pass-level stage name (PASS_STAGES) -> seconds.
     stage_times: Dict[str, float] = field(default_factory=dict)
     total_time: float = 0.0
     attempts: List[AttemptRecord] = field(default_factory=list)

@@ -1,5 +1,7 @@
 """Round-trip and error tests for the textual IR."""
 
+import math
+
 import pytest
 
 from repro.ir import (
@@ -178,3 +180,67 @@ class TestPrinter:
         func = build_straightline(module)
         text = print_function(func)
         assert text.startswith("define i32 @line(i32 %arg0)")
+
+
+class TestNamesStartingWithFloatWords:
+    def test_inf_and_nan_prefixed_labels_round_trip(self):
+        text = """
+define double @f(double %x, i1 %c) {
+entry:
+  br i1 %c, label %info, label %nanny
+info:
+  %a = fadd double %x, inf
+  br label %inflate
+nanny:
+  %b = fadd double %x, -inf
+  br label %inflate
+inflate:
+  %p = phi double [ %a, %info ], [ %b, %nanny ]
+  %r = fmul double %p, nan
+  ret double %r
+}
+"""
+        func = roundtrip(parse_module(text)).get_function("f")
+        assert [b.name for b in func.blocks] == ["entry", "info", "nanny", "inflate"]
+        consts = [
+            inst.operands[1].value
+            for inst in func.instructions()
+            if inst.opcode.name in ("FADD", "FMUL")
+        ]
+        assert consts[:2] == [math.inf, -math.inf] and math.isnan(consts[2])
+
+
+class TestHeaders:
+    BODY = "entry:\n  %r = call i32 @g(i32 %a)\n  ret i32 %r\n}\n\n"
+    CALLEE = "define i32 @g(i32 %b) {\nentry:\n  ret i32 %b\n}\n"
+
+    def test_header_split_across_lines(self):
+        one_line = parse_module("define i32 @f(i32 %a) {\n" + self.BODY + self.CALLEE)
+        split = parse_module(
+            "define i32\n  @f(\n  i32 %a\n) {\n" + self.BODY + "define\ni32 @g(i32 %b)\n{\n"
+            "entry:\n  ret i32 %b\n}\n"
+        )
+        assert print_module(split) == print_module(one_line)
+        assert [(f.name, f.internal) for f in split.functions] == [
+            (f.name, f.internal) for f in one_line.functions
+        ]
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "define i32 @f(i32 %a {",
+            "define i32 @f i32 %a) {",
+            "define @f(i32 %a) {",
+            "define i32 f(i32 %a) {",
+            "define i32 (i32 %a) {",
+            "define i32\n  @f(i32 %a {",
+            "define i32\n  @f(",
+            "define { i32 @f(i32 %a) {",
+            "define i32 @f(i32 %a)",
+            "declare i32 @f(i32",
+            "declare i32 f(i32)\ndefine i32 @f(i32 %a) {",
+        ],
+    )
+    def test_malformed_header_raises_parse_error(self, header):
+        with pytest.raises(ParseError):
+            parse_module(header + "\n" + self.BODY + self.CALLEE)

@@ -8,7 +8,7 @@ to the stage table, including for a stage a fault cut short.
 import pytest
 
 from repro.faults import FaultInjector, InjectedFault
-from repro.merge.report import ATTEMPT_STAGES, PREPROCESS_STAGES
+from repro.merge.report import ATTEMPT_STAGES, PASS_STAGES
 from repro.obs import trace
 from repro.obs.stage import StageContext, stage
 from repro.obs.trace import Tracer
@@ -40,7 +40,8 @@ def _attempt_of(spans):
 def _span_tables(spans):
     """Per finished ``attempt`` span (finish order), its stage spans'
     durations summed by name in finish order; plus the same table for the
-    preprocess stage spans, which run outside any attempt."""
+    pass-level stage spans (set-up and remerge inserts), which run outside
+    any attempt."""
     attempt_of = _attempt_of(spans)
     tables = {sp.span_id: {} for sp in spans if sp.name == "attempt"}
     outside = {}
@@ -48,7 +49,7 @@ def _span_tables(spans):
         att = attempt_of[sp.span_id]
         if att is not None and sp.name in ATTEMPT_SPANS:
             table = tables[att.span_id]
-        elif att is None and sp.name in PREPROCESS_STAGES:
+        elif att is None and sp.name in PASS_STAGES:
             table = outside
         else:
             continue
@@ -116,13 +117,16 @@ class TestStagePrimitive:
 class TestSpansEqualStageTables:
     def test_gated_pass_every_attempt_exact(self):
         report, spans = gated_pass()
-        attempts, preprocess = _span_tables(spans)
+        attempts, pass_level = _span_tables(spans)
         assert len(attempts) == len(report.attempts)
         for (att_span, from_spans), record in zip(attempts, report.attempts):
             assert att_span.attrs["fn"] == record.function
             assert from_spans == record.stage_times, record.function
-        assert preprocess == report.stage_times
-        assert set(preprocess) == set(PREPROCESS_STAGES)
+        assert pass_level == report.stage_times
+        assert set(pass_level) == set(PASS_STAGES)
+        # One insert span per merged function filed for remerging.
+        inserts = [sp for sp in spans if sp.name == "insert"]
+        assert len(inserts) == report.merges > 0
         # Every gate ran somewhere, so every stage was checked.
         seen = set().union(*(r.stage_times for r in report.attempts))
         assert seen == ATTEMPT_SPANS

@@ -16,7 +16,10 @@ bit-identical answers:
   :class:`ReferenceRetainingTransaction` — merge transactions that clone
   both originals and every caller before a commit and re-clone them on
   rollback or undo, accepted by
-  ``FunctionMergingPass(transaction_factory=...)``.
+  ``FunctionMergingPass(transaction_factory=...)``;
+* :mod:`tests.reference.parser` — the IR text parser with a regex match,
+  kind and line stored per token, and a line-based header prescan that
+  tokenizes every header line again.
 """
 
 from .alignment import PureAlignmentEngine, alignment_shape
