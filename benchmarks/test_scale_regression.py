@@ -4,16 +4,17 @@ Runs the same machinery as ``repro bench-perf scale`` at a CI-sized
 corpus and gates on the two properties the scaling work must never lose:
 
 * **Exactness** — fingerprints in the memmap store are bit-identical to
-  the in-RAM batch engine, and the sharded batched ``best_match_all``
-  makes exactly the serial ``LSHIndex``'s decisions at every shard count.
+  the in-RAM batch engine, and the frozen store-backed index
+  (``LSHIndex.from_store``) makes exactly the in-RAM ``LSHIndex``'s
+  decisions.
 * **Memory** — at the largest size the memmap-store path's peak RSS
   (fork-isolated, kernel-accounted) stays strictly below the in-RAM
   path's.  This is the reason the store exists; losing it silently would
   make the 10^5-10^6 regime unreachable again.
 
-There is deliberately **no multi-shard speedup gate**: shards are built
-and queried inline, one after another, so sharding bounds build memory
-rather than buying speed.  Wall-clock ratios are recorded in the emitted
+There is deliberately **no speedup gate**: both indexes answer through
+the same per-key ``best_match`` loop, so the store path bounds memory
+rather than buying speed.  Stage wall-clock is recorded in the emitted
 bench JSON for post-hoc inspection instead.
 
 Run with::
@@ -29,14 +30,11 @@ from repro.harness.scale import run_scale_bench
 pytestmark = [pytest.mark.tier2, pytest.mark.perf]
 
 _SIZES = (2000, 20000)
-_SHARDS = (1, 2)
 
 
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
-    rows, metadata = run_scale_bench(
-        sizes=_SIZES, chunk=2000, shard_counts=_SHARDS
-    )
+    rows, metadata = run_scale_bench(sizes=_SIZES, chunk=2000)
     out = tmp_path_factory.mktemp("bench") / "BENCH_scale.json"
     write_bench_json(str(out), "scale", rows, metadata)
     return rows, metadata
@@ -49,12 +47,10 @@ class TestExactness:
         for row in rows:
             assert row["fingerprints_bit_identical"] is True, row["size"]
 
-    def test_sharded_decisions_equal_serial(self, sweep):
+    def test_store_decisions_equal_inram(self, sweep):
         rows, _ = sweep
         for row in rows:
-            assert row["decisions_identical"], row["size"]
-            for name, identical in row["decisions_identical"].items():
-                assert identical is True, (row["size"], name)
+            assert row["decisions_identical"] is True, row["size"]
 
 
 class TestMemory:

@@ -1,7 +1,7 @@
 """Function fingerprints: the HyFM opcode-frequency baseline and F3M MinHash.
 
-The batched engine (:mod:`.batch`) computes module-wide MinHash vectorized
-and bit-identically to the per-function reference path; :mod:`.cache`
+The batched engine (:mod:`.batch`) computes MinHash for a whole module,
+or one function, in a few vectorized passes; :mod:`.cache`
 shares fingerprints content-addressed across functions, runs and CLI
 invocations.
 """
@@ -12,7 +12,7 @@ from .encoding import EncodingOptions, encode_function, encode_instruction
 from .fnv import fnv1a_32, fnv1a_32_ints, fnv1a_32_pair, salts
 from .minhash import MinHashConfig, MinHashFingerprint, exact_jaccard, minhash_function
 from .opcode_freq import OpcodeFingerprint, fingerprint_block, fingerprint_function
-from .shingles import shingle_hashes, shingle_set, shingles
+from .shingles import shingle_set, shingles
 from .store import FingerprintStore, StoreFormatError
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "fingerprint_block",
     "fingerprint_function",
     "shingles",
-    "shingle_hashes",
     "shingle_set",
     "FingerprintStore",
     "StoreFormatError",

@@ -1,10 +1,10 @@
 """Batched module-wide MinHash fingerprinting (the F3M hot path, vectorized).
 
-The per-function reference path (:func:`minhash_function`) round-trips
-through numpy once per function: encode → shingle → hash → k-way min.
-Over a whole module that is thousands of tiny array operations whose fixed
-per-call overhead dominates the actual hashing work.  This module computes
-the same fingerprints in a handful of module-wide passes:
+Fingerprinting a function is encode → shingle → hash → k-way min.  Done
+one function at a time over a whole module, that is thousands of tiny
+array operations whose fixed per-call overhead dominates the actual
+hashing work.  This module computes the fingerprints in a handful of
+module-wide passes:
 
 * :func:`encode_module` packs every function's encoded instruction stream
   into one flat ``uint64`` array with per-function lengths — a single
@@ -17,8 +17,12 @@ the same fingerprints in a handful of module-wide passes:
   :class:`~repro.fingerprint.cache.FingerprintCache` (identical-bodied
   functions share one computation).
 
-Every path is bit-identical to :func:`minhash_function` — property-tested
-in ``tests/fingerprint/test_batch.py``.
+:func:`minhash_encoded_batch` is the only MinHash kernel: a single
+function (:meth:`MinHashFingerprint.from_encoded`, and through it
+:func:`minhash_function` and :func:`minhash_single`) is a one-row pack.
+Every path is bit-identical to the per-function kernel kept as the test
+oracle ``tests/reference/minhash.py`` — property-tested in
+``tests/fingerprint/test_batch.py``.
 """
 
 from __future__ import annotations
@@ -240,8 +244,8 @@ def minhash_encoded_batch(
     """MinHash values for every function packed in ``(flat, lens)``.
 
     Returns ``(values, num_shingles)`` — a ``(n, k)`` uint32 matrix and the
-    per-function window counts — where row *i* is bit-identical to
-    ``MinHashFingerprint.from_encoded(stream_i, config).values``.
+    per-function window counts — where row *i* is the fingerprint of the
+    *i*-th packed stream (an empty stream gets all-ones values).
     """
     flat = np.asarray(flat, dtype=np.uint64)
     lens = np.asarray(lens, dtype=np.int64)

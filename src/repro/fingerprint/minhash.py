@@ -23,11 +23,9 @@ import numpy as np
 from ..ir.function import Function
 from .encoding import EncodingOptions, encode_function
 from .fnv import salts, fnv1a_32_array
-from .shingles import shingle_hashes, shingle_set
+from .shingles import shingle_set
 
 __all__ = ["MinHashConfig", "MinHashFingerprint", "minhash_function", "exact_jaccard"]
-
-_EMPTY_SENTINEL = np.uint32(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -92,26 +90,16 @@ class MinHashFingerprint:
     def from_encoded(
         cls, encoded: Sequence[int], config: MinHashConfig = MinHashConfig()
     ) -> "MinHashFingerprint":
-        base = shingle_hashes(encoded, config.shingle_size)
-        if base.size == 0:
-            # Empty function: a fingerprint that matches nothing but itself.
-            values = np.full(config.k, _EMPTY_SENTINEL, dtype=np.uint32)
-            return cls(values, config, 0)
-        salt_vec = _salts_for(config)
-        if config.independent_hashes:
-            # k separate FNV-1a hashes of (salt, shingle_hash) pairs.
-            cols = []
-            for salt in salt_vec:
-                pairs = np.stack(
-                    [np.full(base.shape, salt, dtype=np.uint32), base], axis=1
-                )
-                cols.append(fnv1a_32_array(pairs).min())
-            values = np.array(cols, dtype=np.uint32)
-        else:
-            # One hash per shingle, xor-ed with k salts: min over shingles.
-            # (n, 1) ^ (1, k) -> (n, k); min along shingles axis.
-            values = (base[:, None] ^ salt_vec[None, :]).min(axis=0)
-        return cls(values.astype(np.uint32), config, int(base.size))
+        """The fingerprint of one encoded stream: the batched engine's row
+        for a one-function pack (an empty stream gets all-ones values,
+        which match nothing but another empty stream)."""
+        from .batch import minhash_encoded_batch  # batch imports this module
+
+        flat = np.asarray(encoded, dtype=np.uint64)
+        values, counts = minhash_encoded_batch(
+            flat, np.array([flat.shape[0]], dtype=np.int64), config
+        )
+        return cls(values[0], config, int(counts[0]))
 
     # -- similarity -----------------------------------------------------------------
     def similarity(self, other: "MinHashFingerprint") -> float:

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-import numpy as np
-
-from .fnv import fnv1a_32_array
-
-__all__ = ["shingles", "shingle_hashes", "shingle_set"]
+__all__ = ["shingles", "shingle_set"]
 
 
 def shingles(encoded: Sequence[int], k: int = 2) -> List[Tuple[int, ...]]:
@@ -31,18 +27,6 @@ def shingles(encoded: Sequence[int], k: int = 2) -> List[Tuple[int, ...]]:
     if n < k:
         return [tuple(encoded)]
     return [tuple(encoded[i : i + k]) for i in range(n - k + 1)]
-
-
-def shingle_hashes(encoded: Sequence[int], k: int = 2) -> np.ndarray:
-    """FNV-1a hash of every shingle, as a uint32 array (vectorized)."""
-    n = len(encoded)
-    if n == 0:
-        return np.empty(0, dtype=np.uint32)
-    arr = np.asarray(encoded, dtype=np.uint32)
-    if n < k:
-        return fnv1a_32_array(arr[None, :])
-    windows = np.lib.stride_tricks.sliding_window_view(arr, k)
-    return fnv1a_32_array(windows)
 
 
 def shingle_set(encoded: Sequence[int], k: int = 2) -> Set[Tuple[int, ...]]:

@@ -190,7 +190,6 @@ def _scale_headline(h: Mapping[str, object]) -> str:
         f"largest size {h['largest_size']}: "
         f"store peak RSS {h['store_peak_rss_kb']} kB vs "
         f"in-RAM {h['inram_peak_rss_kb']} kB (ratio {h['rss_ratio']:.2f}), "
-        f"sharded speedup {h.get('sharded_speedup') or 0.0:.2f}x, "
         f"fingerprints_bit_identical={h['fingerprints_bit_identical']}, "
         f"decisions_identical={h['decisions_identical']}"
     )
@@ -231,7 +230,7 @@ BENCH_SUITES: Dict[str, BenchSuite] = {
         "scale:run_scale_bench", "scale", "scale", (2000, 20000, 200000),
         _scale_headline,
         settings=("work_dir",),
-        constants={"chunk": 2000, "shard_counts": (1, 4)},
+        constants={"chunk": 2000},
     ),
     "serve": BenchSuite(
         "serve_bench:run_serve_bench", "serve", "serve", (2000, 20000),

@@ -15,13 +15,14 @@ the paper's adaptive t/b/r policy (Eq. 3/4) actually bends.  The sweep:
 
    * **store_fingerprint** — re-minhash the encoded slices chunkwise into a
      per-size fingerprint store (each size has its own adaptive ``k``);
-   * **store_index** (per shard count) — build a frozen
-     :class:`~repro.search.sharded.ShardedLSHIndex` over the store and
-     answer ``best_match`` for every row with the batched kernel;
+   * **store_index** — build a frozen index over the store
+     (:meth:`~repro.search.lsh.LSHIndex.from_store`) and answer
+     ``best_match`` for every row;
    * **inram** — the status-quo contender: whole encoded corpus slice in
      RAM, ``minhash_encoded_batch`` in one shot, per-function
-     ``MinHashFingerprint`` objects, a serial ``LSHIndex.insert_batch``,
-     and a per-key ``best_match`` loop.
+     ``MinHashFingerprint`` objects and ``LSHIndex.insert_batch``.
+
+Both index stages answer through the same per-key ``best_match`` loop.
 
 Each stage runs in its own forked child
 (:func:`~repro.harness.rss.run_isolated`), so per-stage wall-clock *and*
@@ -29,7 +30,7 @@ per-stage peak RSS are kernel-accounted and mutually isolated; the parent
 stays slim and all bulk data travels via the on-disk stores.  Stages
 cross-check through digests: sha256 over the signature bytes (fingerprint
 bit-identity) and over the ``(best, similarity)`` result arrays (decision
-identity, serial loop vs sharded batch for every shard count).
+identity, store-backed index vs in-RAM index).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from ..fingerprint.minhash import MinHashConfig, MinHashFingerprint
 from ..fingerprint.store import FingerprintStore
 from ..search.adaptive import adaptive_parameters
 from ..search.lsh import LSHIndex
-from ..search.sharded import ShardedLSHIndex
 from .rss import IsolatedRun, run_isolated
 
 __all__ = ["run_scale_bench"]
@@ -124,29 +124,32 @@ def _store_fingerprint_stage(
     }
 
 
+def _best_matches(index: LSHIndex, size: int) -> Tuple[np.ndarray, np.ndarray, float]:
+    """``best_match`` of every key ``0..size-1``: ``(best, sims, seconds)``,
+    ``best`` holding -1 where a key has no candidate."""
+    t0 = time.perf_counter()
+    best = np.full(size, -1, dtype=np.int64)
+    sims = np.zeros(size, dtype=np.float64)
+    for i in range(size):
+        match = index.best_match(i)
+        if match is not None:
+            best[i] = match[0]
+            sims[i] = match[1]
+    return best, sims, time.perf_counter() - t0
+
+
 def _store_index_stage(
     size_dir: str,
-    shards: int,
     rows: int,
     bands: int,
     bucket_cap: Optional[int],
 ) -> Dict[str, object]:
-    """Child: frozen sharded index build + batched best_match over the store."""
+    """Child: frozen index build over the store + best_match for every row."""
     store = FingerprintStore.open(size_dir)
-    shard_dir = os.path.join(size_dir, f"lsh-shards-{shards}")
     t0 = time.perf_counter()
-    index = ShardedLSHIndex.from_store(
-        store,
-        rows=rows,
-        bands=bands,
-        bucket_cap=bucket_cap,
-        shards=shards,
-        shard_dir=shard_dir,
-    )
+    index = LSHIndex.from_store(store, rows=rows, bands=bands, bucket_cap=bucket_cap)
     build_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    best, sims = index.best_match_all()
-    query_s = time.perf_counter() - t0
+    best, sims, query_s = _best_matches(index, len(store))
     return {
         "build_s": build_s,
         "query_s": query_s,
@@ -165,7 +168,7 @@ def _inram_stage(
     bucket_cap: Optional[int],
     config: MinHashConfig,
 ) -> Dict[str, object]:
-    """Child: the fully RAM-resident reference path, serial LSHIndex."""
+    """Child: the fully RAM-resident reference path."""
     corpus = FingerprintStore.open(corpus_dir)
     flat, lens = corpus.encoded_slice(0, size)
     flat = np.array(flat)  # pull the slice into RAM: this path is the
@@ -180,15 +183,7 @@ def _inram_stage(
     index: LSHIndex[int] = LSHIndex(rows=rows, bands=bands, bucket_cap=bucket_cap)
     index.insert_batch(list(range(size)), fingerprints)
     index_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    best = np.full(size, -1, dtype=np.int64)
-    sims = np.zeros(size, dtype=np.float64)
-    for i in range(size):
-        match = index.best_match(i)
-        if match is not None:
-            best[i] = match[0]
-            sims[i] = match[1]
-    query_s = time.perf_counter() - t0
+    best, sims, query_s = _best_matches(index, size)
     return {
         "fingerprint_s": fingerprint_s,
         "index_s": index_s,
@@ -213,7 +208,6 @@ def _stage_row(run: IsolatedRun) -> Dict[str, object]:
 def run_scale_bench(
     sizes: Sequence[int],
     chunk: int = 2000,
-    shard_counts: Sequence[int] = (1, 4),
     bucket_cap: Optional[int] = 100,
     workload: str = "scale",
     work_dir: Optional[str] = None,
@@ -265,16 +259,10 @@ def run_scale_bench(
             )
             stages["store_fingerprint"] = _stage_row(fp_run)
 
-            for shards in shard_counts:
-                index_run = run_isolated(
-                    _store_index_stage,
-                    size_dir,
-                    shards,
-                    params.rows,
-                    params.bands,
-                    bucket_cap,
-                )
-                stages[f"store_index_shards{shards}"] = _stage_row(index_run)
+            index_run = run_isolated(
+                _store_index_stage, size_dir, params.rows, params.bands, bucket_cap
+            )
+            stages["store_index"] = _stage_row(index_run)
 
             inram_run = run_isolated(
                 _inram_stage,
@@ -291,28 +279,15 @@ def run_scale_bench(
             row["fingerprints_bit_identical"] = (
                 stages["store_fingerprint"]["values_sha256"] == inram["values_sha256"]
             )
-            row["decisions_identical"] = {
-                f"shards{shards}": (
-                    stages[f"store_index_shards{shards}"]["decisions_sha256"]
-                    == inram["decisions_sha256"]
-                )
-                for shards in shard_counts
-            }
+            row["decisions_identical"] = (
+                stages["store_index"]["decisions_sha256"] == inram["decisions_sha256"]
+            )
             row["store_peak_rss_kb"] = max(
                 stage["rss_delta_kb"]
                 for name, stage in stages.items()
                 if name.startswith("store_")
             )
             row["inram_peak_rss_kb"] = inram["rss_delta_kb"]
-            base = stages.get(f"store_index_shards{min(shard_counts)}")
-            peak_shards = max(shard_counts)
-            contender = stages.get(f"store_index_shards{peak_shards}")
-            if base is not None and contender is not None and base is not contender:
-                row["sharded_speedup"] = (
-                    base["total_s"] / contender["total_s"]
-                    if contender["total_s"] > 0
-                    else 0.0
-                )
             rows.append(row)
     finally:
         if owns_work_dir and not keep_work_dir:
@@ -322,9 +297,7 @@ def run_scale_bench(
     headline = {
         "largest_size": largest_row["size"],
         "fingerprints_bit_identical": all(r["fingerprints_bit_identical"] for r in rows),
-        "decisions_identical": all(
-            ok for r in rows for ok in r["decisions_identical"].values()
-        ),
+        "decisions_identical": all(r["decisions_identical"] for r in rows),
         "inram_peak_rss_kb": largest_row["inram_peak_rss_kb"],
         "store_peak_rss_kb": largest_row["store_peak_rss_kb"],
         "rss_ratio": (
@@ -332,12 +305,10 @@ def run_scale_bench(
             if largest_row["inram_peak_rss_kb"]
             else 0.0
         ),
-        "sharded_speedup": largest_row.get("sharded_speedup"),
     }
     metadata = {
         "sizes": list(sizes),
         "chunk": chunk,
-        "shard_counts": list(shard_counts),
         "bucket_cap": bucket_cap,
         "workload": workload,
         "seed": _SCALE_SEED,
@@ -347,15 +318,15 @@ def run_scale_bench(
             "one corpus generated in chunks into a memmap FingerprintStore; "
             "per size (a corpus prefix, adaptive t/b/r per Eq. 3/4): "
             "store_fingerprint re-minhashes encoded slices chunkwise into a "
-            "per-size store; store_index_shardsN builds a frozen band-sharded "
-            "LSH over the store (.npy shard files, memmapped) and answers "
-            "best_match for every row with the batched kernel; inram is the "
+            "per-size store; store_index builds a frozen LSHIndex over the "
+            "store (memmapped signatures, bucket layer built band range by "
+            "band range) and answers best_match for every row; inram is the "
             "RAM-resident reference (one-shot minhash, fingerprint objects, "
-            "serial LSHIndex, per-key best_match loop).  Each stage is one "
-            "forked child: seconds is child wall-clock, rss_delta_kb its "
-            "VmHWM growth.  values_sha256 must match between "
-            "store_fingerprint and inram (bit-identical fingerprints); "
-            "decisions_sha256 must match between every store_index variant "
+            "LSHIndex.insert_batch, the same per-key best_match loop).  Each "
+            "stage is one forked child: seconds is child wall-clock, "
+            "rss_delta_kb its VmHWM growth.  values_sha256 must match "
+            "between store_fingerprint and inram (bit-identical "
+            "fingerprints); decisions_sha256 must match between store_index "
             "and inram (identical best-match decisions)."
         ),
     }

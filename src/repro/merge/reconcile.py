@@ -348,7 +348,7 @@ def _rank_cross_candidates(
     """Globally re-rank the pool; keep pairs spanning partitions.
 
     One query per pool entry through the factory ranker (the same
-    LSH/sharded machinery the pass uses), deduplicated per unordered
+    ranker and LSH index the pass uses), deduplicated per unordered
     name pair, ordered best-similarity-first with a name tiebreak so the
     greedy phase is deterministic.
     """

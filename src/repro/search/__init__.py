@@ -9,7 +9,6 @@ from .adaptive import (
 )
 from .lsh import BucketStats, ColumnarBuckets, LSHIndex, LSHQueryStats, band_bucket_keys
 from .pairing import ExhaustiveRanker, Match, MinHashLSHRanker, Ranker, RankingStats
-from .sharded import BandShard, ShardedLSHIndex, shard_ranges
 
 __all__ = [
     "AdaptiveParameters",
@@ -22,9 +21,6 @@ __all__ = [
     "band_bucket_keys",
     "LSHIndex",
     "LSHQueryStats",
-    "BandShard",
-    "ShardedLSHIndex",
-    "shard_ranges",
     "ExhaustiveRanker",
     "Match",
     "MinHashLSHRanker",

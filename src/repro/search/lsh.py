@@ -16,35 +16,49 @@ batched similarity evaluation is a single vectorized comparison and
 is lazy (tombstones); when live rows drop below half the stored rows the
 index compacts itself so long remerge runs do not degrade.
 
-The bucket layout itself (:class:`ColumnarBuckets`, :func:`band_bucket_keys`)
-is module-level and band-range aware so :mod:`repro.search.sharded` can build
-the identical structure per band slice in worker processes.
+A frozen index over a whole :class:`~repro.fingerprint.store.FingerprintStore`
+(:meth:`LSHIndex.from_store`) shares the columnar builder, the kernel and
+the scorer: its keys are store rows, its matrix is the store's memmapped
+signature matrix, and only its bucket layer is built in RAM, band range by
+band range.
 
-Every query (:meth:`LSHIndex.query`, :meth:`LSHIndex.best_match`,
-:meth:`LSHIndex.probe`, and every query of the band-sharded index) runs one
-vectorized candidate kernel, :func:`capped_runs`, and one similarity
-scorer.  The kernel reads each probed bucket as a ``[start, start+count)``
-window of a columnar layer's sorted member rows, appends the bucket's
-overflow members (functions inserted after the batch, found with one
-``dict.get`` pass over the band keys), cuts the concatenation to the first
-``bucket_cap`` members and concatenates the windows in band order.  Dead
-rows and the querying row are masked out and the survivors deduped to
-their first occurrences with one stable sort, so a query costs time in the
-members it examines, never in the rows stored.  The only Python loop left
-runs over the few buckets that hold overflow members.
+Every query (:meth:`LSHIndex.query`, :meth:`LSHIndex.best_match` and
+:meth:`LSHIndex.probe`) runs one vectorized candidate kernel,
+:func:`capped_runs`, and one similarity scorer.  The kernel reads each
+probed bucket as a ``[start, start+count)`` window of a columnar layer's
+sorted member rows, appends the bucket's overflow members (functions
+inserted after the batch, found with one ``dict.get`` pass over the band
+keys), cuts the concatenation to the first ``bucket_cap`` members and
+concatenates the windows in band order.  Dead rows and the querying row
+are masked out and the survivors deduped to their first occurrences with
+one stable sort, so a query costs time in the members it examines, never
+in the rows stored.  The only Python loop left runs over the few buckets
+that hold overflow members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 import numpy as np
 
 from ..arrays import first_occurrences, segments
 from ..fingerprint.fnv import fnv1a_32_array_u32
 from ..fingerprint.minhash import MinHashFingerprint
+from ..fingerprint.store import FingerprintStore
 from ..obs import trace
 
 __all__ = [
@@ -78,7 +92,7 @@ def band_bucket_keys(
     ``[band_lo, band_hi)``.  Band indices in the keys are always *global*
     (relative to band 0), so keys computed per band slice are bit-identical
     to the corresponding columns of a whole-range computation — the property
-    band-sharded indexes rely on.
+    the band-ranged :func:`build_columnar_buckets` relies on.
     """
     if band_hi is None:
         band_hi = bands
@@ -94,14 +108,15 @@ def band_bucket_keys(
 
 
 class ColumnarBuckets:
-    """Columnar bucket layer over a contiguous band range.
+    """Columnar bucket layer over all ``width`` bands of ``n`` rows.
 
-    Built from one stable argsort over every (band, hash) key of a batch.
-    Bucket membership is stored as one sorted row array plus, per original
-    (row, band) flat position, the [start, end) bounds of that position's
-    bucket — no per-bucket Python dict or list is ever built (a key->slice
-    dict over ~n*b/3 buckets costs more than the argsort itself on large
-    modules).  A probe reads bucket windows, never member lists.
+    Built by :func:`build_columnar_buckets` from stable argsorts over the
+    (band, hash) keys.  Bucket membership is stored as one sorted row array
+    plus, per original (row, band) flat position, the [start, end) bounds of
+    that position's bucket — no per-bucket Python dict or list is ever built
+    (a key->slice dict over ~n*b/3 buckets costs more than the argsort
+    itself on large modules).  A probe reads bucket windows, never member
+    lists.
     """
 
     __slots__ = ("rows", "sorted_keys", "starts_flat", "ends_flat", "width")
@@ -114,13 +129,10 @@ class ColumnarBuckets:
         ends_flat: np.ndarray,
         width: int,
     ) -> None:
-        # Plain-ndarray views of possibly memmapped shard arrays: fancy
-        # indexing through np.memmap.__getitem__ is orders of magnitude
-        # slower than the base-class path, and the view shares the mapping.
-        self.rows = np.asarray(rows)
-        self.sorted_keys = np.asarray(sorted_keys)
-        self.starts_flat = np.asarray(starts_flat)
-        self.ends_flat = np.asarray(ends_flat)
+        self.rows = rows
+        self.sorted_keys = sorted_keys
+        self.starts_flat = starts_flat
+        self.ends_flat = ends_flat
         self.width = width  # bands covered by this layer
 
     def row_windows(self, rows: Union[int, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -156,29 +168,58 @@ class ColumnarBuckets:
         return dict(zip(sk[starts].tolist(), pops.tolist()))
 
 
-def build_columnar_buckets(bucket_keys: np.ndarray) -> ColumnarBuckets:
-    """Group all ``n*width`` (band, hash) keys with one stable argsort.
+# Keys sorted per step of the columnar build: each step takes the widest
+# band range whose n*width keys fit, so every module-sized index (201
+# functions x 100 bands) is one range and past 131,072 rows every band is
+# its own range.  Bounds the build's sort temporaries, not its output.
+_BUILD_KEY_BUDGET = 1 << 18
 
-    Row-major flattening keeps rows ascending within a bucket, i.e. exactly
-    the sequential-insert order.
+
+def build_columnar_buckets(
+    n: int, bands: int, range_keys: Callable[[int, int], np.ndarray]
+) -> ColumnarBuckets:
+    """The columnar bucket layer of ``n`` rows, built band range by band range.
+
+    ``range_keys(lo, hi)`` returns the ``(n, hi - lo)`` bucket keys of bands
+    ``[lo, hi)`` (a slice of a key matrix, or :func:`band_bucket_keys` over
+    a signature matrix).  Keys carry their band in the high bits, so the
+    keys of range ``[lo, hi)`` fill sorted positions ``[n*lo, n*hi)`` of the
+    whole layer: each range is sorted alone (one stable argsort) and written
+    in place into the preallocated arrays, bit-identical to one argsort over
+    all ``n*bands`` keys.  Row-major flattening keeps rows ascending within
+    a bucket, i.e. exactly the sequential-insert order.
     """
-    width = bucket_keys.shape[1]
-    flat_keys = np.ascontiguousarray(bucket_keys).ravel()
-    order = np.argsort(flat_keys, kind="stable")
-    sorted_keys = flat_keys[order]
-    rows = order // width
-    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    ends = np.concatenate([boundaries, np.array([sorted_keys.shape[0]], dtype=np.int64)])
-    # Scatter each bucket's [start, end) bounds back to every flat
-    # (row, band) position that belongs to it: a probing row reads its
-    # own bucket's bounds straight from its flat position, no key lookup.
-    counts = ends - starts
-    starts_flat = np.empty(order.shape[0], dtype=np.int64)
-    starts_flat[order] = np.repeat(starts, counts)
-    ends_flat = np.empty(order.shape[0], dtype=np.int64)
-    ends_flat[order] = np.repeat(ends, counts)
-    return ColumnarBuckets(rows, sorted_keys, starts_flat, ends_flat, width)
+    total = n * bands
+    rows = np.empty(total, dtype=np.int64)
+    sorted_keys = np.empty(total, dtype=np.int64)
+    starts_flat = np.empty(total, dtype=np.int64)
+    ends_flat = np.empty(total, dtype=np.int64)
+    # (row, band) views of the flat bounds: a range fills its band columns.
+    starts_grid = starts_flat.reshape(n, bands)
+    ends_grid = ends_flat.reshape(n, bands)
+    step = max(1, _BUILD_KEY_BUDGET // max(n, 1))
+    for lo in range(0, bands, step):
+        hi = min(lo + step, bands)
+        width = hi - lo
+        at = n * lo
+        flat_keys = np.ascontiguousarray(range_keys(lo, hi)).ravel()
+        order = np.argsort(flat_keys, kind="stable")
+        part = sorted_keys[at : at + order.shape[0]]
+        np.take(flat_keys, order, out=part)
+        np.floor_divide(order, width, out=rows[at : at + order.shape[0]])
+        boundaries = np.flatnonzero(part[1:] != part[:-1]) + 1
+        starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries]) + at
+        ends = np.concatenate([boundaries, [order.shape[0]]]) + at
+        # Scatter each bucket's [start, end) bounds back to every flat
+        # (row, band) position that belongs to it: a probing row reads its
+        # own bucket's bounds straight from its flat position, no key lookup.
+        counts = ends - starts
+        bounds = np.empty(order.shape[0], dtype=np.int64)
+        bounds[order] = np.repeat(starts, counts)
+        starts_grid[:, lo:hi] = bounds.reshape(n, width)
+        bounds[order] = np.repeat(ends, counts)
+        ends_grid[:, lo:hi] = bounds.reshape(n, width)
+    return ColumnarBuckets(rows, sorted_keys, starts_flat, ends_flat, bands)
 
 
 # One layer's probed buckets: (member_rows, starts, counts), bucket j being
@@ -268,6 +309,11 @@ class LSHIndex(Generic[KeyT]):
     skipping cheap, ``None`` disables auto-compaction entirely).  The
     default of 1.0 preserves the historical behaviour of compacting when
     live rows drop below half of the stored rows.
+
+    :meth:`from_store` builds the frozen form over a fingerprint store: its
+    keys are the store's rows, ``remove`` tombstones without compacting,
+    ``probe`` works, and the methods that would grow or reshuffle its
+    buffers (``insert``, ``insert_batch``, ``compact``, ``clone``) raise.
     """
 
     def __init__(
@@ -314,17 +360,83 @@ class LSHIndex(Generic[KeyT]):
         # Set when the matrices are shared with a clone() snapshot; any
         # in-place shuffle (compaction) must un-share them first.
         self._buffers_shared = False
+        # The fingerprint store of a frozen index (see from_store).
+        self._store: Optional[FingerprintStore] = None
+
+    @classmethod
+    def from_store(
+        cls,
+        store: FingerprintStore,
+        rows: int = 2,
+        bands: Optional[int] = None,
+        bucket_cap: Optional[int] = 100,
+    ) -> "LSHIndex[int]":
+        """A frozen index over every row of *store*, keyed by store row.
+
+        Queries read the store's memmapped signature matrix in place; the
+        columnar bucket layer is the only structure built, band range by
+        band range from :func:`band_bucket_keys` over the matrix, so no
+        per-row key map, fingerprint object or key matrix exists.  Answers
+        are those of an :class:`LSHIndex` that ``insert_batch``-ed the same
+        fingerprints in row order.  *bands* defaults to ``k // rows``.
+        """
+        k = store.config.k
+        if bands is None:
+            bands = k // rows
+        if bands <= 0 or rows * bands > k:
+            raise ValueError(f"rows*bands {rows}*{bands} does not fit k={k}")
+        index: LSHIndex[int] = cls(rows, bands, bucket_cap, compact_ratio=None)
+        n = len(store)
+        # Plain-ndarray view of the memmap: fancy indexing through
+        # np.memmap.__getitem__ is far slower, and the view shares the mapping.
+        values = np.asarray(store.values)
+        index._store = store
+        index._matrix_buf = values
+        index._keys = range(n)  # type: ignore[assignment] — keys are rows
+        index._alive = np.ones(n, dtype=bool)
+        index._live_count = index._base_count = n
+        index._base = build_columnar_buckets(
+            n, bands, lambda lo, hi: band_bucket_keys(values, rows, bands, lo, hi)
+        )
+        return index
+
+    def _check_mutable(self, op: str) -> None:
+        """Refuse *op* on a frozen index: it would grow or reshuffle buffers
+        that are the store's memmapped matrix."""
+        if self._store is not None:
+            raise RuntimeError(f"{op} is unavailable on a frozen store-backed index")
 
     # -- maintenance -----------------------------------------------------------------
     def __len__(self) -> int:
         return self._live_count
 
     def __contains__(self, key: KeyT) -> bool:
-        row = self._row_of.get(key)
+        row = self._find(key)
         return row is not None and bool(self._alive[row])
 
+    def _find(self, key: KeyT) -> Optional[int]:
+        """The row stored under *key*, or None; a frozen index's keys are
+        its rows."""
+        if self._store is None:
+            return self._row_of.get(key)
+        if isinstance(key, (int, np.integer)) and 0 <= key < len(self._keys):
+            return int(key)
+        return None
+
+    def _row(self, key: KeyT) -> int:
+        row = self._find(key)
+        if row is None:
+            raise KeyError(key)
+        return row
+
     def fingerprint(self, key: KeyT) -> MinHashFingerprint:
-        return self._fingerprints[self._row_of[key]]
+        row = self._row(key)
+        store = self._store
+        if store is None:
+            return self._fingerprints[row]
+        return MinHashFingerprint(
+            np.array(self._matrix_buf[row]), store.config, int(store.num_shingles[row])
+        )
 
     def _check_fingerprint(self, fingerprint: MinHashFingerprint) -> None:
         if fingerprint.config.k < self.rows * self.bands:
@@ -334,6 +446,7 @@ class LSHIndex(Generic[KeyT]):
             )
 
     def insert(self, key: KeyT, fingerprint: MinHashFingerprint) -> None:
+        self._check_mutable("insert")
         self._check_fingerprint(fingerprint)
         existing = self._row_of.get(key)
         if existing is not None and self._alive[existing]:
@@ -363,6 +476,7 @@ class LSHIndex(Generic[KeyT]):
         vectorized FNV-1a call and the fingerprint matrix is copied in
         bulk.
         """
+        self._check_mutable("insert_batch")
         if len(keys) != len(fingerprints):
             raise ValueError("keys and fingerprints must have equal length")
         n = len(keys)
@@ -407,7 +521,7 @@ class LSHIndex(Generic[KeyT]):
         index compacts itself (default ratio 1.0: tombstones outnumber
         live rows).
         """
-        row = self._row_of.get(key)
+        row = self._find(key)
         if row is not None and self._alive[row]:
             self._alive[row] = False
             self._live_count -= 1
@@ -429,6 +543,7 @@ class LSHIndex(Generic[KeyT]):
         Removed keys are forgotten entirely (their rows, fingerprints and
         key mappings are freed).
         """
+        self._check_mutable("compact")
         idx = np.flatnonzero(self._alive[: len(self._keys)])
         survivors = idx.tolist()
         n = len(survivors)
@@ -465,6 +580,7 @@ class LSHIndex(Generic[KeyT]):
         Compaction and capacity growth un-share the matrices before mutating
         them in place.
         """
+        self._check_mutable("clone")
         dup = self.__class__.__new__(self.__class__)
         dup.rows = self.rows
         dup.bands = self.bands
@@ -485,14 +601,18 @@ class LSHIndex(Generic[KeyT]):
         dup._matrix_buf = self._matrix_buf
         dup._bands_buf = self._bands_buf
         dup._buffers_shared = True
+        dup._store = None
         self._buffers_shared = True
         return dup
 
     # -- bucket layers -----------------------------------------------------------------
     def _build_base(self, bucket_keys: np.ndarray) -> None:
         """Columnar bucket layer for rows ``0..n-1`` from their band keys."""
-        self._base = build_columnar_buckets(bucket_keys)
-        self._base_count = bucket_keys.shape[0]
+        n = bucket_keys.shape[0]
+        self._base = build_columnar_buckets(
+            n, self.bands, lambda lo, hi: bucket_keys[:, lo:hi]
+        )
+        self._base_count = n
 
     def _bucket_insert_row(self, row: int, row_keys: List[int]) -> None:
         """Append one row's band keys to the overflow bucket layer."""
@@ -534,7 +654,7 @@ class LSHIndex(Generic[KeyT]):
     def _matrix(self) -> np.ndarray:
         if self._matrix_buf is None:
             return np.empty((0, self.rows * self.bands), dtype=np.uint32)
-        return self._matrix_buf[: len(self._fingerprints)]
+        return self._matrix_buf[: len(self._keys)]
 
     # -- queries ---------------------------------------------------------------------
     def _probe_keys(self, fingerprint: MinHashFingerprint) -> np.ndarray:
@@ -631,7 +751,7 @@ class LSHIndex(Generic[KeyT]):
         highly similar pairs share several buckets, so a cap rarely hides
         them (paper Section IV-E).
         """
-        me = self._row_of[key]
+        me = self._row(key)
         return self._pairs(*self._score(self._matrix()[me], stats, me))
 
     def probe(
@@ -653,7 +773,7 @@ class LSHIndex(Generic[KeyT]):
     ) -> Optional[Tuple[KeyT, float]]:
         """The nearest live candidate by estimated Jaccard similarity (the
         first one on ties, in candidate order)."""
-        me = self._row_of[key]
+        me = self._row(key)
         candidates, sims = self._score(self._matrix()[me], stats, me)
         if sims is None:
             return None

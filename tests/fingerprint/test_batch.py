@@ -1,9 +1,11 @@
-"""Bit-identity of the batched fingerprint engine vs the reference path.
+"""Bit-identity of the batched fingerprint engine vs the reference kernel.
 
 The batched engine's whole contract is "same bits, fewer array calls":
-every test here compares it against the per-function reference path —
-property-tested across random streams and MinHash configurations,
-plus the IR-level entry points over generated workloads.
+every test here compares it against the per-function kernel of
+``tests/reference/minhash.py`` — property-tested across random streams and
+MinHash configurations, plus the IR-level entry points (all of which,
+``MinHashFingerprint.from_encoded`` included, run the batched engine) over
+generated workloads.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.fingerprint import (
 )
 from repro.search.pairing import MinHashLSHRanker
 from repro.workloads import build_workload
-from tests.reference import ReferenceMinHashRanker
+from tests.reference import ReferenceMinHashRanker, reference_minhash
 
 
 def _functions(n=40, tag="batch"):
@@ -35,9 +37,13 @@ def _functions(n=40, tag="batch"):
 
 def _assert_rows_match(values, counts, streams, config):
     for i, stream in enumerate(streams):
-        ref = MinHashFingerprint.from_encoded(stream, config)
-        assert np.array_equal(values[i], ref.values), f"row {i} differs"
-        assert int(counts[i]) == ref.num_shingles
+        ref_values, ref_shingles = reference_minhash(stream, config)
+        assert np.array_equal(values[i], ref_values), f"row {i} differs"
+        assert int(counts[i]) == ref_shingles
+        single = MinHashFingerprint.from_encoded(stream, config)
+        assert single.values.dtype == np.uint32
+        assert np.array_equal(single.values, ref_values), f"row {i} differs alone"
+        assert single.num_shingles == ref_shingles
 
 
 def _pack(streams):
@@ -63,8 +69,9 @@ class TestEncodedBatchProperty:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(streams=streams, config=configs)
     def test_bit_identical_to_reference(self, streams, config):
-        """minhash_encoded_batch == from_encoded per stream, for any config
-        — including empty streams and streams shorter than the shingle."""
+        """minhash_encoded_batch and from_encoded == the reference kernel
+        per stream, for any config — including empty streams and streams
+        shorter than the shingle."""
         flat, lens = _pack(streams)
         values, counts = minhash_encoded_batch(flat, lens, config)
         assert values.shape == (len(streams), config.k)
@@ -133,9 +140,10 @@ class TestMinhashModule:
         funcs = _functions()
         batched = minhash_module(funcs, config)
         for func, fp in zip(funcs, batched):
-            ref = minhash_function(func, config)
-            assert np.array_equal(fp.values, ref.values), func.name
-            assert fp.num_shingles == ref.num_shingles
+            ref_values, ref_shingles = reference_minhash(encode_function(func), config)
+            assert np.array_equal(fp.values, ref_values), func.name
+            assert fp.num_shingles == ref_shingles
+            assert np.array_equal(minhash_function(func, config).values, ref_values)
 
     def test_cache_returns_identical_fingerprints(self):
         funcs = _functions()
@@ -158,8 +166,8 @@ class TestMinhashModule:
         cache = FingerprintCache()
         for func in funcs:
             got = minhash_single(func, config, cache=cache)
-            ref = minhash_function(func, config)
-            assert np.array_equal(got.values, ref.values)
+            assert np.array_equal(got.values, reference_minhash(encode_function(func), config)[0])
+            assert np.array_equal(minhash_single(func, config).values, got.values)
         # Identical bodies (or repeat calls) now hit.
         minhash_single(funcs[0], config, cache=cache)
         assert cache.stats.hits >= 1

@@ -9,10 +9,10 @@ from repro.fingerprint import (
     MinHashConfig,
     MinHashFingerprint,
     exact_jaccard,
-    shingle_hashes,
     shingle_set,
     shingles,
 )
+from tests.reference import shingle_hashes
 
 
 class TestShingles:

@@ -56,6 +56,11 @@ PARSE_ERROR_TEXTS = [
     "define i32 @f(i32 %x) {\nentry:\n  %v = add i32 %x, 1\n  %v = add i32 %x, 2\n  ret i32 %v\n}",
     "define i32 @f(i32 %x) {\nentry:\n  %r = call i32 @missing(i32 %x)\n  ret i32 %r\n}",
     "define wibble @f() {\nentry:\n  ret void\n}",
+    "define i1 @f(i32 %a) {\nentry:\n  %c = icmp sl- i32 %a, 1\n  ret i1 %c\n}",
+    "define i1 @f(double %a) {\nentry:\n  %c = fcmp xx double %a, 1.0\n  ret i1 %c\n}",
+    "define i32 @f() {\nentry:\n  %p = alloca i0\n  ret i32 0\n}",
+    "define i32 @f() {\nentry:\n  %p = alloca void*\n  ret i32 0\n}",
+    "define i32 @f() {\nentry:\n  %p = alloca [x x i32]\n  ret i32 0\n}",
 ]
 
 #: Lines the property inserts between the module's lines.

@@ -6,6 +6,9 @@ bit-identical answers:
 
 * :class:`ReferenceLSHIndex` — the LSH bucket walk over plain-list
   buckets, one member at a time;
+* :func:`reference_minhash` and :func:`shingle_hashes` — one function's
+  MinHash values from its shingle hashes and k salts, the kernel the
+  batched engine vectorizes;
 * :class:`ReferenceMinHashRanker` — F3M ranking with per-function MinHash
   fingerprints searched through :class:`ReferenceLSHIndex`;
 * :class:`PureAlignmentEngine` — alignment through the pure-Python
@@ -25,6 +28,7 @@ bit-identical answers:
 from .alignment import PureAlignmentEngine, alignment_shape
 from .dominance import ReferenceDominatorTree, reference_violations
 from .lsh import ReferenceLSHIndex
+from .minhash import reference_minhash, shingle_hashes
 from .ranking import ReferenceMinHashRanker
 from .transaction import ReferenceMergeTransaction, ReferenceRetainingTransaction
 
@@ -36,5 +40,7 @@ __all__ = [
     "ReferenceMinHashRanker",
     "ReferenceRetainingTransaction",
     "alignment_shape",
+    "reference_minhash",
     "reference_violations",
+    "shingle_hashes",
 ]

@@ -139,52 +139,59 @@ class _Tokens:
 
 
 def _parse_type(toks: _Tokens) -> Type:
-    kind, value = toks.next()
-    base: Type
-    if value == "void":
-        base = VOID
-    elif value == "label":
-        base = LABEL
-    elif value == "float":
-        base = FLOAT
-    elif value == "double":
-        base = DOUBLE
-    elif kind == "word" and re.fullmatch(r"i\d+", value):
-        base = IntType(int(value[1:]))
-    elif value == "[":
-        _, count = toks.next()
-        toks.expect("x")
-        elem = _parse_type(toks)
-        toks.expect("]")
-        base = ArrayType(elem, int(count))
-    elif value == "{":
-        fields = []
-        if not toks.accept("}"):
-            fields.append(_parse_type(toks))
-            while toks.accept(","):
+    start = toks.index
+    try:
+        kind, value = toks.next()
+        base: Type
+        if value == "void":
+            base = VOID
+        elif value == "label":
+            base = LABEL
+        elif value == "float":
+            base = FLOAT
+        elif value == "double":
+            base = DOUBLE
+        elif kind == "word" and re.fullmatch(r"i\d+", value):
+            base = IntType(int(value[1:]))
+        elif value == "[":
+            _, count = toks.next()
+            if not count.isdigit():
+                raise ParseError(f"expected an array length, got {count!r}", toks.line)
+            toks.expect("x")
+            elem = _parse_type(toks)
+            toks.expect("]")
+            base = ArrayType(elem, int(count))
+        elif value == "{":
+            fields = []
+            if not toks.accept("}"):
                 fields.append(_parse_type(toks))
-            toks.expect("}")
-        base = StructType(fields)
-    else:
-        raise ParseError(f"expected a type, got {value!r}", toks.line)
-    # Suffixes: "(params)" builds a function type, "*" a pointer.  This is
-    # unambiguous because every call-like construct puts the callee token
-    # between the return type and its argument parenthesis, so a "(" right
-    # after a type can only be a function-type parameter list (the operand
-    # spelling of address-taken functions: ``i32 (i32)* @callee``).
-    while True:
-        if toks.accept("("):
-            params = []
-            if not toks.accept(")"):
-                params.append(_parse_type(toks))
                 while toks.accept(","):
-                    params.append(_parse_type(toks))
-                toks.expect(")")
-            base = FunctionType(base, params)
-        elif toks.accept("*"):
-            base = PointerType(base)
+                    fields.append(_parse_type(toks))
+                toks.expect("}")
+            base = StructType(fields)
         else:
-            return base
+            raise ParseError(f"expected a type, got {value!r}", toks.line)
+        # Suffixes: "(params)" builds a function type, "*" a pointer.  This is
+        # unambiguous because every call-like construct puts the callee token
+        # between the return type and its argument parenthesis, so a "(" right
+        # after a type can only be a function-type parameter list (the operand
+        # spelling of address-taken functions: ``i32 (i32)* @callee``).
+        while True:
+            if toks.accept("("):
+                params = []
+                if not toks.accept(")"):
+                    params.append(_parse_type(toks))
+                    while toks.accept(","):
+                        params.append(_parse_type(toks))
+                    toks.expect(")")
+                base = FunctionType(base, params)
+            elif toks.accept("*"):
+                base = PointerType(base)
+            else:
+                return base
+    except ValueError as exc:  # a type constructor refused the type
+        toks.index = start
+        raise ParseError(str(exc), toks.line) from None
 
 
 class _FunctionParser:
@@ -317,19 +324,25 @@ class _FunctionParser:
         elif op == "unreachable":
             inst = Unreachable()
         elif op == "icmp":
-            _, pred = toks.next()
+            _, word = toks.next()
+            pred = _ICMP_PREDS.get(word)
+            if pred is None:
+                raise ParseError(f"unknown icmp predicate {word!r}", toks.line)
             ty = _parse_type(toks)
             a = self._value(ty)
             toks.expect(",")
             b = self._value(ty)
-            inst = ICmp(_ICMP_PREDS[pred], a, b)
+            inst = ICmp(pred, a, b)
         elif op == "fcmp":
-            _, pred = toks.next()
+            _, word = toks.next()
+            pred = _FCMP_PREDS.get(word)
+            if pred is None:
+                raise ParseError(f"unknown fcmp predicate {word!r}", toks.line)
             ty = _parse_type(toks)
             a = self._value(ty)
             toks.expect(",")
             b = self._value(ty)
-            inst = FCmp(_FCMP_PREDS[pred], a, b)
+            inst = FCmp(pred, a, b)
         elif op == "select":
             cond = self._typed_value()
             toks.expect(",")

@@ -6,7 +6,7 @@ member at a time.  Seeded random sequences of index operations drive it and
 members behind a columnar base layer, tombstones inside cap windows and
 compactions all occur; after every operation each live key's candidate
 list, best match and query accounting must be identical.  The frozen
-band-sharded index must agree with the same oracle.
+store-backed index must agree with the same oracle.
 """
 
 import random
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.fingerprint import FingerprintStore, MinHashConfig, MinHashFingerprint
-from repro.search import LSHIndex, LSHQueryStats, ShardedLSHIndex
+from repro.search import LSHIndex, LSHQueryStats
 from tests.reference import ReferenceLSHIndex
 
 CFG = MinHashConfig(k=16)
@@ -167,29 +167,23 @@ class TestQueryCost:
         assert index.best_match(0) == (n, 1.0)
 
 
-class TestShardedMatchesWalk:
-    @pytest.mark.parametrize("shards,cap", [(1, 2), (2, 3), (3, 5), (8, 4)])
-    def test_best_match_and_best_match_all(self, tmp_path, shards, cap):
-        rng = random.Random(shards * 10 + cap)
+class TestStoreIndexMatchesWalk:
+    @pytest.mark.parametrize("seed,cap", [(1, 2), (2, 3), (3, 5), (8, 4)])
+    def test_best_match_and_query(self, tmp_path, seed, cap):
+        rng = random.Random(seed * 10 + cap)
         streams = [_stream(rng) for _ in range(50)]
         lens = np.array([len(s) for s in streams], dtype=np.int64)
         flat = np.array([v for s in streams for v in s], dtype=np.uint64)
         store = FingerprintStore.create(str(tmp_path / "store"), CFG)
         store.append_encoded(flat, lens)
-        index = ShardedLSHIndex.from_store(
-            store, rows=ROWS, bands=BANDS, bucket_cap=cap, shards=shards
-        )
+        index = LSHIndex.from_store(store, rows=ROWS, bands=BANDS, bucket_cap=cap)
         oracle = ReferenceLSHIndex(rows=ROWS, bands=BANDS, bucket_cap=cap, compact_ratio=None)
         oracle.insert_batch(range(50), [index.fingerprint(key) for key in range(50)])
         for victim in rng.sample(range(50), 6):
             index.remove(victim)
             oracle.remove(victim)
-        best, sims = index.best_match_all(batch_rows=7)
+        probe = _fingerprint(rng)
+        _assert_same(index, oracle, probe)
         for key in range(50):
-            want = oracle.best_match(key)
-            assert index.best_match(key) == want
-            if want is None:
-                assert best[key] == -1
-            else:
-                assert (int(best[key]), float(sims[key])) == want
+            assert index.best_match(key) == oracle.best_match(key)
         assert index.capped_bucket_hits > 0

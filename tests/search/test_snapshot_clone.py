@@ -5,7 +5,6 @@ import pytest
 
 from repro.fingerprint import MinHashConfig, MinHashFingerprint
 from repro.search import LSHIndex
-from repro.search.sharded import ShardedLSHIndex
 
 
 def fp(seq, k=200):
@@ -161,7 +160,7 @@ class TestClone:
         assert answers(index) == before
 
 
-class TestShardedClone:
+class TestStoreIndexClone:
     def test_frozen_store_backed_index_refuses_clone(self, tmp_path):
         import numpy as np
 
@@ -177,7 +176,7 @@ class TestShardedClone:
             h2=np.arange(100, 106, dtype=np.int64),
             num_shingles=np.full(6, 38, dtype=np.int64),
         )
-        index = ShardedLSHIndex.from_store(store, rows=2, bands=100, shards=2)
+        index = LSHIndex.from_store(store, rows=2, bands=100)
         with pytest.raises(RuntimeError):
             index.clone()
 

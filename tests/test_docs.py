@@ -180,6 +180,23 @@ class TestMarkdownLint:
         problems = lint.run_checks()
         assert any("dead relative link" in p for p in problems)
 
+    def test_lint_catches_dead_code_paths(self, tmp_path, monkeypatch):
+        lint = self._load()
+        (tmp_path / "CHANGES.md").write_text("PR 1: `search/gone.py` is history\n")
+        (tmp_path / "ROADMAP.md").write_text("## Open items\n\n## Recent\n")
+        (tmp_path / "src" / "repro" / "search").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "search" / "lsh.py").write_text("")
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "lint_docs.py").write_text("")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "page.md").write_text(
+            "`search/lsh.py:12`, `src/repro/search/lsh.py`, `tools/lint_docs.py`\n"
+        )
+        (tmp_path / "README.md").write_text("see `search/gone.py`\n")
+        monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
+        problems = lint.run_checks()
+        assert problems == ["README.md: code path `search/gone.py` names no file"]
+
 
 class TestReadmePointers:
     def test_readme_links_all_docs(self):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint the repository's Markdown for formatting drift and dead links.
 
-Three checks, all cheap enough for tier 1 (``tests/test_docs.py`` runs
+Four checks, all cheap enough for tier 1 (``tests/test_docs.py`` runs
 ``run_checks`` directly):
 
 1. **CHANGES.md format** — one line per PR, each matching ``PR <n>: ...``
@@ -15,6 +15,10 @@ Three checks, all cheap enough for tier 1 (``tests/test_docs.py`` runs
 3. **Dead relative links** — every ``[text](target)`` in every tracked
    Markdown file resolves to a real file (http/mailto and in-page
    anchors excluded; tier 1 has no network).
+4. **Dead code paths** — every backticked ``dir/file.py`` path in
+   ``README.md``, ``DESIGN.md`` and ``docs/`` resolves from the repository
+   root, ``src/`` or ``src/repro/`` (the ledgers, such as ``CHANGES.md``
+   and ``ROADMAP.md``, record history and are not checked).
 
 Usage (from the repository root)::
 
@@ -33,6 +37,9 @@ _CHANGES_RE = re.compile(r"^PR (\d+): \S")
 _OPEN_ITEM_RE = re.compile(r"^(\d+)\. \*\*")
 # [text](target) — excluding images and pure in-page anchors.
 _LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)#\s]+)[^)]*\)")
+# `dir/file.py`, optionally followed by `:line` or `::test`.
+_CODE_PATH_RE = re.compile(r"`((?:[\w.-]+/)+[\w.-]+\.py)(?::[^`]*)?`")
+_CODE_PATH_ROOTS = ("", "src", os.path.join("src", "repro"))
 
 
 def _markdown_files() -> list:
@@ -131,11 +138,35 @@ def check_links(problems: list) -> None:
                 problems.append(f"{rel}: dead relative link ({target})")
 
 
+def check_code_paths(problems: list) -> None:
+    docs = os.path.join(REPO_ROOT, "docs")
+    pages = [os.path.join(REPO_ROOT, name) for name in ("README.md", "DESIGN.md")]
+    if os.path.isdir(docs):
+        pages += [
+            os.path.join(docs, name)
+            for name in sorted(os.listdir(docs))
+            if name.endswith(".md")
+        ]
+    for path in pages:
+        if not os.path.exists(path):
+            continue
+        rel = os.path.relpath(path, REPO_ROOT)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        for target in _CODE_PATH_RE.findall(text):
+            if not any(
+                os.path.isfile(os.path.join(REPO_ROOT, root, target))
+                for root in _CODE_PATH_ROOTS
+            ):
+                problems.append(f"{rel}: code path `{target}` names no file")
+
+
 def run_checks() -> list:
     problems = []
     check_changes(problems)
     check_roadmap(problems)
     check_links(problems)
+    check_code_paths(problems)
     return problems
 
 
