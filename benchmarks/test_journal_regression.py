@@ -10,6 +10,11 @@ settings (the §III-E codegen bugs), the pass with the journaled
 attempt records and alignment-cache statistics as with the clone-based
 ``tests/reference/transaction.py``.  ``repro merge --inject-fault
 commit:N`` for N = 1..5 must write the same file with either transaction.
+
+The pass runs without the profitability bound, which rejects nearly every
+pair that would end ``unprofitable`` before codegen: with it, no attempt
+on these workloads rolls back a codegen, and the rollback path would go
+unchecked.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ def _merge(num_functions, strategy, legacy_bugs, transaction):
     module = build_workload(num_functions, f"journal{num_functions}")
     report = FunctionMergingPass(
         make_ranker(strategy),
-        PassConfig(legacy_bugs=legacy_bugs),
+        PassConfig(legacy_bugs=legacy_bugs, prealign_bound=False),
         transaction_factory=transaction,
     ).run(module)
     attempts = [

@@ -7,12 +7,15 @@ F3M Section III-E live.
 Both consumers share one scan, :func:`dominance_violations`.  It is linear
 in the size of the function: block dominance is an interval test on a
 pre-order numbering of the tree, and same-block order is decided by what the
-walk has already passed.
+walk has already passed.  The tree can also be built over a bare graph of
+successor indices (:meth:`DominatorTree.of_successors`); the profitability
+bound uses that to find the same violations on a merged function's block
+layout before the function is built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -23,23 +26,71 @@ from .cfg import reverse_postorder
 __all__ = ["DominatorTree", "dominance_violations"]
 
 
-class DominatorTree:
-    """Immediate-dominator map for the reachable blocks of a function.
+def _reverse_postorder(succs: Sequence[Sequence[int]]) -> List[int]:
+    """Nodes reachable from node 0 in reverse DFS postorder, visiting
+    successors in list order as :func:`~repro.analysis.cfg.postorder` does."""
+    if not succs:
+        return []
+    seen = [False] * len(succs)
+    seen[0] = True
+    order: List[int] = []
+    nodes = [0]
+    idxs = [0]
+    while nodes:
+        here = succs[nodes[-1]]
+        i = idxs[-1]
+        n = len(here)
+        while i < n and seen[here[i]]:
+            i += 1
+        if i < n:
+            idxs[-1] = i + 1
+            nxt = here[i]
+            seen[nxt] = True
+            nodes.append(nxt)
+            idxs.append(0)
+        else:
+            order.append(nodes.pop())
+            idxs.pop()
+    order.reverse()
+    return order
 
-    Blocks are numbered in reverse postorder; predecessor lists are built
-    once from successor edges, so only reachable predecessors appear and no
-    block's use list is ever scanned.
+
+class DominatorTree:
+    """Immediate-dominator tree of a control-flow graph.
+
+    ``DominatorTree(func)`` is the tree of a function's reachable blocks;
+    :meth:`of_successors` builds it for any graph given as successor-index
+    lists, such as a merged function's block layout before a block of it
+    exists.  Nodes are numbered in reverse postorder; predecessor lists are
+    built once from successor edges, so only reachable predecessors appear
+    and no block's use list is ever scanned.
     """
 
     def __init__(self, func: Function) -> None:
-        self.function = func
-        self._rpo = reverse_postorder(func)
-        self._index: Dict[int, int] = {id(b): i for i, b in enumerate(self._rpo)}
-        n = len(self._rpo)
+        self.function: Optional[Function] = func
+        self._rpo: list = reverse_postorder(func)
+        index = self._index = {id(b): i for i, b in enumerate(self._rpo)}
+        self._build([[index[id(s)] for s in b.successors()] for b in self._rpo])
+
+    @classmethod
+    def of_successors(cls, succs: Sequence[Sequence[int]]) -> "DominatorTree":
+        """The tree of the graph whose node *v* has the successors
+        ``succs[v]``, entered at node 0; it is keyed by node number."""
+        tree = cls.__new__(cls)
+        tree.function = None
+        tree._rpo = _reverse_postorder(succs)
+        index = tree._index = {v: i for i, v in enumerate(tree._rpo)}
+        tree._build([[index[s] for s in succs[v]] for v in tree._rpo])
+        return tree
+
+    def _build(self, succs: List[List[int]]) -> None:
+        """Build the tree from successor lists numbered in reverse
+        postorder (the entry is 0, every node is reachable)."""
+        n = len(succs)
         preds: List[List[int]] = [[] for _ in range(n)]
-        for i, block in enumerate(self._rpo):
-            for succ in block.successors():
-                p = preds[self._index[id(succ)]]
+        for i, here in enumerate(succs):
+            for s in here:
+                p = preds[s]
                 if not p or p[-1] != i:
                     p.append(i)
         self._idom = self._compute(preds)
@@ -61,6 +112,19 @@ class DominatorTree:
         self._pre = pre
         self._size = size
         self._children = children
+
+    def intervals(self, count: int) -> Tuple[List[int], List[int]]:
+        """Dominance as intervals over the nodes ``0 .. count-1`` of a tree
+        built by :meth:`of_successors`: node *a* dominates node *b* iff
+        ``lo[a] <= lo[b] < hi[a]``.  Unreachable nodes get ``lo = -1``."""
+        lo = [-1] * count
+        hi = [-1] * count
+        pre = self._pre
+        size = self._size
+        for v, i in self._index.items():
+            lo[v] = pre[i]
+            hi[v] = pre[i] + size[i]
+        return lo, hi
 
     @staticmethod
     def _compute(preds: List[List[int]]) -> List[int]:

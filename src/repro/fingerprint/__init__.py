@@ -6,7 +6,13 @@ shares fingerprints content-addressed across functions, runs and CLI
 invocations.
 """
 
-from .batch import encode_module, minhash_encoded_batch, minhash_module, minhash_single
+from .batch import (
+    encode_module,
+    minhash_encoded_batch,
+    minhash_encoded_one,
+    minhash_module,
+    minhash_single,
+)
 from .cache import CacheStats, FingerprintCache
 from .encoding import EncodingOptions, encode_function, encode_instruction
 from .fnv import fnv1a_32, fnv1a_32_ints, fnv1a_32_pair, salts
@@ -21,6 +27,7 @@ __all__ = [
     "FingerprintCache",
     "encode_module",
     "minhash_encoded_batch",
+    "minhash_encoded_one",
     "minhash_module",
     "minhash_single",
     "encode_function",

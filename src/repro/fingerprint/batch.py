@@ -17,9 +17,11 @@ module-wide passes:
   :class:`~repro.fingerprint.cache.FingerprintCache` (identical-bodied
   functions share one computation).
 
-:func:`minhash_encoded_batch` is the only MinHash kernel: a single
-function (:meth:`MinHashFingerprint.from_encoded`, and through it
-:func:`minhash_function` and :func:`minhash_single`) is a one-row pack.
+:func:`minhash_encoded_batch` is the MinHash kernel.  A single function
+(:meth:`MinHashFingerprint.from_encoded`, and through it
+:func:`minhash_function` and :func:`minhash_single`) takes its one-row
+short path, :func:`minhash_encoded_one`, which skips the per-function
+segment gathers.
 Every path is bit-identical to the per-function kernel kept as the test
 oracle ``tests/reference/minhash.py`` — property-tested in
 ``tests/fingerprint/test_batch.py``.
@@ -45,6 +47,7 @@ from .fnv import fnv1a_32_array_u32
 __all__ = [
     "encode_module",
     "minhash_encoded_batch",
+    "minhash_encoded_one",
     "minhash_module",
     "minhash_single",
 ]
@@ -291,6 +294,35 @@ def minhash_encoded_batch(
         fstart = fend
     values[nonempty] = out
     return values, counts
+
+
+def minhash_encoded_one(
+    encoded: Sequence[int], config: MinHashConfig = MinHashConfig()
+) -> Tuple[np.ndarray, int]:
+    """``(values, num_shingles)`` of one encoded stream: row 0 of
+    :func:`minhash_encoded_batch` on a one-stream pack, without the
+    segment gathers a pack of many streams needs."""
+    words = np.asarray(encoded, dtype=np.uint64).astype(np.uint32)
+    n = words.shape[0]
+    if n == 0:
+        return np.full(config.k, _EMPTY_SENTINEL, dtype=np.uint32), 0
+    # A stream shorter than the shingle size is one (short) window.  The
+    # windows are a strided view of the words (sliding_window_view's
+    # argument checks cost more than hashing a short stream).
+    width = min(config.shingle_size, n)
+    windows = np.ndarray((n - width + 1, width), np.uint32, words, 0, (4, 4))
+    base = fnv1a_32_array_u32(windows)
+    salt_vec = _salts_for(config)
+    if config.independent_hashes:
+        pairs = np.empty((base.shape[0], 2), dtype=np.uint32)
+        pairs[:, 1] = base
+        values = np.empty(config.k, dtype=np.uint32)
+        for j in range(config.k):
+            pairs[:, 0] = salt_vec[j]
+            values[j] = fnv1a_32_array_u32(pairs).min()
+        return values, int(base.shape[0])
+    # Windows-major, so the min runs down contiguous rows of k salts.
+    return (base[:, None] ^ salt_vec[None, :]).min(axis=0), int(base.shape[0])
 
 
 # ---------------------------------------------------------------------------

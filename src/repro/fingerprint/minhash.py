@@ -93,13 +93,10 @@ class MinHashFingerprint:
         """The fingerprint of one encoded stream: the batched engine's row
         for a one-function pack (an empty stream gets all-ones values,
         which match nothing but another empty stream)."""
-        from .batch import minhash_encoded_batch  # batch imports this module
+        from .batch import minhash_encoded_one  # batch imports this module
 
-        flat = np.asarray(encoded, dtype=np.uint64)
-        values, counts = minhash_encoded_batch(
-            flat, np.array([flat.shape[0]], dtype=np.int64), config
-        )
-        return cls(values[0], config, int(counts[0]))
+        values, count = minhash_encoded_one(encoded, config)
+        return cls(values, config, count)
 
     # -- similarity -----------------------------------------------------------------
     def similarity(self, other: "MinHashFingerprint") -> float:

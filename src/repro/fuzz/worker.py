@@ -6,11 +6,15 @@ code), an unbounded loop the interpreter's fuel doesn't cover, an OOM
 kill.  So evaluation runs in subprocess workers speaking a JSON-line
 protocol::
 
+    worker -> parent:  {"ready": true}\\n   (once, after its imports)
     parent -> worker:  {"config": {semantic fields...}, "index": 17}\\n
     worker -> parent:  {result of evaluate_candidate(...)}\\n
 
 Requests are stateless (each line carries the full semantic config), so
-a replacement worker needs no handshake: kill, respawn, resend.
+a replacement worker needs no handshake beyond its ready line: kill,
+respawn, resend.  The parent waits for the ready line before it sends a
+request, so a request's deadline never covers interpreter start-up and
+imports; end of file before the ready line counts as a crash.
 
 Fault policy, per candidate:
 
@@ -52,6 +56,10 @@ from .verify import evaluate_candidate
 __all__ = ["WorkerPool", "run_pool", "worker_main"]
 
 _CRASH_EXIT = 23  # distinctive status for injected crashes
+_READY = {"ready": True}
+# How long a new worker may take to start and import before it counts as
+# hung; generous, since it only bounds a worker that will never answer.
+_START_TIMEOUT = 120.0
 
 
 def _parse_worker_fault(spec: Optional[str]):
@@ -73,9 +81,12 @@ def _parse_worker_fault(spec: Optional[str]):
 
 
 def worker_main(stdin=None, stdout=None) -> None:
-    """Serve evaluation requests until stdin closes (one JSON line each)."""
+    """Announce readiness, then serve evaluation requests until stdin
+    closes (one JSON line each)."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
+    stdout.write(json.dumps(_READY) + "\n")
+    stdout.flush()
     for line in stdin:
         line = line.strip()
         if not line:
@@ -108,6 +119,10 @@ class _Worker:
         self.proc: Optional[subprocess.Popen] = None
 
     def start(self) -> None:
+        self.spawn()
+        self.wait_ready()
+
+    def spawn(self) -> None:
         src_root = str(Path(__file__).resolve().parents[2])
         env = dict(os.environ)
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
@@ -120,18 +135,17 @@ class _Worker:
             text=True,
         )
 
-    def request(self, config: FuzzConfig, index: int, timeout: float) -> Optional[Dict]:
-        """One request/reply round; ``None`` means the worker died or hung."""
+    def wait_ready(self) -> None:
+        """Block until the worker has started; a worker that exits or hangs
+        first is killed, so its first request fails like a crash."""
+        if self.proc is not None and self._readline(_START_TIMEOUT) != _READY:
+            self.kill()
+
+    def _readline(self, timeout: float) -> Optional[Dict]:
+        """The worker's next reply line, or ``None`` on EOF, a deadline
+        passed or a line that is not JSON."""
         proc = self.proc
-        if proc is None or proc.poll() is not None:
-            return None
-        try:
-            proc.stdin.write(
-                json.dumps({"config": config.semantic_dict(), "index": index}) + "\n"
-            )
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            return None
+        assert proc is not None
         reply: List[Optional[str]] = [None]
 
         def _read():
@@ -149,6 +163,20 @@ class _Worker:
             return json.loads(reply[0])
         except json.JSONDecodeError:
             return None
+
+    def request(self, config: FuzzConfig, index: int, timeout: float) -> Optional[Dict]:
+        """One request/reply round; ``None`` means the worker died or hung."""
+        proc = self.proc
+        if proc is None or proc.poll() is not None:
+            return None
+        try:
+            proc.stdin.write(
+                json.dumps({"config": config.semantic_dict(), "index": index}) + "\n"
+            )
+            proc.stdin.flush()
+        except (BrokenPipeError, OSError):
+            return None
+        return self._readline(timeout)
 
     def kill(self) -> None:
         if self.proc is not None and self.proc.poll() is None:
@@ -217,8 +245,12 @@ class WorkerPool:
         try:
             for i in range(min(self.config.workers, max(1, len(indices)))):
                 worker = _Worker(i)
-                worker.start()
+                worker.spawn()
                 workers.append(worker)
+            # The workers start up side by side; none is sent a request
+            # before it is ready.
+            for worker in workers:
+                worker.wait_ready()
         except (OSError, ValueError):
             for worker in workers:
                 worker.kill()

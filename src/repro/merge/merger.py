@@ -13,8 +13,10 @@ Given two functions and a block-level alignment, emit one merged function:
 * terminators merge when both functions branch to correspondingly-paired
   blocks, otherwise each function keeps its own guarded terminator.
 
-Dominance violations introduced by sharing are fixed afterwards by
-:mod:`repro.merge.ssa_repair`.
+Which blocks exist, in what order, and where each original block is
+entered and left come from :class:`~repro.merge.layout.BlockLayout`, which
+the profitability bound prices before codegen.  Dominance violations
+introduced by sharing are fixed afterwards by :mod:`repro.merge.ssa_repair`.
 """
 
 from __future__ import annotations
@@ -31,22 +33,13 @@ from ..alignment.model import (
 from ..ir.basicblock import BasicBlock
 from ..ir.clone import clone_instruction
 from ..ir.function import Function, LocalNamer
-from ..ir.instructions import (
-    Branch,
-    Instruction,
-    Invoke,
-    Opcode,
-    Phi,
-    Ret,
-    Select,
-    Switch,
-    Unreachable,
-)
+from ..ir.instructions import Branch, Instruction, Phi, Select
 from ..ir.module import Module
-from ..ir.types import FunctionType, I1, Type
-from ..ir.values import Argument, Constant, ConstantFloat, ConstantInt, ConstantNull, UndefValue, Value
+from ..ir.types import FunctionType
+from ..ir.values import Argument, Constant, UndefValue, Value
 from ..obs import trace
 from .errors import MergeError
+from .layout import BlockLayout, PairLayout, _constants_equal, _merge_parameters
 from .ssa_repair import repair_ssa
 
 __all__ = ["MergeOptions", "MergeResult", "merge_functions"]
@@ -79,46 +72,6 @@ class MergeResult:
     num_shared: int = 0
     num_private: int = 0
     repairs: int = 0
-
-
-def _merge_parameters(
-    func_a: Function, func_b: Function
-) -> Tuple[List[Type], List[int], List[int]]:
-    """Merge the two parameter lists by type; slot 0 is the function id."""
-    types: List[Type] = [I1]
-    map_a: List[int] = []
-    map_b: List[int] = []
-    for arg in func_a.args:
-        map_a.append(len(types))
-        types.append(arg.type)
-    taken = [False] * len(types)
-    for arg in func_b.args:
-        slot = -1
-        for i in range(1, len(types)):
-            if not taken[i] and types[i] is arg.type:
-                slot = i
-                break
-        if slot < 0:
-            slot = len(types)
-            types.append(arg.type)
-            taken.append(False)
-        taken[slot] = True
-        map_b.append(slot)
-    return types, map_a, map_b
-
-
-def _constants_equal(a: Value, b: Value) -> bool:
-    if a is b:
-        return True
-    if type(a) is not type(b) or a.type is not b.type:
-        return False
-    if isinstance(a, ConstantInt):
-        return a.value == b.value  # type: ignore[union-attr]
-    if isinstance(a, ConstantFloat):
-        return a.value == b.value or (a.value != a.value and b.value != b.value)  # type: ignore[union-attr]
-    if isinstance(a, (ConstantNull, UndefValue)):
-        return True
-    return False
 
 
 @dataclass
@@ -169,22 +122,16 @@ class _Merger:
             self.vmap_a[id(arg)] = self.merged.args[slot]
         for arg, slot in zip(self.func_b.args, self.map_b):
             self.vmap_b[id(arg)] = self.merged.args[slot]
-        # Block maps: entry point and terminator-holder of each original block.
-        self.entry_a: Dict[int, BasicBlock] = {}
-        self.entry_b: Dict[int, BasicBlock] = {}
-        self.exit_a: Dict[int, BasicBlock] = {}
-        self.exit_b: Dict[int, BasicBlock] = {}
+        # Every block, and each original block's entry and exit, come from
+        # the layout; the blocks are created in its order up front.
+        self.layout = BlockLayout(alignment)
+        self.blocks = [BasicBlock(name, self.merged) for name in self.layout.block_names()]
         self.pending: List[_Pending] = []
         self.phi_shells: List[Tuple[Phi, Phi, str]] = []  # (new, old, side)
-        self._deferred_terms: List[
-            Tuple[BlockAlignment, int, BasicBlock, Instruction, Instruction]
-        ] = []
+        self._deferred_terms: List[Tuple[PairLayout, BasicBlock, Instruction, Instruction]] = []
         self.result = MergeResult(self.merged, self.func_a, self.func_b)
 
     # -- small helpers -----------------------------------------------------------
-    def _new_block(self, name: str) -> BasicBlock:
-        return BasicBlock(name, self.merged)
-
     def _placeholder_clone(
         self, inst: Instruction, side: str, partner: Optional[Instruction] = None
     ) -> Instruction:
@@ -233,19 +180,19 @@ class _Merger:
         )
 
     def _entry_of(self, block: BasicBlock, side: str) -> BasicBlock:
-        emap = self.entry_a if side == "a" else self.entry_b
+        emap = self.layout.entry_a if side == "a" else self.layout.entry_b
         target = emap.get(id(block))
         if target is None:
             raise MergeError(f"no merged entry for block %{block.name}")
-        return target
+        return self.blocks[target]
 
     # -- phase 1: block scaffolding ----------------------------------------------
     def build(self) -> MergeResult:
         with trace.span("codegen.merge"):
-            dispatch = self._new_block("entry")
+            dispatch = self.blocks[0]
             self._build_pairs()
-            self._build_unmatched(self.alignment.unmatched_a, "a")
-            self._build_unmatched(self.alignment.unmatched_b, "b")
+            self._build_unmatched(self.alignment.unmatched_a, self.layout.unmatched_a, "a")
+            self._build_unmatched(self.alignment.unmatched_b, self.layout.unmatched_b, "b")
             self._flush_terminators()
             self._emit_dispatch(dispatch)
             self._patch_operands()
@@ -274,18 +221,13 @@ class _Merger:
             dispatch.append(Branch(entry_a))
         else:
             dispatch.append(Branch(self.fid, entry_b, entry_a))
-        # The dispatch block must be the function entry.
-        self.merged.blocks.remove(dispatch)
-        self.merged.blocks.insert(0, dispatch)
 
     def _build_pairs(self) -> None:
-        for index, pair in enumerate(self.alignment.block_pairs):
-            self._build_pair(pair, index)
+        for pair, plan in zip(self.alignment.block_pairs, self.layout.pairs):
+            self._build_pair(pair, plan)
 
-    def _build_pair(self, pair: BlockAlignment, index: int) -> None:
-        head = self._new_block(f"p{index}.head")
-        self.entry_a[id(pair.block_a)] = head
-        self.entry_b[id(pair.block_b)] = head
+    def _build_pair(self, pair: BlockAlignment, plan: PairLayout) -> None:
+        head = self.blocks[plan.head]
         # Phi shells for both originals live at the head.
         for side, block in (("a", pair.block_a), ("b", pair.block_b)):
             vmap = self.vmap_a if side == "a" else self.vmap_b
@@ -297,37 +239,28 @@ class _Merger:
                 self.phi_shells.append((shell, phi, side))
 
         current = head
-        split_n = 0
+        splits = iter(plan.splits)
         for segment in pair.segments:
             if isinstance(segment, SharedSegment):
                 for a, b in segment.pairs:
                     current.append(self._placeholder_clone(a, "a", partner=b))
                     self.result.num_shared += 1
             elif isinstance(segment, SplitSegment):
-                current = self._build_split(pair, index, split_n, current, segment)
-                split_n += 1
-        self._build_terminators(pair, index, current)
+                current = self._build_split(next(splits), current, segment)
+        self._build_terminators(pair, plan, current)
 
     def _build_split(
-        self,
-        pair: BlockAlignment,
-        index: int,
-        split_n: int,
-        current: BasicBlock,
-        segment: SplitSegment,
+        self, blocks: Tuple[int, int, int], current: BasicBlock, segment: SplitSegment
     ) -> BasicBlock:
         """Emit a guarded diamond for one split segment; returns the join."""
-        join = self._new_block(f"p{index}.s{split_n}.join")
-        left: Optional[BasicBlock] = None
-        right: Optional[BasicBlock] = None
-        if segment.left:
-            left = self._new_block(f"p{index}.s{split_n}.a")
+        join, left, right = (self.blocks[i] if i >= 0 else None for i in blocks)
+        assert join is not None
+        if left is not None:
             for inst in segment.left:
                 left.append(self._placeholder_clone(inst, "a"))
                 self.result.num_private += 1
             left.append(Branch(join))
-        if segment.right:
-            right = self._new_block(f"p{index}.s{split_n}.b")
+        if right is not None:
             for inst in segment.right:
                 right.append(self._placeholder_clone(inst, "b"))
                 self.result.num_private += 1
@@ -343,80 +276,31 @@ class _Merger:
         return join
 
     # -- terminators ----------------------------------------------------------------
-    def _terminators_shareable(self, term_a: Instruction, term_b: Instruction) -> bool:
-        if term_a.opcode != term_b.opcode:
-            return False
-        if isinstance(term_a, Ret):
-            return True
-        if isinstance(term_a, Unreachable):
-            return True
-        if isinstance(term_a, Branch):
-            if term_a.is_conditional != term_b.is_conditional:  # type: ignore[union-attr]
-                return False
-        if isinstance(term_a, Switch):
-            cases_a = term_a.cases
-            cases_b = term_b.cases  # type: ignore[union-attr]
-            if len(cases_a) != len(cases_b):
-                return False
-            if term_a.value.type is not term_b.value.type:  # type: ignore[union-attr]
-                return False
-            for (const_a, _), (const_b, _) in zip(cases_a, cases_b):
-                if const_a.value != const_b.value:
-                    return False
-        if isinstance(term_a, Invoke):
-            if term_a.type is not term_b.type:
-                return False
-            if term_a.num_operands != term_b.num_operands:
-                return False
-            for op_a, op_b in zip(term_a.operands, term_b.operands):
-                if not isinstance(op_a, BasicBlock) and op_a.type is not op_b.type:
-                    return False
-        # Successor slots must lead to the same merged blocks.
-        succ_a = term_a.successors()
-        succ_b = term_b.successors()
-        if len(succ_a) != len(succ_b):
-            return False
-        for sa, sb in zip(succ_a, succ_b):
-            ea = self.entry_a.get(id(sa))
-            eb = self.entry_b.get(id(sb))
-            if ea is None or eb is None or ea is not eb:
-                return False
-        return True
-
-    def _build_terminators(self, pair: BlockAlignment, index: int, current: BasicBlock) -> None:
+    def _build_terminators(self, pair: BlockAlignment, plan: PairLayout, current: BasicBlock) -> None:
         term_a = pair.block_a.terminator
         term_b = pair.block_b.terminator
         if term_a is None or term_b is None:
             raise MergeError("cannot merge unterminated blocks")
-        # Sharing needs both successor maps populated, which happens lazily:
-        # successors' entries exist only after all pairs/unmatched blocks are
-        # scaffolded.  Terminator emission is therefore deferred.
-        self._deferred_terms.append((pair, index, current, term_a, term_b))
+        # Terminators are emitted after the unmatched blocks' instructions,
+        # which fixes the order operands are patched and selects named in.
+        self._deferred_terms.append((plan, current, term_a, term_b))
 
     def _flush_terminators(self) -> None:
-        for pair, index, current, term_a, term_b in self._deferred_terms:
-            if self._terminators_shareable(term_a, term_b):
-                merged_term = self._placeholder_clone(term_a, "a", partner=term_b)
-                current.append(merged_term)
-                self.exit_a[id(pair.block_a)] = current
-                self.exit_b[id(pair.block_b)] = current
+        for plan, current, term_a, term_b in self._deferred_terms:
+            if plan.shared_terminator:
+                current.append(self._placeholder_clone(term_a, "a", partner=term_b))
             else:
-                blk_a = self._new_block(f"p{index}.term.a")
-                blk_b = self._new_block(f"p{index}.term.b")
+                blk_a = self.blocks[plan.term_a]
+                blk_b = self.blocks[plan.term_b]
                 blk_a.append(self._placeholder_clone(term_a, "a"))
                 blk_b.append(self._placeholder_clone(term_b, "b"))
                 current.append(Branch(self.fid, blk_b, blk_a))
-                self.exit_a[id(pair.block_a)] = blk_a
-                self.exit_b[id(pair.block_b)] = blk_b
 
     # -- unmatched blocks -------------------------------------------------------------
-    def _build_unmatched(self, blocks: List[BasicBlock], side: str) -> None:
-        emap = self.entry_a if side == "a" else self.entry_b
-        xmap = self.exit_a if side == "a" else self.exit_b
+    def _build_unmatched(self, blocks: List[BasicBlock], placed: List[int], side: str) -> None:
         vmap = self.vmap_a if side == "a" else self.vmap_b
-        for block in blocks:
-            clone = self._new_block(f"{side}.{block.name}")
-            emap[id(block)] = clone
+        for block, index in zip(blocks, placed):
+            clone = self.blocks[index]
             for phi in block.phis():
                 shell = Phi(phi.type)
                 shell.name = phi.name
@@ -432,7 +316,6 @@ class _Merger:
             if term is None:
                 raise MergeError(f"unterminated block %{block.name}")
             clone.append(self._placeholder_clone(term, side))
-            xmap[id(block)] = clone
 
     # -- phase 2: operand patching -----------------------------------------------------
     def _patch_operands(self) -> None:
@@ -485,12 +368,12 @@ class _Merger:
     def _patch_phis(self) -> None:
         for shell, original, side in self.phi_shells:
             vmap = self.vmap_a if side == "a" else self.vmap_b
-            xmap = self.exit_a if side == "a" else self.exit_b
+            xmap = self.layout.exit_a if side == "a" else self.layout.exit_b
             for value, pred in original.incoming:
                 exit_block = xmap.get(id(pred))
                 if exit_block is None:
                     raise MergeError(f"no merged exit for block %{pred.name}")
-                shell.add_incoming(self._resolve(value, side), exit_block)
+                shell.add_incoming(self._resolve(value, side), self.blocks[exit_block])
         # Every phi must list *all* predecessors of its merged block; edges
         # that can only be taken by the other original function get undef.
         for shell, _original, _side in self.phi_shells:

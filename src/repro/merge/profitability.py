@@ -14,23 +14,18 @@ from typing import Dict, Optional, Tuple
 
 from ..alignment.batch import InstructionInterner
 from ..alignment.hyfm_blocks import _body
-from ..alignment.model import FunctionAlignment, SharedSegment
+from ..alignment.model import FunctionAlignment
 from ..analysis.linearizer import linearize_blocks
-from ..analysis.size import _FUNCTION_OVERHEAD, _WEIGHTS, function_size, instruction_size
-from ..ir.basicblock import BasicBlock
+from ..analysis.size import _FUNCTION_OVERHEAD, function_size, instruction_size
 from ..ir.function import Function
-from ..ir.instructions import Instruction, Invoke, Opcode
-from ..ir.values import Argument, Constant, Value
-from .merger import MergeResult, _constants_equal, _merge_parameters
+from .layout import BlockLayout
+from .merger import MergeResult
 
 __all__ = ["ProfitabilityModel", "MergeBenefit", "ProfitabilityBound"]
 
 # Modelled byte costs of the redirection machinery.
 _THUNK_BASE = 12 + 5 + 1  # function overhead + call + ret
 _CALLSITE_EXTRA = 1  # passing the extra function-id argument
-# Modelled byte costs of the merger's own machinery.
-_BRANCH = _WEIGHTS[Opcode.BR]
-_SELECT = _WEIGHTS[Opcode.SELECT]
 
 
 @dataclass
@@ -122,9 +117,10 @@ class ProfitabilityBound:
       and a pair whose bound is ≤ 0 can never clear the profitability
       check (``saving > 0``).
 
-    Once the pair is aligned, :meth:`after_alignment` prices what the
-    merger will certainly emit and bounds the saving again, so a pair
-    that cannot pay skips codegen too.
+    Once the pair is aligned, :meth:`after_alignment` prices the merged
+    function the alignment fixes, plus the stack demotion SSA repair
+    must add to it, and bounds the saving again, so a pair that cannot
+    pay skips codegen too.
 
     Neither rejection can drop a pair the full pipeline would have
     merged.  The per-function profiles are memoized; the pass
@@ -181,78 +177,27 @@ class ProfitabilityBound:
     def after_alignment(self, alignment: FunctionAlignment) -> int:
         """Upper bound on the saving of merging an aligned pair.
 
-        The merged function holds at least: the function overhead and the
-        dispatch branch; each shared pair once; every split-segment
-        instruction, with the segment's guard branch and one join branch
-        per non-empty side; the cheaper terminator of each block pair; every
-        instruction of the unmatched blocks; and a ``select`` for each
-        operand slot of a shared pair whose two operands certainly resolve
-        to different merged values.  SSA repair only adds to this, so
+        The alignment fixes the merged function's blocks
+        (:class:`~repro.merge.layout.BlockLayout`), and with them all the
+        merger emits: the function overhead and the dispatch branch; each
+        shared pair once; every split-segment instruction, with the
+        segment's guard branch and one join branch per non-empty side;
+        each block pair's terminator, once when shared, else both with a
+        guard branch; every instruction of the unmatched blocks; and a
+        ``select`` for each operand slot of a shared pair whose two
+        operands resolve to different merged values.  SSA repair then
+        demotes, at least, every value whose use its definition does not
+        dominate on the layout's block graph: an alloca and a store per
+        value and a load per such use.  Later repair rounds and any
+        further loads only add to this, so
 
             saving ≤ size(A) + size(B) − floor − redirection(A) − redirection(B)
         """
         func_a: Function = alignment.function_a  # type: ignore[assignment]
         func_b: Function = alignment.function_b  # type: ignore[assignment]
-        floor = _FUNCTION_OVERHEAD + _BRANCH
-        partner: Dict[int, Instruction] = {}
-        shared = []
-        for pair in alignment.block_pairs:
-            for segment in pair.segments:
-                if isinstance(segment, SharedSegment):
-                    for a, b in segment.pairs:
-                        partner[id(a)] = b
-                        floor += instruction_size(a)
-                    shared.extend(segment.pairs)
-                else:
-                    floor += _BRANCH  # the guard (or straight-line) branch
-                    for side in (segment.left, segment.right):
-                        if side:
-                            floor += _BRANCH + sum(map(instruction_size, side))
-            term_a = pair.block_a.terminator
-            term_b = pair.block_b.terminator
-            if term_a is not None and term_b is not None:
-                floor += min(instruction_size(term_a), instruction_size(term_b))
-        for blocks in (alignment.unmatched_a, alignment.unmatched_b):
-            for block in blocks:
-                floor += sum(map(instruction_size, block.instructions))
-
-        _types, map_a, map_b = _merge_parameters(func_a, func_b)
-        slots = {id(arg): slot for arg, slot in zip(func_a.args, map_a)}
-        slots.update((id(arg), slot) for arg, slot in zip(func_b.args, map_b))
-        for a, b in shared:
-            for op_a, op_b in zip(a.operands, b.operands):
-                if _certain_select(op_a, op_b, partner, slots):
-                    floor += _SELECT
-
+        merged, demotion = BlockLayout(alignment).price()
         overhead = self.model._redirection_cost(func_a) + self.model._redirection_cost(
             func_b
         )
         original = self.profile(func_a).total_size + self.profile(func_b).total_size
-        return original - floor - overhead
-
-
-def _certain_select(
-    op_a: Value, op_b: Value, partner: Dict[int, Instruction], slots: Dict[int, int]
-) -> bool:
-    """True when the merger must emit a ``select`` for this operand slot.
-
-    Only cases decided by the alignment alone count: *partner* maps each
-    aligned instruction of A to its partner in B, *slots* each argument of
-    A and B to its merged parameter slot.  An invoke result may still
-    resolve to one shared terminator, so invoke operands never count.
-    """
-    if isinstance(op_a, (BasicBlock, Invoke)) or isinstance(op_b, (BasicBlock, Invoke)):
-        return False
-    const_a = isinstance(op_a, Constant)
-    const_b = isinstance(op_b, Constant)
-    if const_a or const_b:
-        return not (const_a and const_b and _constants_equal(op_a, op_b))
-    if isinstance(op_a, Function) and isinstance(op_b, Function):
-        return op_a is not op_b
-    if isinstance(op_a, Argument) and isinstance(op_b, Argument):
-        slot_a = slots.get(id(op_a))
-        slot_b = slots.get(id(op_b))
-        return slot_a is not None and slot_b is not None and slot_a != slot_b
-    if isinstance(op_a, Instruction) and isinstance(op_b, Instruction):
-        return partner.get(id(op_a)) is not op_b
-    return False
+        return original - merged - demotion - overhead

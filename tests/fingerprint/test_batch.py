@@ -22,6 +22,7 @@ from repro.fingerprint import (
     encode_module,
     exact_jaccard,
     minhash_encoded_batch,
+    minhash_encoded_one,
     minhash_function,
     minhash_module,
     minhash_single,
@@ -100,6 +101,44 @@ class TestEncodedBatchProperty:
         fb = MinHashFingerprint(values[1], config, int(counts[1]))
         truth = exact_jaccard(a, b, config.shingle_size)
         assert abs(fa.similarity(fb) - truth) <= 3.0 / np.sqrt(config.k)
+
+
+class TestOneRowPath:
+    """``minhash_encoded_one`` (the path ``from_encoded`` takes) against the
+    reference kernel and the batch engine's one-row pack."""
+
+    @staticmethod
+    def _check(stream, config):
+        ref_values, ref_shingles = reference_minhash(stream, config)
+        values, shingles = minhash_encoded_one(stream, config)
+        assert values.dtype == np.uint32 and values.shape == (config.k,)
+        assert np.array_equal(values, ref_values)
+        assert shingles == ref_shingles
+        flat, lens = _pack([stream])
+        batch_values, batch_counts = minhash_encoded_batch(flat, lens, config)
+        assert np.array_equal(batch_values[0], values)
+        assert int(batch_counts[0]) == shingles
+
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("stream", [[], [7], [1, 2, 3], [0xFFFFFFFF] * 4])
+    def test_empty_and_short_streams(self, stream, independent):
+        for shingle_size in (1, 2, 4):
+            config = MinHashConfig(k=32, shingle_size=shingle_size, independent_hashes=independent)
+            self._check(stream, config)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        stream=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=5, max_size=60),
+        config=configs,
+    )
+    def test_streams_of_5_to_60_words(self, stream, config):
+        self._check(stream, config)
+
+    def test_default_config(self):
+        """k = 200, the configuration the pass's remerge inserts use."""
+        rng = np.random.default_rng(3)
+        for size in (0, 1, 5, 17, 60):
+            self._check(rng.integers(0, 2**32, size).tolist(), MinHashConfig())
 
 
 class TestEncodeModule:

@@ -1,8 +1,8 @@
 """End-to-end tests for the attempt-stage engine.
 
 Covers the profitability bound's two checks, before and after alignment
-(their accounting, their soundness, and the work they save), and the
-partition driver's report order.
+(their accounting, their soundness, the SSA-repair floor the second one
+prices, and the work they save), and the partition driver's report order.
 """
 
 import pytest
@@ -12,12 +12,15 @@ from repro.harness.experiments import make_ranker
 from repro.harness.profile import _merged_pairs
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
+from repro.merge import merger as merger_module
 from repro.merge import pass_ as pass_module
+from repro.merge.layout import BlockLayout
 from repro.merge.merger import MergeOptions, merge_functions
 from repro.merge.partitioned import partition_functions, partitioned_merging
 from repro.merge.pass_ import FunctionMergingPass, PassConfig
 from repro.merge.profitability import ProfitabilityBound, ProfitabilityModel
 from repro.merge.report import Outcome
+from repro.merge.ssa_repair import find_dominance_violations
 from repro.search.pairing import ExhaustiveRanker
 from repro.workloads import build_workload
 from repro.workloads.suites import WorkloadConfig
@@ -138,6 +141,121 @@ bad:
         assert result.num_selects == 0
         # Codegen emits exactly what the bound prices.
         assert bound == ProfitabilityModel().evaluate(result).saving
+
+    @staticmethod
+    def _round_one_bytes(monkeypatch):
+        """Record, for each merge, the bytes SSA repair's first round must
+        emit: an alloca and a store per violating def, a load per
+        violating use, from the real merged function before repair."""
+        real_repair = merger_module.repair_ssa
+        recorded = []
+
+        def repair(func, **kwargs):
+            violations = find_dominance_violations(func)
+            uses = sum(len(users) for _def, users in violations.values())
+            recorded.append(8 * len(violations) + 4 * uses)
+            return real_repair(func, **kwargs)
+
+        monkeypatch.setattr(merger_module, "repair_ssa", repair)
+        return recorded
+
+    def _merge_both_ways(self, text, monkeypatch):
+        """(floor, bound, saving without legacy bugs, saving with them)."""
+        recorded = self._round_one_bytes(monkeypatch)
+        floors, bounds, savings = set(), set(), []
+        for legacy in (False, True):
+            module = parse_module(text)
+            f, g = module.get_function("f"), module.get_function("g")
+            alignment = align_functions(f, g)
+            floors.add(BlockLayout(alignment).price()[1])
+            bounds.add(ProfitabilityBound().after_alignment(alignment))
+            result = merge_functions(alignment, module, options=MergeOptions(legacy_bugs=legacy))
+            savings.append(ProfitabilityModel().evaluate(result).saving)
+        (floor,), (bound,) = floors, bounds
+        assert recorded == [floor, floor]
+        return floor, bound, savings[0], savings[1]
+
+    def test_split_def_used_after_join_is_priced_exactly(self, monkeypatch):
+        """Each side's private def reaches a select in the shared join.
+        Neither dominates the join, so repair demotes both: two allocas,
+        two stores and two loads, which the bound prices before codegen."""
+        body = """
+  %a = add i32 %x, 1
+  %b = {op} i32 %a, 2
+  %c = add i32 %b, 3
+  ret i32 %c
+}}
+"""
+        text = (
+            f"define i32 @f(i32 %x) {{\nentry:{body.format(op='mul')}"
+            f"define i32 @g(i32 %x) {{\nentry:{body.format(op='sub')}"
+        )
+        floor, bound, saving, legacy_saving = self._merge_both_ways(text, monkeypatch)
+        assert floor == 2 * 8 + 2 * 4
+        assert bound == saving == legacy_saving
+
+    def test_invoke_result_feeding_a_phi_is_not_priced(self, monkeypatch):
+        """@f's invoke result feeds a phi in its single-predecessor normal
+        destination and a select in the shared exit, which @g's path also
+        reaches.  Only the select use violates dominance: the phi's
+        incoming block is the invoke's own, which fixed repair leaves
+        alone and §III-E's legacy repair loads from before the invoke."""
+        text = """declare i32 @callee(i32)
+declare i32 @callee2(i32, i32)
+define i32 @f(i32 %x) {
+entry:
+  %r = invoke i32 @callee(i32 %x) to label %ok unwind label %bad
+ok:
+  %p = phi i32 [ %r, %entry ]
+  %q = mul i32 %p, 7
+  br label %exit
+exit:
+  %z = add i32 %r, %q
+  ret i32 %z
+bad:
+  ret i32 0
+}
+define i32 @g(i32 %x) {
+entry:
+  %r = invoke i32 @callee2(i32 %x, i32 %x) to label %exit unwind label %bad
+exit:
+  %z = add i32 %r, 1
+  ret i32 %z
+bad:
+  ret i32 0
+}
+"""
+        floor, bound, saving, legacy_saving = self._merge_both_ways(text, monkeypatch)
+        # Three demoted values (both invoke results and %q), one load each.
+        assert floor == 3 * 8 + 3 * 4
+        # Fixed repair also splits @g's invoke edge (a branch); legacy
+        # repair adds the phi's bogus load on top.
+        assert saving == bound - 2
+        assert legacy_saving == bound - 2 - 4
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_floor_matches_round_one_repair(self, monkeypatch, seed):
+        """Differential: on every pair that reaches codegen, the floor the
+        layout computes before codegen equals the bytes of SSA repair's
+        first round recomputed on the real merged function."""
+        recorded = self._round_one_bytes(monkeypatch)
+        real_merge = pass_module.merge_functions
+        floors = []
+
+        def merge_and_floor(alignment, module, options):
+            floors.append(BlockLayout(alignment).price()[1])
+            return real_merge(alignment, module, options=options)
+
+        monkeypatch.setattr(pass_module, "merge_functions", merge_and_floor)
+        text = print_module(build_workload(200, "bound", WorkloadConfig(seed=seed)))
+        for strategy in STRATEGIES:
+            for alignment in ("linear", "nw"):
+                config = PassConfig(prealign_bound=False, verify=False, alignment=alignment)
+                FunctionMergingPass(make_ranker(strategy), config).run(parse_module(text))
+        assert len(floors) == len(recorded) > 0
+        mismatches = [(f, r) for f, r in zip(floors, recorded) if f != r]
+        assert mismatches == []
+        assert any(floors), "no pair needed repair; the grid tests nothing"
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_unbounded_pass_is_identical(self, strategy):
