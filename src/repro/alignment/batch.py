@@ -21,27 +21,37 @@ module moves the whole attempt-stage hot path onto integer codes:
   prefix/suffix strategy as three array comparisons.  Both return an
   *ops array* (``int8``: match / gap-A / gap-B) whose decisions are
   bit-identical to the pure-Python aligners (property-tested).
-* :class:`BatchAlignmentEngine` memoizes per-block encodings and
-  opcode-frequency fingerprints, scores all block pairs of a candidate
-  function pair in one vectorized similarity matrix, replays the pure
-  greedy pairing order exactly, and shares decisions through a
+* :class:`BatchAlignmentEngine` memoizes one entry per function — block
+  encodings, exact content keys and opcode counts, built in one walk and
+  read by the profitability bound too — scores all block pairs of a
+  candidate function pair in one vectorized similarity matrix, replays
+  the pure greedy pairing order exactly, and shares decisions through a
   content-addressed :class:`~repro.alignment.cache.AlignmentCache`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.linearizer import linearize_blocks
-from ..fingerprint.fnv import fnv1a_32_ints
+from ..analysis.size import function_size, instruction_size
 from ..fingerprint.opcode_freq import _DIM, _INDEX
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Alloca, FCmp, ICmp, Instruction
+from ..ir.instructions import (
+    TERMINATOR_OPCODES,
+    Alloca,
+    FCmp,
+    ICmp,
+    Instruction,
+    Opcode,
+)
 from ..obs import trace
-from .cache import _KEY_SALT, AlignmentCache, BlockKey, PlanCache, block_key
+from .cache import AlignmentCache, PlanCache, block_key
 from .hyfm_blocks import _body
 from .model import BlockAlignment, FunctionAlignment, SharedSegment, SplitSegment
 
@@ -62,6 +72,9 @@ OP_MATCH, OP_GAP_A, OP_GAP_B = 0, 1, 2
 
 # Below this DP area the numpy per-row overhead loses to the pure loop.
 _SMALL_NW_PRODUCT = 256
+
+# Opcodes whose instructions ``mergeable`` rejects even reflexively.
+_UNIQUE_OPCODES = TERMINATOR_OPCODES | {Opcode.PHI}
 
 # Banded-mode sentinel: far below any reachable alignment score, far above
 # int64 overflow when penalties are added.
@@ -89,19 +102,18 @@ class InstructionInterner:
 
     @staticmethod
     def _key(inst: Instruction) -> tuple:
-        pred = inst.pred if isinstance(inst, (ICmp, FCmp)) else None
-        alloc = inst.allocated_type if isinstance(inst, Alloca) else None
+        ops = inst._operands
         return (
-            int(inst.opcode),
+            inst.opcode,
             inst.type,
-            inst.num_operands,
-            tuple(op.type for op in inst.operands),
-            pred,
-            alloc,
+            len(ops),
+            tuple([op.type for op in ops]),
+            inst.pred if isinstance(inst, (ICmp, FCmp)) else None,
+            inst.allocated_type if isinstance(inst, Alloca) else None,
         )
 
     def code(self, inst: Instruction) -> int:
-        if inst.is_phi or inst.is_terminator:
+        if inst.opcode in _UNIQUE_OPCODES:
             entry = self._singletons.get(id(inst))
             if entry is not None:
                 return entry[1]
@@ -116,9 +128,6 @@ class InstructionInterner:
             self._next += 1
             self._codes[key] = code
         return code
-
-    def encode(self, instructions: Sequence[Instruction]) -> np.ndarray:
-        return np.array([self.code(inst) for inst in instructions], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -329,59 +338,79 @@ def ops_to_alignment(
 # ---------------------------------------------------------------------------
 
 
-class _BlockEntry:
-    """Everything the engine knows about one basic block."""
-
-    __slots__ = ("block", "body", "codes", "key", "counts", "magnitude")
-
-    def __init__(
-        self,
-        block: BasicBlock,
-        body: List[Instruction],
-        codes: np.ndarray,
-        key: BlockKey,
-        counts: np.ndarray,
-    ) -> None:
-        self.block = block
-        self.body = body
-        self.codes = codes
-        self.key = key
-        self.counts = counts
-        self.magnitude = int(counts.sum())
-
-
 class _FunctionEntry:
-    """Everything the engine knows about one function's blocks at once."""
+    """Everything the engine and the profitability bound know about one
+    function version, built in one walk over its blocks in reverse
+    postorder.
 
-    __slots__ = ("function", "blocks", "entries", "counts", "magnitudes", "key")
+    Per block: its body (no phis, no terminator), the body's mergeability
+    codes as a list and as an ``int64`` array, and its exact content key
+    ``(len(codes), tuple(codes))``.  Per function: the ``(blocks × _DIM)``
+    opcode-count matrix and block magnitudes (instruction counts) that
+    score block pairs, and the content key, the tuple of its block keys.
+    The profitability bound's inputs (:meth:`profile`) are computed on
+    first use.
+    """
 
-    def __init__(
-        self,
-        function: Function,
-        blocks: List[BasicBlock],
-        entries: List[_BlockEntry],
-    ) -> None:
+    __slots__ = (
+        "function",
+        "blocks",
+        "bodies",
+        "codes",
+        "arrays",
+        "keys",
+        "counts",
+        "magnitudes",
+        "key",
+        "code_counts",
+        "code_weights",
+        "body_weight",
+        "total_size",
+    )
+
+    def __init__(self, function: Function, interner: InstructionInterner) -> None:
         self.function = function
-        self.blocks = blocks
-        self.entries = entries
-        if entries:
-            self.counts = np.stack([e.counts for e in entries])
-            self.magnitudes = np.array(
-                [e.magnitude for e in entries], dtype=np.int64
-            )
-        else:
-            self.counts = None
-            self.magnitudes = None
-        # Function content key: the block keys (each already length +
-        # two 32-bit FNV passes) folded through FNV again, twice (salted).
-        words: List[int] = []
-        for entry in entries:
-            words.extend(entry.key)
-        self.key = (
-            len(entries),
-            fnv1a_32_ints(words),
-            fnv1a_32_ints([_KEY_SALT] + words),
+        self.blocks = blocks = linearize_blocks(function)
+        code = interner.code
+        bodies: List[List[Instruction]] = []
+        codes: List[List[int]] = []
+        cells: List[int] = []
+        for base, block in enumerate(blocks):
+            body = _body(block)
+            bodies.append(body)
+            codes.append([code(inst) for inst in body])
+            base *= _DIM
+            cells.extend([base + _INDEX[inst.opcode] for inst in block.instructions])
+        self.bodies = bodies
+        self.codes = codes
+        self.arrays = [np.array(c, dtype=np.int64) for c in codes]
+        self.keys = keys = [block_key(c) for c in codes]
+        self.key = tuple(keys)
+        n = len(blocks)
+        self.counts = np.bincount(
+            np.array(cells, dtype=np.int64), minlength=n * _DIM
+        ).reshape(n, _DIM)
+        self.magnitudes = np.array(
+            [len(block.instructions) for block in blocks], dtype=np.int64
         )
+        self.code_counts: Optional[Dict[int, int]] = None
+
+    def profile(self) -> "_FunctionEntry":
+        """Fill in the profitability bound's inputs, once: the multiset of
+        body codes, each code's size-model weight, the body's total weight
+        and :func:`~repro.analysis.size.function_size`."""
+        if self.code_counts is None:
+            weights: Dict[int, int] = {}
+            for body, codes in zip(self.bodies, self.codes):
+                for inst, code in zip(body, codes):
+                    if code not in weights:
+                        weights[code] = instruction_size(inst)
+            counts = Counter(chain.from_iterable(self.codes))
+            self.code_weights = weights
+            self.body_weight = sum(weights[c] * n for c, n in counts.items())
+            self.total_size = function_size(self.function)
+            self.code_counts = counts
+        return self
 
 
 class BatchAlignmentEngine:
@@ -390,9 +419,10 @@ class BatchAlignmentEngine:
     Produces a :class:`FunctionAlignment` with exactly the block pairing
     and segment structure of the pure path:
 
-    * block opcode fingerprints and mergeability encodings are memoized
-      per block (a function is scored against many candidates before it is
-      consumed), and linearization/score matrices per function;
+    * each function's linearization, mergeability encodings and block
+      opcode counts are memoized in one :class:`_FunctionEntry` (a
+      function is scored against many candidates before it is consumed),
+      which the profitability bound reads too;
     * all pair similarities are computed as one integer matrix and ranked
       with the pure path's exact ``(−sim, i, j)`` order;
     * per-pair decisions come from the :class:`AlignmentCache` when the
@@ -422,55 +452,23 @@ class BatchAlignmentEngine:
         self.plans = plans if plans is not None else PlanCache()
         self.interner = interner if interner is not None else InstructionInterner()
         self.nw_band = nw_band
-        self._blocks: Dict[int, _BlockEntry] = {}
         self._functions: Dict[int, _FunctionEntry] = {}
-        self._by_func: Dict[int, Tuple[Function, set]] = {}
 
     # -- memoization -----------------------------------------------------------------
-    def _entry(self, block: BasicBlock) -> _BlockEntry:
-        entry = self._blocks.get(id(block))
-        if entry is not None:
-            return entry
-        body = _body(block)
-        codes = self.interner.encode(body)
-        counts = np.zeros(_DIM, dtype=np.int64)
-        for inst in block.instructions:
-            counts[_INDEX[int(inst.opcode)]] += 1
-        entry = _BlockEntry(block, body, codes, block_key(codes), counts)
-        self._blocks[id(block)] = entry
-        func = block.parent
-        if func is not None:
-            owned = self._by_func.get(id(func))
-            if owned is None:
-                self._by_func[id(func)] = (func, {id(block)})
-            else:
-                owned[1].add(id(block))
-        return entry
-
-    def _fentry(self, func: Function) -> _FunctionEntry:
+    def function_entry(self, func: Function) -> _FunctionEntry:
+        """The memoized entry of *func*'s current version."""
         fe = self._functions.get(id(func))
-        if fe is not None:
-            return fe
-        blocks = linearize_blocks(func)
-        fe = _FunctionEntry(func, blocks, [self._entry(b) for b in blocks])
-        self._functions[id(func)] = fe
-        owned = self._by_func.get(id(func))
-        if owned is None:
-            self._by_func[id(func)] = (func, set())
+        if fe is None:
+            # The entry holds *func*, so its id cannot be reused while live.
+            fe = self._functions[id(func)] = _FunctionEntry(func, self.interner)
         return fe
 
     def invalidate_function(self, func: Function) -> None:
-        """Drop memoized state for every block ever seen under *func*."""
+        """Drop the memoized entry of *func*."""
         self._functions.pop(id(func), None)
-        owned = self._by_func.pop(id(func), None)
-        if owned is not None:
-            for bid in owned[1]:
-                self._blocks.pop(bid, None)
 
     def clear(self) -> None:
-        self._blocks.clear()
         self._functions.clear()
-        self._by_func.clear()
 
     # -- alignment -------------------------------------------------------------------
     def _strategy_tag(self, strategy: str) -> str:
@@ -480,22 +478,17 @@ class BatchAlignmentEngine:
             return f"nw@{self.nw_band}"
         return strategy
 
-    def _pair_ops(self, entry_a: _BlockEntry, entry_b: _BlockEntry, strategy: str) -> np.ndarray:
-        key = (self._strategy_tag(strategy), entry_a.key, entry_b.key)
+    def _pair_ops(
+        self, fe_a: _FunctionEntry, i: int, fe_b: _FunctionEntry, j: int, strategy: str
+    ) -> np.ndarray:
+        key = (self._strategy_tag(strategy), fe_a.keys[i], fe_b.keys[j])
         ops = self.cache.get(key)
         if ops is not None:
-            # A 64-bit content key cannot collide silently: a wrong entry
-            # would consume the wrong number of instructions.
-            counts = np.bincount(ops, minlength=3)
-            if (
-                counts[OP_MATCH] + counts[OP_GAP_A] == entry_a.codes.shape[0]
-                and counts[OP_MATCH] + counts[OP_GAP_B] == entry_b.codes.shape[0]
-            ):
-                return ops
+            return ops
         if strategy == "linear":
-            ops = linear_ops_encoded(entry_a.codes, entry_b.codes)
+            ops = linear_ops_encoded(fe_a.arrays[i], fe_b.arrays[j])
         else:
-            ops = nw_ops_encoded(entry_a.codes, entry_b.codes, band=self.nw_band)
+            ops = nw_ops_encoded(fe_a.arrays[i], fe_b.arrays[j], band=self.nw_band)
         self.cache.put(key, ops)
         return ops
 
@@ -509,11 +502,10 @@ class BatchAlignmentEngine:
         strategy = strategy or self.strategy
         if strategy not in ("linear", "nw"):
             raise ValueError(f"unknown alignment strategy {strategy!r}")
-        fe_a = self._fentry(func_a)
-        fe_b = self._fentry(func_b)
-        ea, eb = fe_a.entries, fe_b.entries
+        fe_a = self.function_entry(func_a)
+        fe_b = self.function_entry(func_b)
         blocks_a, blocks_b = fe_a.blocks, fe_b.blocks
-        na, nb = len(ea), len(eb)
+        na, nb = len(blocks_a), len(blocks_b)
 
         plan_key = (
             self._strategy_tag(strategy),
@@ -522,7 +514,7 @@ class BatchAlignmentEngine:
             fe_b.key,
         )
         plan = self.plans.get(plan_key)
-        if plan is not None and self._plan_valid(plan, fe_a, fe_b):
+        if plan is not None:
             trace.event("plan_cache", hit=True)
             return self._apply_plan(plan, fe_a, fe_b)
         trace.event("plan_cache", hit=False)
@@ -561,13 +553,15 @@ class BatchAlignmentEngine:
                 if (i == 0) != (j == 0):
                     continue
                 used_a[i] = used_b[j] = True
-                ops = self._pair_ops(ea[i], eb[j], strategy)
+                ops = self._pair_ops(fe_a, i, fe_b, j, strategy)
                 ops.flags.writeable = False
                 paired.append((i, j, ops))
             paired.sort(key=lambda t: t[0])
             for i, j, ops in paired:
                 result.block_pairs.append(
-                    ops_to_alignment(ops, blocks_a[i], blocks_b[j], ea[i].body, eb[j].body)
+                    ops_to_alignment(
+                        ops, blocks_a[i], blocks_b[j], fe_a.bodies[i], fe_b.bodies[j]
+                    )
                 )
             result.unmatched_a = [b for b, used in zip(blocks_a, used_a) if not used]
             result.unmatched_b = [b for b, used in zip(blocks_b, used_b) if not used]
@@ -586,26 +580,6 @@ class BatchAlignmentEngine:
 
     # -- plan application --------------------------------------------------------------
     @staticmethod
-    def _plan_valid(
-        plan: Tuple[Tuple[int, int, np.ndarray], ...],
-        fe_a: _FunctionEntry,
-        fe_b: _FunctionEntry,
-    ) -> bool:
-        """Key-collision defense: a plan must consume exactly the live
-        blocks' encoded streams."""
-        na, nb = len(fe_a.entries), len(fe_b.entries)
-        for i, j, ops in plan:
-            if i >= na or j >= nb:
-                return False
-            counts = np.bincount(ops, minlength=3)
-            if (
-                counts[OP_MATCH] + counts[OP_GAP_A] != fe_a.entries[i].codes.shape[0]
-                or counts[OP_MATCH] + counts[OP_GAP_B] != fe_b.entries[j].codes.shape[0]
-            ):
-                return False
-        return True
-
-    @staticmethod
     def _apply_plan(
         plan: Tuple[Tuple[int, int, np.ndarray], ...],
         fe_a: _FunctionEntry,
@@ -621,8 +595,8 @@ class BatchAlignmentEngine:
                     ops,
                     fe_a.blocks[i],
                     fe_b.blocks[j],
-                    fe_a.entries[i].body,
-                    fe_b.entries[j].body,
+                    fe_a.bodies[i],
+                    fe_b.bodies[j],
                 )
             )
         result.unmatched_a = [b for b, used in zip(fe_a.blocks, used_a) if not used]

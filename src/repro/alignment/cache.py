@@ -8,8 +8,9 @@ mergeability codes of :class:`~repro.alignment.batch.InstructionInterner`)
 and the strategy, so it can be shared content-addressed, mirroring
 :class:`~repro.fingerprint.cache.FingerprintCache`:
 
-* per-block key = FNV-1a over the encoded stream (two salted 32-bit
-  passes → a 64-bit effective key) + the stream length;
+* per-block key = the stream length plus the encoded stream itself as a
+  tuple, so two keys are equal exactly when the streams are and no hit
+  can be a collision;
 * pair key = the strategy plus both block keys;
 * the cached value is the *ops array* — an ``int8`` vector of
   match / gap-A / gap-B decisions from which the segment structure is
@@ -26,11 +27,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-
-from ..fingerprint.fnv import fnv1a_32_ints
 
 __all__ = [
     "AlignmentCacheStats",
@@ -41,34 +40,17 @@ __all__ = [
     "PairKey",
 ]
 
-# Second-pass key salt (same constant as the fingerprint cache): prepended
-# to the stream so the two 32-bit FNV-1a hashes are independent.
-_KEY_SALT = 0x9E3779B9
-
-# (stream length, fnv1a(stream), fnv1a(salt || stream))
-BlockKey = Tuple[int, int, int]
+# (stream length, the stream's codes)
+BlockKey = Tuple[int, Tuple[int, ...]]
 # (strategy, key of block A, key of block B)
 PairKey = Tuple[str, BlockKey, BlockKey]
 
 
-def block_key(codes: np.ndarray) -> BlockKey:
-    """Content key of one encoded block body.
-
-    Every code is hashed as two little-endian 32-bit words (low, high), so
-    codes that differ only above bit 32 — the per-instance codes given to
-    unmergeable instructions — can never collide by masking.
-    """
-    values = np.asarray(codes).tolist()
-    n = len(values)
-    # Scalar FNV: block streams are short (a handful of instructions), so
-    # the plain-int loop beats the vectorized row hash by a wide margin.
-    words = []
-    for code in values:
-        words.append(code & 0xFFFFFFFF)
-        words.append((code >> 32) & 0xFFFFFFFF)
-    h1 = fnv1a_32_ints(words)
-    h2 = fnv1a_32_ints([_KEY_SALT] + words)
-    return (n, h1, h2)
+def block_key(codes: Sequence[int]) -> BlockKey:
+    """Exact content key of one encoded block body."""
+    if isinstance(codes, np.ndarray):
+        codes = codes.tolist()
+    return (len(codes), tuple(codes))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from ..analysis.linearizer import linearize_blocks
 from ..fingerprint.opcode_freq import fingerprint_block
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Instruction
+from ..ir.instructions import TERMINATOR_OPCODES, Instruction, Opcode
 from .model import BlockAlignment, FunctionAlignment, SharedSegment, SplitSegment, mergeable
 from .needleman_wunsch import needleman_wunsch
 
@@ -29,12 +29,18 @@ __all__ = [
     "align_functions",
 ]
 
+_PHI = Opcode.PHI
+
 
 def _body(block: BasicBlock) -> List[Instruction]:
     """Alignable instructions: everything but phis and the terminator."""
     insts = block.instructions
-    start = block.first_non_phi_index()
-    end = len(insts) - 1 if block.is_terminated else len(insts)
+    end = len(insts)
+    if end and insts[-1].opcode in TERMINATOR_OPCODES:
+        end -= 1
+    start = 0
+    while start < end and insts[start].opcode == _PHI:
+        start += 1
     return insts[start:end]
 
 

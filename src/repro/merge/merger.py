@@ -92,6 +92,7 @@ class _Merger:
         module: Module,
         name: Optional[str],
         options: MergeOptions,
+        layout: Optional[BlockLayout],
     ) -> None:
         self.alignment = alignment
         self.func_a: Function = alignment.function_a  # type: ignore[assignment]
@@ -124,7 +125,7 @@ class _Merger:
             self.vmap_b[id(arg)] = self.merged.args[slot]
         # Every block, and each original block's entry and exit, come from
         # the layout; the blocks are created in its order up front.
-        self.layout = BlockLayout(alignment)
+        self.layout = layout if layout is not None else BlockLayout(alignment)
         self.blocks = [BasicBlock(name, self.merged) for name in self.layout.block_names()]
         self.pending: List[_Pending] = []
         self.phi_shells: List[Tuple[Phi, Phi, str]] = []  # (new, old, side)
@@ -398,11 +399,14 @@ def merge_functions(
     module: Module,
     name: Optional[str] = None,
     options: MergeOptions = MergeOptions(),
+    layout: Optional[BlockLayout] = None,
 ) -> MergeResult:
     """Merge the aligned pair into one new function added to *module*.
 
-    Raises :class:`MergeError` when the pair cannot be merged (diverging
-    return types, irreparable SSA, ...); the module is left unmodified in
-    that case.
+    *layout* is the alignment's :class:`BlockLayout` when the caller has
+    already built it (the pass builds one for the profitability bound);
+    otherwise one is built here.  Raises :class:`MergeError` when the pair
+    cannot be merged (diverging return types, irreparable SSA, ...); the
+    module is left unmodified in that case.
     """
-    return _Merger(alignment, module, name, options).build()
+    return _Merger(alignment, module, name, options, layout).build()

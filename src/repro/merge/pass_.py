@@ -42,6 +42,7 @@ from ..search.pairing import Ranker
 from ..staticcheck.lint import lint_commit, lint_merge
 from ..staticcheck.validate import PROVED, REFUTED, validate_merge
 from .errors import MergeError
+from .layout import BlockLayout
 from .merger import MergeOptions, MergeResult, merge_functions
 from .profitability import ProfitabilityBound, ProfitabilityModel
 from .report import ATTEMPT_STAGES, AttemptRecord, MergeReport, Outcome
@@ -169,16 +170,14 @@ class FunctionMergingPass:
         self.oracle = oracle
         # Alignment runs through the vectorized, memoized, cached
         # BatchAlignmentEngine.  Passing an engine shares its alignment
-        # cache and block memos across passes (remerge rounds, partition
+        # cache and function entries across passes (remerge rounds, partition
         # sweeps); otherwise each pass owns one.
         if alignment_engine is None:
             alignment_engine = BatchAlignmentEngine(strategy=config.alignment)
         self.engine = alignment_engine
-        # The bound shares the engine's interner so both see one
-        # mergeability-code space (and one set of memoized encodings).
-        self.bound = ProfitabilityBound(
-            self.profitability, interner=alignment_engine.interner
-        )
+        # The bound reads the engine's function entries, so a function is
+        # encoded once for both, in one mergeability-code space.
+        self.bound = ProfitabilityBound(self.profitability, engine=alignment_engine)
 
     # -- driver ---------------------------------------------------------------------
     def run(self, module: Module, functions=None) -> MergeReport:
@@ -266,7 +265,6 @@ class FunctionMergingPass:
         """
         for func in functions:
             self.engine.invalidate_function(func)
-            self.bound.invalidate(func)
 
     # -- one candidate --------------------------------------------------------------
     def _attempt(self, module, func, consumed, threshold):
@@ -376,12 +374,14 @@ class FunctionMergingPass:
             record.outcome = Outcome.ALIGN_FAIL
             return record, None
 
+        layout = None
         if self.config.prealign_bound:
             # Second check of the bound stage: the alignment fixes most of
             # what codegen will emit, so price that and skip codegen for a
-            # pair that cannot pay.
+            # pair that cannot pay.  Codegen reuses the priced layout.
             with stage(ctx, "bound"):
-                bound = self.bound.after_alignment(alignment)
+                layout = BlockLayout(alignment)
+                bound = self.bound.after_alignment(alignment, layout)
             if bound <= 0:
                 record.outcome = Outcome.REJECTED_BOUND
                 return record, None
@@ -391,6 +391,7 @@ class FunctionMergingPass:
                 alignment,
                 module,
                 options=MergeOptions(legacy_bugs=self.config.legacy_bugs),
+                layout=layout,
             )
             if self.config.verify:
                 with stage(ctx, "codegen.verify", faults):

@@ -10,13 +10,11 @@ decision itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..alignment.batch import InstructionInterner
-from ..alignment.hyfm_blocks import _body
+from ..alignment.batch import BatchAlignmentEngine
 from ..alignment.model import FunctionAlignment
-from ..analysis.linearizer import linearize_blocks
-from ..analysis.size import _FUNCTION_OVERHEAD, function_size, instruction_size
+from ..analysis.size import _FUNCTION_OVERHEAD, function_size
 from ..ir.function import Function
 from .layout import BlockLayout
 from .merger import MergeResult
@@ -66,29 +64,6 @@ class ProfitabilityModel:
         return MergeBenefit(original, merged, overhead)
 
 
-class _FunctionProfile:
-    """Memoized per-function inputs to the pre-alignment bound."""
-
-    __slots__ = ("function", "total_size", "code_counts", "code_weights", "body_weight")
-
-    def __init__(self, func: Function, interner: "InstructionInterner") -> None:
-        self.function = func  # strong ref: id(func) can't be reused while live
-        self.total_size = function_size(func)
-        counts: Dict[int, int] = {}
-        weights: Dict[int, int] = {}
-        body_weight = 0
-        for block in linearize_blocks(func):
-            for inst in _body(block):
-                code = interner.code(inst)
-                counts[code] = counts.get(code, 0) + 1
-                if code not in weights:
-                    weights[code] = instruction_size(inst)
-                body_weight += weights[code]
-        self.code_counts = counts
-        self.code_weights = weights
-        self.body_weight = body_weight
-
-
 class ProfitabilityBound:
     """Sound pre-alignment bound on what merging a pair can achieve.
 
@@ -123,38 +98,27 @@ class ProfitabilityBound:
     pay skips codegen too.
 
     Neither rejection can drop a pair the full pipeline would have
-    merged.  The per-function profiles are memoized; the pass
-    invalidates functions whose bodies a transaction touched.
-    Redirection costs depend on the *current* caller sets, so they are
-    recomputed on every query.
+    merged.  Each function's code counts, code weights, body weight and
+    size are read from the alignment engine's memoized function entry
+    (:meth:`~repro.alignment.batch.BatchAlignmentEngine.function_entry`),
+    so the bound and the aligner encode a function once and share one
+    mergeability-code space; invalidating a function in the engine
+    invalidates it here.  Redirection costs depend on the *current*
+    caller sets, so they are recomputed on every query.
     """
 
     def __init__(
         self,
         model: Optional[ProfitabilityModel] = None,
-        interner: Optional["InstructionInterner"] = None,
+        engine: Optional[BatchAlignmentEngine] = None,
     ) -> None:
         self.model = model if model is not None else ProfitabilityModel()
-        self.interner = interner if interner is not None else InstructionInterner()
-        self._profiles: Dict[int, _FunctionProfile] = {}
-
-    def profile(self, func: Function) -> _FunctionProfile:
-        prof = self._profiles.get(id(func))
-        if prof is None:
-            prof = _FunctionProfile(func, self.interner)
-            self._profiles[id(func)] = prof
-        return prof
-
-    def invalidate(self, func: Function) -> None:
-        self._profiles.pop(id(func), None)
-
-    def clear(self) -> None:
-        self._profiles.clear()
+        self.engine = engine if engine is not None else BatchAlignmentEngine()
 
     def query(self, func_a: Function, func_b: Function) -> Tuple[int, int]:
         """(upper bound on saving, upper bound on shared instruction pairs)."""
-        pa = self.profile(func_a)
-        pb = self.profile(func_b)
+        pa = self.engine.function_entry(func_a).profile()
+        pb = self.engine.function_entry(func_b).profile()
         small, large = (
             (pa, pb) if len(pa.code_counts) <= len(pb.code_counts) else (pb, pa)
         )
@@ -174,7 +138,9 @@ class ProfitabilityBound:
         )
         return pa.total_size + pb.total_size - merged_floor - overhead, shared_pairs
 
-    def after_alignment(self, alignment: FunctionAlignment) -> int:
+    def after_alignment(
+        self, alignment: FunctionAlignment, layout: Optional[BlockLayout] = None
+    ) -> int:
         """Upper bound on the saving of merging an aligned pair.
 
         The alignment fixes the merged function's blocks
@@ -192,12 +158,19 @@ class ProfitabilityBound:
         further loads only add to this, so
 
             saving ≤ size(A) + size(B) − floor − redirection(A) − redirection(B)
+
+        *layout* is the alignment's :class:`BlockLayout` when the caller
+        has built it (pricing does not change it, so the merger can reuse
+        it); otherwise one is built here.
         """
         func_a: Function = alignment.function_a  # type: ignore[assignment]
         func_b: Function = alignment.function_b  # type: ignore[assignment]
-        merged, demotion = BlockLayout(alignment).price()
+        if layout is None:
+            layout = BlockLayout(alignment)
+        merged, demotion = layout.price()
         overhead = self.model._redirection_cost(func_a) + self.model._redirection_cost(
             func_b
         )
-        original = self.profile(func_a).total_size + self.profile(func_b).total_size
+        entry = self.engine.function_entry
+        original = entry(func_a).profile().total_size + entry(func_b).profile().total_size
         return original - merged - demotion - overhead

@@ -141,9 +141,13 @@ class TestEngineDecisionIdentity:
         engine.align_functions(functions[0], functions[1])
         assert engine._functions
         engine.invalidate_function(functions[0])
+        # No memo of the function survives: its one entry is gone, and no
+        # other entry holds any of its blocks.
         assert id(functions[0]) not in engine._functions
-        for block in functions[0].blocks:
-            assert id(block) not in engine._blocks
+        own = {id(block) for block in functions[0].blocks}
+        for entry in engine._functions.values():
+            assert entry.function is not functions[0]
+            assert own.isdisjoint(id(block) for block in entry.blocks)
         # Still answers (recomputes) after invalidation.
         assert alignment_shape(
             engine.align_functions(functions[0], functions[1])

@@ -11,9 +11,10 @@ from repro.alignment.hyfm_blocks import align_functions
 from repro.harness.experiments import make_ranker
 from repro.harness.profile import _merged_pairs
 from repro.ir.parser import parse_module
-from repro.ir.printer import print_module
+from repro.ir.printer import print_function, print_module
 from repro.merge import merger as merger_module
 from repro.merge import pass_ as pass_module
+from repro.merge.errors import MergeError
 from repro.merge.layout import BlockLayout
 from repro.merge.merger import MergeOptions, merge_functions
 from repro.merge.partitioned import partition_functions, partitioned_merging
@@ -97,8 +98,8 @@ class TestPostAlignmentBound:
         pairs = []
         running = []
 
-        def merge_and_price(alignment, module, options):
-            bound = running[-1].bound.after_alignment(alignment)
+        def merge_and_price(alignment, module, options, layout=None):
+            bound = running[-1].bound.after_alignment(alignment, layout)
             legacy = real_merge(alignment, module, options=MergeOptions(legacy_bugs=True))
             pairs.append((bound, model.evaluate(legacy).saving))
             legacy.merged.erase_from_parent()
@@ -141,6 +142,52 @@ bad:
         assert result.num_selects == 0
         # Codegen emits exactly what the bound prices.
         assert bound == ProfitabilityModel().evaluate(result).saving
+
+    def test_priced_layout_is_reused_unchanged(self):
+        """Pricing reads the layout without changing it, so codegen given
+        the priced layout emits what it emits from a fresh one."""
+        text = print_module(build_workload(40, "layout"))
+
+        def state(layout):
+            pairs = [
+                (p.head, list(p.splits), p.tail, p.term_a, p.term_b) for p in layout.pairs
+            ]
+            return (
+                pairs,
+                dict(layout.entry_a),
+                dict(layout.entry_b),
+                dict(layout.exit_a),
+                dict(layout.exit_b),
+                list(layout.unmatched_a),
+                list(layout.unmatched_b),
+                layout.num_blocks,
+            )
+
+        priced = 0
+        for reuse in (False, True):
+            module = parse_module(text)
+            functions = module.defined_functions()
+            merged = []
+            for f, g in zip(functions[::2], functions[1::2]):
+                if f.return_type is not g.return_type:
+                    continue
+                alignment = align_functions(f, g)
+                layout = None
+                if reuse:
+                    layout = BlockLayout(alignment)
+                    before = state(layout)
+                    layout.price()
+                    assert state(layout) == before
+                    priced += 1
+                try:
+                    result = merge_functions(alignment, module, layout=layout)
+                except MergeError:
+                    continue
+                merged.append(print_function(result.merged))
+            if reuse:
+                assert merged == fresh
+            fresh = merged
+        assert priced > 5 and fresh
 
     @staticmethod
     def _round_one_bytes(monkeypatch):
@@ -242,9 +289,9 @@ bad:
         real_merge = pass_module.merge_functions
         floors = []
 
-        def merge_and_floor(alignment, module, options):
+        def merge_and_floor(alignment, module, options, layout=None):
             floors.append(BlockLayout(alignment).price()[1])
-            return real_merge(alignment, module, options=options)
+            return real_merge(alignment, module, options=options, layout=layout)
 
         monkeypatch.setattr(pass_module, "merge_functions", merge_and_floor)
         text = print_module(build_workload(200, "bound", WorkloadConfig(seed=seed)))

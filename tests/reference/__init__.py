@@ -20,6 +20,9 @@ bit-identical answers:
   both originals and every caller before a commit and re-clone them on
   rollback or undo, accepted by
   ``FunctionMergingPass(transaction_factory=...)``;
+* :func:`reference_entry` and :class:`ReferenceProfile` — per-block
+  encoding with FNV content keys and stacked opcode-count rows, and the
+  profitability bound's separate walk for its code counts and weights;
 * :mod:`tests.reference.parser` — the IR text parser with a regex match,
   kind and line stored per token, and a line-based header prescan that
   tokenizes every header line again.
@@ -27,6 +30,7 @@ bit-identical answers:
 
 from .alignment import PureAlignmentEngine, alignment_shape
 from .dominance import ReferenceDominatorTree, reference_violations
+from .encoding import ReferenceProfile, reference_entry
 from .lsh import ReferenceLSHIndex
 from .minhash import reference_minhash, shingle_hashes
 from .ranking import ReferenceMinHashRanker
@@ -38,8 +42,10 @@ __all__ = [
     "ReferenceLSHIndex",
     "ReferenceMergeTransaction",
     "ReferenceMinHashRanker",
+    "ReferenceProfile",
     "ReferenceRetainingTransaction",
     "alignment_shape",
+    "reference_entry",
     "reference_minhash",
     "reference_violations",
     "shingle_hashes",

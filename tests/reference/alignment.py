@@ -15,7 +15,8 @@ class PureAlignmentEngine(BatchAlignmentEngine):
 
     No vectorized kernel, memo or cache is consulted, so the engine's
     caches stay empty.  The merging pass's profitability bound still reads
-    the inherited interner, which is not part of the alignment decision.
+    the inherited function entries, which are not part of the alignment
+    decision.
     """
 
     def align_functions(
