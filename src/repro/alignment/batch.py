@@ -347,9 +347,12 @@ class _FunctionEntry:
     codes as a list and as an ``int64`` array, and its exact content key
     ``(len(codes), tuple(codes))``.  Per function: the ``(blocks × _DIM)``
     opcode-count matrix and block magnitudes (instruction counts) that
-    score block pairs, and the content key, the tuple of its block keys.
-    The profitability bound's inputs (:meth:`profile`) are computed on
-    first use.
+    score block pairs, the content key, the tuple of its block keys, and
+    ``rows``, the count matrix's bytes.  Block pairing reads the counts of
+    phis and terminators too, so a whole-function plan is keyed by both
+    ``key`` and ``rows`` (the magnitudes are the rows' sums).  The
+    profitability bound's inputs (:meth:`profile`) are computed on first
+    use.
     """
 
     __slots__ = (
@@ -362,6 +365,7 @@ class _FunctionEntry:
         "counts",
         "magnitudes",
         "key",
+        "rows",
         "code_counts",
         "code_weights",
         "body_weight",
@@ -390,6 +394,7 @@ class _FunctionEntry:
         self.counts = np.bincount(
             np.array(cells, dtype=np.int64), minlength=n * _DIM
         ).reshape(n, _DIM)
+        self.rows = self.counts.tobytes()
         self.magnitudes = np.array(
             [len(block.instructions) for block in blocks], dtype=np.int64
         )
@@ -429,7 +434,8 @@ class BatchAlignmentEngine:
       same block contents were aligned before (remerge rounds, sibling
       functions, partition sweeps), else from the vectorized kernels;
     * whole function-pair decisions come from the :class:`PlanCache` when
-      the same pair of function contents was aligned before, skipping
+      a pair with the same block bodies and the same opcode-count rows
+      (which include phis and terminators) was aligned before, skipping
       scoring, greedy pairing and per-pair DP entirely.
 
     Callers must invalidate functions whose blocks were mutated in place
@@ -512,6 +518,8 @@ class BatchAlignmentEngine:
             min_block_similarity,
             fe_a.key,
             fe_b.key,
+            fe_a.rows,
+            fe_b.rows,
         )
         plan = self.plans.get(plan_key)
         if plan is not None:

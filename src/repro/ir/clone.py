@@ -32,10 +32,16 @@ from .instructions import (
     Unreachable,
 )
 from .module import Module
-from .types import FunctionType
+from .types import FunctionType, Type
 from .values import Value
 
-__all__ = ["clone_instruction", "clone_function_into", "clone_function"]
+__all__ = [
+    "blank_instruction",
+    "clone_detached",
+    "clone_instruction",
+    "clone_function_into",
+    "clone_function",
+]
 
 ValueMap = Dict[int, Value]
 
@@ -95,6 +101,26 @@ def clone_instruction(inst: Instruction, vmap: ValueMap) -> Instruction:
         raise NotImplementedError(f"cannot clone {inst.opcode!r}")
     new.name = inst.name
     vmap[id(inst)] = new
+    return new
+
+
+def blank_instruction(cls: type, opcode: Opcode, type_: Type, name: str = "") -> Instruction:
+    """An instruction of class *cls* with no operands and no parent, made
+    without the class's operand checks; the caller appends its operands
+    and registers their uses."""
+    new = cls.__new__(cls)
+    Instruction.__init__(new, opcode, type_, (), name)
+    return new
+
+
+def clone_detached(inst: Instruction) -> Instruction:
+    """*inst*'s class, opcode, type, name and predicate or allocated type,
+    with no operands and no parent (see :func:`blank_instruction`)."""
+    new = blank_instruction(inst.__class__, inst.opcode, inst.type, inst.name)
+    if isinstance(inst, (ICmp, FCmp)):
+        new.pred = inst.pred  # type: ignore[attr-defined]
+    elif isinstance(inst, Alloca):
+        new.allocated_type = inst.allocated_type  # type: ignore[attr-defined]
     return new
 
 

@@ -1,4 +1,4 @@
-"""Layout of a merged function, fixed by the alignment alone.
+"""Layout and plan of a merged function, fixed by the alignment alone.
 
 :class:`BlockLayout` decides every block the merger lays out, in function
 order: the dispatch block; per block pair a head, one guarded diamond per
@@ -7,11 +7,16 @@ pair, or guarded with one block per side); and one block per unmatched
 block.  It maps each original block to its merged entry and exit block and
 knows the edges between merged blocks, all before a block exists.
 
-The merger (:mod:`repro.merge.merger`) instantiates the layout, so the
-layout is the one place these decisions are made.  The post-alignment
-profitability bound prices it with :meth:`BlockLayout.price`: the bytes
-the merger will emit, and the stack demotion SSA repair will certainly
-add, found by dominance on the layout's block graph.
+Its :class:`MergePlan`, built once per layout, places every merged
+instruction in those blocks in the merger's emission order, maps each
+original instruction and argument to what replaces it, and resolves every
+operand: which shared operand slots need a ``select``, which uses each
+definition has, and which error, if any, the merger must raise.  The
+post-alignment profitability bound prices the plan with
+:meth:`BlockLayout.price`: the bytes the merger will emit, and the stack
+demotion SSA repair will certainly add, found by dominance on the layout's
+block graph.  The merger (:mod:`repro.merge.merger`) emits the same plan,
+so the bound and codegen read one set of decisions.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from ..ir.instructions import (
 )
 from ..ir.types import I1, Type
 from ..ir.values import (
-    Argument,
+    Constant,
     ConstantFloat,
     ConstantInt,
     ConstantNull,
@@ -43,10 +48,12 @@ from ..ir.values import (
     Value,
 )
 
-__all__ = ["BlockLayout", "PairLayout"]
+__all__ = ["BlockLayout", "MergePlan", "PairLayout"]
 
 _BRANCH = _WEIGHTS[Opcode.BR]
 _SELECT = _WEIGHTS[Opcode.SELECT]
+# Operands that resolve to themselves in the merged function.
+_LEAVES = (Constant, Function)
 # Bytes SSA repair emits to demote one value (an alloca and a store) and
 # for each use it rewrites (a load).
 _DEMOTE_DEF = _WEIGHTS[Opcode.ALLOCA] + _WEIGHTS[Opcode.STORE]
@@ -184,6 +191,7 @@ class BlockLayout:
         self.exit_a = exit_a
         self.exit_b = exit_b
         self.num_blocks = count
+        self._plan: Optional[MergePlan] = None
 
     def block_names(self) -> List[str]:
         """The merged blocks' names, by index."""
@@ -289,148 +297,31 @@ class BlockLayout:
                 succs[i] = targets(block.terminator, entries)
         return succs
 
-    # -- pricing ------------------------------------------------------------------
+    # -- the merge plan -----------------------------------------------------------
+    def plan(self) -> "MergePlan":
+        """The :class:`MergePlan` of this layout, built on first use."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = MergePlan(self)
+        return plan
+
     def price(self) -> Tuple[int, int]:
         """``(merged bytes, demotion bytes)`` under the size model.
 
-        The merged bytes are what the merger emits: the function overhead
-        and the dispatch branch; each shared pair once; every split-segment
-        instruction, with the segment's guard branch and one join branch
-        per non-empty side; each block pair's terminator, once when
-        shared, else both with a guard branch; every unmatched-block
-        instruction; and a ``select`` for each operand slot of a shared
-        pair whose two operands resolve to different merged values.
-
-        The demotion bytes are those of SSA repair's first round: each
-        value that :func:`~repro.analysis.dominators.dominance_violations`
-        would report on the merged function before repair gets an alloca
-        and a store, and each reported use a load.  Both ``legacy_bugs``
-        settings emit all of these.  A use whose value the alignment does
-        not map (a pair the merger rejects) counts nothing.
+        The merged bytes are the plan's :attr:`MergePlan.size`, what the
+        merger emits before SSA repair.  The demotion bytes are those of
+        SSA repair's first round: each value that
+        :func:`~repro.analysis.dominators.dominance_violations` would
+        report on the merged function before repair gets an alloca and a
+        store, and each reported use a load.  Both ``legacy_bugs`` settings
+        emit all of these.  A use whose value the alignment does not map (a
+        pair the merger rejects) counts nothing.
         """
-        alignment = self.alignment
-        weights = _WEIGHTS
-        # Every merged instruction is a node: its number orders it within
-        # its block, ``block_of`` holds the block, and a shared pair's two
-        # originals map to one node.
-        block_of: List[int] = []
-        where_a: Dict[int, int] = {}
-        where_b: Dict[int, int] = {}
-        shared: List[Tuple[Instruction, Instruction, int]] = []
-        private: List[Tuple[Instruction, Dict[int, int], int]] = []
-        phis: List[Tuple[Instruction, Dict[int, int], Dict[int, int], int]] = []
-        emitted = _FUNCTION_OVERHEAD + _BRANCH
-        for pair, plan in zip(alignment.block_pairs, self.pairs):
-            block = plan.head
-            for source, where, exits in (
-                (pair.block_a, where_a, self.exit_a),
-                (pair.block_b, where_b, self.exit_b),
-            ):
-                for phi in source.instructions:
-                    if phi.__class__ is not Phi:
-                        break
-                    where[id(phi)] = len(block_of)
-                    block_of.append(block)
-                    phis.append((phi, where, exits, block))
-            splits = iter(plan.splits)
-            for segment in pair.segments:
-                if segment.__class__ is SharedSegment:
-                    for a, b in segment.pairs:  # type: ignore[union-attr]
-                        node = where_a[id(a)] = where_b[id(b)] = len(block_of)
-                        block_of.append(block)
-                        shared.append((a, b, node))
-                        emitted += weights.get(a.opcode, _DEFAULT_WEIGHT)
-                    continue
-                join, left, right = next(splits)
-                emitted += _BRANCH  # the guard (or straight-line) branch
-                for side, where, insts in (
-                    (left, where_a, segment.left),  # type: ignore[union-attr]
-                    (right, where_b, segment.right),  # type: ignore[union-attr]
-                ):
-                    if not insts:
-                        continue
-                    emitted += _BRANCH  # to the join
-                    for inst in insts:
-                        node = where[id(inst)] = len(block_of)
-                        block_of.append(side)
-                        private.append((inst, where, node))
-                        emitted += weights.get(inst.opcode, _DEFAULT_WEIGHT)
-                block = join
-            term_a = pair.block_a.terminator
-            term_b = pair.block_b.terminator
-            if term_a is None or term_b is None:
-                continue
-            emitted += weights.get(term_a.opcode, _DEFAULT_WEIGHT)
-            if plan.shared_terminator:
-                node = where_a[id(term_a)] = where_b[id(term_b)] = len(block_of)
-                block_of.append(block)
-                shared.append((term_a, term_b, node))
-            else:
-                emitted += weights.get(term_b.opcode, _DEFAULT_WEIGHT) + _BRANCH
-                node = where_a[id(term_a)] = len(block_of)
-                block_of.append(plan.term_a)
-                private.append((term_a, where_a, node))
-                node = where_b[id(term_b)] = len(block_of)
-                block_of.append(plan.term_b)
-                private.append((term_b, where_b, node))
-        for blocks, placed, where, exits in (
-            (alignment.unmatched_a, self.unmatched_a, where_a, self.exit_a),
-            (alignment.unmatched_b, self.unmatched_b, where_b, self.exit_b),
-        ):
-            for source, block in zip(blocks, placed):
-                for inst in source.instructions:
-                    node = where[id(inst)] = len(block_of)
-                    block_of.append(block)
-                    if inst.__class__ is Phi:
-                        phis.append((inst, where, exits, block))
-                    else:
-                        private.append((inst, where, node))
-                        emitted += weights.get(inst.opcode, _DEFAULT_WEIGHT)
-
-        # An argument resolves to its merged slot, stored negated so it can
-        # never equal an instruction's node.
-        func_a, func_b = alignment.function_a, alignment.function_b
-        _types, map_a, map_b = _merge_parameters(func_a, func_b)  # type: ignore[arg-type]
-        slots = {id(arg): -slot for arg, slot in zip(func_a.args, map_a)}  # type: ignore[union-attr]
-        slots.update((id(arg), -slot) for arg, slot in zip(func_b.args, map_b))  # type: ignore[union-attr]
+        plan = self.plan()
+        block_of = plan.block_of
         lo, hi = DominatorTree.of_successors(self.successors()).intervals(self.num_blocks)
-        # (def node, user node) of every use outside a phi; a select sits
-        # right before its user, so its operands are used there.
-        uses: List[Tuple[int, int]] = []
-        for a, b, node in shared:
-            for op_a, op_b in zip(a._operands, b._operands):
-                if isinstance(op_a, Instruction):
-                    val_a = where_a.get(id(op_a))
-                elif isinstance(op_a, Argument):
-                    val_a = slots.get(id(op_a))
-                elif isinstance(op_a, BasicBlock):
-                    continue
-                else:
-                    val_a = op_a
-                if isinstance(op_b, Instruction):
-                    val_b = where_b.get(id(op_b))
-                elif isinstance(op_b, Argument):
-                    val_b = slots.get(id(op_b))
-                else:
-                    val_b = op_b
-                if val_a is None or val_b is None:
-                    continue
-                if val_a == val_b:
-                    if val_a.__class__ is int and val_a >= 0:  # type: ignore[operator]
-                        uses.append((val_a, node))  # type: ignore[arg-type]
-                elif val_a.__class__ is int or not _constants_equal(val_a, val_b):  # type: ignore[arg-type]
-                    emitted += _SELECT
-                    for val in (val_a, val_b):
-                        if val.__class__ is int and val >= 0:  # type: ignore[operator]
-                            uses.append((val, node))  # type: ignore[arg-type]
-        for inst, where, node in private:
-            for op in inst._operands:
-                if isinstance(op, Instruction):
-                    d = where.get(id(op))
-                    if d is not None:
-                        uses.append((d, node))
         bad: List[int] = []  # the def node of each use it does not dominate
-        for d, user in uses:
+        for d, user in plan.uses:
             use_block = block_of[user]
             use_lo = lo[use_block]
             if use_lo < 0:
@@ -443,24 +334,238 @@ class BlockLayout:
                 def_lo = lo[def_block]
                 if def_lo >= 0 and not def_lo <= use_lo < hi[def_block]:
                     bad.append(d)
-        for phi, where, exits, block in phis:
-            if lo[block] < 0:
+        for d, phi_block, incoming in plan.phi_uses:
+            if lo[phi_block] < 0:
                 continue
-            ops = phi._operands
+            # The def must dominate the end of the incoming block.  An invoke
+            # result reaching a phi from the invoke's own block always does,
+            # so the one use fixed repair leaves alone never counts here.
+            def_block = block_of[d]
+            def_lo = lo[def_block]
+            if def_lo >= 0 and not def_lo <= lo[incoming] < hi[def_block]:
+                bad.append(d)
+        return plan.size, len(set(bad)) * _DEMOTE_DEF + len(bad) * _DEMOTE_USE
+
+
+class MergePlan:
+    """Every instruction of the merged function, placed and resolved once.
+
+    Each merged instruction is a *node*, numbered in the merger's emission
+    order: per block pair its phis (A's, then B's) and its segments'
+    instructions; every instruction of the unmatched blocks of A, then of
+    B; last each pair's terminator, one node when shared, else A's and
+    then B's.  ``source_a``/``source_b`` hold a node's originals (None on
+    the side it does not come from) and ``block_of`` its merged block, so
+    the nodes of one block are numbered in their order within it.
+    ``phis`` lists the phi nodes in that order.
+
+    ``where_a``/``where_b`` map ``id`` of an original instruction or
+    argument to its *reference*: its node, or for an argument its merged
+    parameter slot negated (slot 0 is the function id, so no argument's
+    reference is 0 or above).  A constant or function operand refers to
+    itself.  ``selects`` maps a shared node to ``(operand index, reference
+    on A's side, reference on B's side)`` for each operand slot whose two
+    operands resolve to different merged values; every other slot of a
+    shared node takes A's operand.
+
+    ``size`` is the function's bytes under the size model before SSA
+    repair.  ``uses`` holds ``(def node, user node)`` for every use of an
+    instruction outside a phi (a select sits right before its user, so its
+    operands are used there), and ``phi_uses`` ``(def node, phi block,
+    incoming exit block)`` for each phi incoming value.  ``error`` is the
+    message of the :class:`~repro.merge.errors.MergeError` the merger
+    raises for this alignment, or None.
+    """
+
+    def __init__(self, layout: BlockLayout) -> None:
+        self.layout = layout
+        self.error: Optional[str] = None
+        alignment = layout.alignment
+        func_a: Function = alignment.function_a  # type: ignore[assignment]
+        func_b: Function = alignment.function_b  # type: ignore[assignment]
+        self.param_types, map_a, map_b = _merge_parameters(func_a, func_b)
+        self.map_a, self.map_b = map_a, map_b
+        where_a = self.where_a = {id(arg): -slot for arg, slot in zip(func_a.args, map_a)}
+        where_b = self.where_b = {id(arg): -slot for arg, slot in zip(func_b.args, map_b)}
+        self._place(layout, where_a, where_b)
+        for start, entries in ((func_a.entry, layout.entry_a), (func_b.entry, layout.entry_b)):
+            if id(start) not in entries:
+                self._fail(f"no merged entry for block %{start.name}")
+        self._resolve(layout, func_a, func_b)
+
+    def _fail(self, message: str) -> None:
+        if self.error is None:
+            self.error = message
+
+    def _place(self, layout: BlockLayout, where_a: Dict[int, int], where_b: Dict[int, int]) -> None:
+        """Number every node, map each original to it and size it."""
+        alignment = layout.alignment
+        weights = _WEIGHTS
+        source_a: List[Optional[Instruction]] = []
+        source_b: List[Optional[Instruction]] = []
+        block_of: List[int] = []
+        phis: List[int] = []
+        size = _FUNCTION_OVERHEAD + _BRANCH  # with the dispatch branch
+        num_shared = num_private = 0
+
+        def place(a: Optional[Instruction], b: Optional[Instruction], block: int) -> int:
+            node = len(block_of)
+            source_a.append(a)
+            source_b.append(b)
+            block_of.append(block)
+            if a is not None:
+                where_a[id(a)] = node
+            if b is not None:
+                where_b[id(b)] = node
+            return node
+
+        for pair, plan in zip(alignment.block_pairs, layout.pairs):
+            block = plan.head
+            for phi in pair.block_a.phis():
+                phis.append(place(phi, None, block))
+            for phi in pair.block_b.phis():
+                phis.append(place(None, phi, block))
+            splits = iter(plan.splits)
+            for segment in pair.segments:
+                if segment.__class__ is SharedSegment:
+                    for a, b in segment.pairs:  # type: ignore[union-attr]
+                        place(a, b, block)
+                        size += weights.get(a.opcode, _DEFAULT_WEIGHT)
+                    num_shared += len(segment.pairs)  # type: ignore[union-attr]
+                    continue
+                join, left, right = next(splits)
+                size += _BRANCH  # the guard (or straight-line) branch
+                for inst in segment.left:  # type: ignore[union-attr]
+                    place(inst, None, left)
+                    size += weights.get(inst.opcode, _DEFAULT_WEIGHT)
+                for inst in segment.right:  # type: ignore[union-attr]
+                    place(None, inst, right)
+                    size += weights.get(inst.opcode, _DEFAULT_WEIGHT)
+                # A branch to the join ends each non-empty side.
+                size += _BRANCH * ((left >= 0) + (right >= 0))
+                num_private += segment.length  # type: ignore[union-attr]
+                block = join
+            if pair.block_a.terminator is None or pair.block_b.terminator is None:
+                self._fail("cannot merge unterminated blocks")
+        for blocks, placed, on_a in (
+            (alignment.unmatched_a, layout.unmatched_a, True),
+            (alignment.unmatched_b, layout.unmatched_b, False),
+        ):
+            for source, block in zip(blocks, placed):
+                for inst in source.instructions:
+                    node = place(inst, None, block) if on_a else place(None, inst, block)
+                    if inst.__class__ is Phi:
+                        phis.append(node)
+                    else:
+                        size += weights.get(inst.opcode, _DEFAULT_WEIGHT)
+                        num_private += 1
+                if source.terminator is None:
+                    self._fail(f"unterminated block %{source.name}")
+                else:
+                    num_private -= 1
+        # Terminators are emitted after the unmatched blocks.
+        for pair, plan in zip(alignment.block_pairs, layout.pairs):
+            term_a = pair.block_a.terminator
+            term_b = pair.block_b.terminator
+            if term_a is None or term_b is None:
+                continue
+            size += weights.get(term_a.opcode, _DEFAULT_WEIGHT)
+            if plan.shared_terminator:
+                place(term_a, term_b, plan.tail)
+            else:
+                size += weights.get(term_b.opcode, _DEFAULT_WEIGHT) + _BRANCH
+                place(term_a, None, plan.term_a)
+                place(None, term_b, plan.term_b)
+        self.source_a = source_a
+        self.source_b = source_b
+        self.block_of = block_of
+        self.phis = phis
+        self.size = size
+        self.num_shared = num_shared
+        self.num_private = num_private
+
+    def _resolve(self, layout: BlockLayout, func_a: Function, func_b: Function) -> None:
+        """Resolve every operand: decide the selects, collect the uses and
+        find the merger's first error, all in the merger's order."""
+        where_a, where_b = self.where_a, self.where_b
+        entry_a, entry_b = layout.entry_a, layout.entry_b
+        uses: List[Tuple[int, int]] = []
+        selects: Dict[int, List[Tuple[int, object, object]]] = {}
+        for node, (a, b) in enumerate(zip(self.source_a, self.source_b)):
+            if a is not None and b is not None:
+                for idx, (op_a, op_b) in enumerate(zip(a._operands, b._operands)):
+                    if op_a.__class__ is BasicBlock:
+                        target_a = entry_a.get(id(op_a))
+                        target_b = entry_b.get(id(op_b))
+                        if target_a is None:
+                            self._fail(f"no merged entry for block %{op_a.name}")
+                        elif target_b is None:
+                            self._fail(f"no merged entry for block %{op_b.name}")
+                        elif target_a != target_b:
+                            self._fail("shared terminator with diverging targets")
+                        continue
+                    ref_a = where_a.get(id(op_a))
+                    if ref_a is None:
+                        if not isinstance(op_a, _LEAVES):
+                            self._fail(f"unmapped value %{op_a.name} from @{func_a.name}")
+                            continue
+                        ref_a = op_a
+                    ref_b = where_b.get(id(op_b))
+                    if ref_b is None:
+                        if not isinstance(op_b, _LEAVES):
+                            self._fail(f"unmapped value %{op_b.name} from @{func_b.name}")
+                            continue
+                        ref_b = op_b
+                    if ref_a == ref_b:
+                        if ref_a.__class__ is int and ref_a >= 0:  # type: ignore[operator]
+                            uses.append((ref_a, node))  # type: ignore[arg-type]
+                    elif ref_a.__class__ is int or not _constants_equal(ref_a, ref_b):  # type: ignore[arg-type]
+                        selects.setdefault(node, []).append((idx, ref_a, ref_b))
+                        for ref in (ref_a, ref_b):
+                            if ref.__class__ is int and ref >= 0:  # type: ignore[operator]
+                                uses.append((ref, node))  # type: ignore[arg-type]
+                continue
+            if a is not None:
+                source, where, entries, func = a, where_a, entry_a, func_a
+            else:
+                source, where, entries, func = b, where_b, entry_b, func_b  # type: ignore[assignment]
+            if source.__class__ is Phi:
+                continue
+            for op in source._operands:
+                if op.__class__ is BasicBlock:
+                    if id(op) not in entries:
+                        self._fail(f"no merged entry for block %{op.name}")
+                    continue
+                ref = where.get(id(op))
+                if ref is None:
+                    if not isinstance(op, _LEAVES):
+                        self._fail(f"unmapped value %{op.name} from @{func.name}")
+                elif ref >= 0:
+                    uses.append((ref, node))
+        phi_uses: List[Tuple[int, int, int]] = []
+        for node in self.phis:
+            phi = self.source_a[node]
+            if phi is not None:
+                where, exits, func = where_a, layout.exit_a, func_a
+            else:
+                phi = self.source_b[node]
+                where, exits, func = where_b, layout.exit_b, func_b
+            block = self.block_of[node]
+            ops = phi._operands  # type: ignore[union-attr]
             for i in range(0, len(ops), 2):
-                op = ops[i]
-                if not isinstance(op, Instruction):
-                    continue
-                d = where.get(id(op))
-                incoming = exits.get(id(ops[i + 1]))
-                if d is None or incoming is None:
-                    continue
-                # The def must dominate the end of the incoming block.  An
-                # invoke result reaching a phi from the invoke's own block
-                # always does, so the one use fixed repair leaves alone
-                # never counts here.
-                def_block = block_of[d]
-                def_lo = lo[def_block]
-                if def_lo >= 0 and not def_lo <= lo[incoming] < hi[def_block]:
-                    bad.append(d)
-        return emitted, len(set(bad)) * _DEMOTE_DEF + len(bad) * _DEMOTE_USE
+                op, pred = ops[i], ops[i + 1]
+                incoming = exits.get(id(pred))
+                if incoming is None:
+                    self._fail(f"no merged exit for block %{pred.name}")
+                ref = where.get(id(op))
+                if ref is None:
+                    if not isinstance(op, _LEAVES):
+                        self._fail(f"unmapped value %{op.name} from @{func.name}")
+                elif incoming is not None and ref >= 0:
+                    phi_uses.append((ref, block, incoming))
+        self.uses = uses
+        self.phi_uses = phi_uses
+        self.selects = selects
+        self.num_selects = sum(map(len, selects.values()))
+        self.size += _SELECT * self.num_selects
+

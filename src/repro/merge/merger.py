@@ -13,33 +13,33 @@ Given two functions and a block-level alignment, emit one merged function:
 * terminators merge when both functions branch to correspondingly-paired
   blocks, otherwise each function keeps its own guarded terminator.
 
-Which blocks exist, in what order, and where each original block is
-entered and left come from :class:`~repro.merge.layout.BlockLayout`, which
-the profitability bound prices before codegen.  Dominance violations
-introduced by sharing are fixed afterwards by :mod:`repro.merge.ssa_repair`.
+Every decision comes from the alignment's
+:class:`~repro.merge.layout.BlockLayout` and its
+:class:`~repro.merge.layout.MergePlan`, which the profitability bound
+prices before codegen: the blocks, where each original block is entered
+and left, every merged instruction's block and originals, and which
+operand slots need a select.  The merger emits that plan: it creates the
+blocks, clones each planned instruction once with its block operands, then
+sets the value operands in plan order.  Dominance violations introduced by
+sharing are fixed afterwards by :mod:`repro.merge.ssa_repair`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..alignment.model import (
-    BlockAlignment,
-    FunctionAlignment,
-    SharedSegment,
-    SplitSegment,
-)
+from ..alignment.model import FunctionAlignment
 from ..ir.basicblock import BasicBlock
-from ..ir.clone import clone_instruction
-from ..ir.function import Function, LocalNamer
-from ..ir.instructions import Branch, Instruction, Phi, Select
+from ..ir.clone import blank_instruction, clone_detached
+from ..ir.function import Function
+from ..ir.instructions import Branch, Instruction, Opcode, Phi, Select
 from ..ir.module import Module
 from ..ir.types import FunctionType
-from ..ir.values import Argument, Constant, UndefValue, Value
+from ..ir.values import UndefValue, Value
 from ..obs import trace
 from .errors import MergeError
-from .layout import BlockLayout, PairLayout, _constants_equal, _merge_parameters
+from .layout import BlockLayout, MergePlan
 from .ssa_repair import repair_ssa
 
 __all__ = ["MergeOptions", "MergeResult", "merge_functions"]
@@ -55,7 +55,6 @@ class MergeOptions:
     """
 
     legacy_bugs: bool = False
-    max_repair_rounds: int = 16
 
 
 @dataclass
@@ -74,324 +73,134 @@ class MergeResult:
     repairs: int = 0
 
 
-@dataclass
-class _Pending:
-    """An emitted instruction whose operands still point at placeholders."""
-
-    inst: Instruction
-    source_a: Optional[Instruction]
-    source_b: Optional[Instruction]
-
-
-class _Merger:
-    """One merge operation; see module docstring for the overall scheme."""
-
-    def __init__(
-        self,
-        alignment: FunctionAlignment,
-        module: Module,
-        name: Optional[str],
-        options: MergeOptions,
-        layout: Optional[BlockLayout],
-    ) -> None:
-        self.alignment = alignment
-        self.func_a: Function = alignment.function_a  # type: ignore[assignment]
-        self.func_b: Function = alignment.function_b  # type: ignore[assignment]
-        self.module = module
-        self.options = options
-        if self.func_a.return_type is not self.func_b.return_type:
-            raise MergeError(
-                f"return type mismatch: {self.func_a.return_type} vs "
-                f"{self.func_b.return_type}"
-            )
-        if self.func_a.is_declaration or self.func_b.is_declaration:
-            raise MergeError("cannot merge declarations")
-
-        types, self.map_a, self.map_b = _merge_parameters(self.func_a, self.func_b)
-        merged_name = name or module.unique_name(
-            f"merged.{self.func_a.name}.{self.func_b.name}"
-        )
-        self.merged = Function(
-            FunctionType(self.func_a.return_type, types), merged_name, internal=True
-        )
-        self.fid: Argument = self.merged.args[0]
-        self.fid.name = "fid"
-        # Value maps: original value id -> merged value.
-        self.vmap_a: Dict[int, Value] = {}
-        self.vmap_b: Dict[int, Value] = {}
-        for arg, slot in zip(self.func_a.args, self.map_a):
-            self.vmap_a[id(arg)] = self.merged.args[slot]
-        for arg, slot in zip(self.func_b.args, self.map_b):
-            self.vmap_b[id(arg)] = self.merged.args[slot]
-        # Every block, and each original block's entry and exit, come from
-        # the layout; the blocks are created in its order up front.
-        self.layout = layout if layout is not None else BlockLayout(alignment)
-        self.blocks = [BasicBlock(name, self.merged) for name in self.layout.block_names()]
-        self.pending: List[_Pending] = []
-        self.phi_shells: List[Tuple[Phi, Phi, str]] = []  # (new, old, side)
-        self._deferred_terms: List[Tuple[PairLayout, BasicBlock, Instruction, Instruction]] = []
-        self.result = MergeResult(self.merged, self.func_a, self.func_b)
-
-    # -- small helpers -----------------------------------------------------------
-    def _placeholder_clone(
-        self, inst: Instruction, side: str, partner: Optional[Instruction] = None
-    ) -> Instruction:
-        """Clone *inst* with every operand replaced by a typed placeholder."""
-        vmap: Dict[int, Value] = {}
-        for op in inst.operands:
-            if isinstance(op, BasicBlock):
-                # Blocks are patched later; point at a detached dummy.
-                vmap[id(op)] = self._dummy_block(op)
-            elif isinstance(op, Constant) or isinstance(op, Function):
-                vmap[id(op)] = op
+def _layout_branches(
+    layout: BlockLayout, blocks: List[BasicBlock], fid: Value
+) -> List[Tuple[BasicBlock, Branch]]:
+    """The branches the layout adds, each with the block it ends: per
+    split segment the branches to its join and its guard, then the guards
+    of unshared terminators, then the dispatch branch."""
+    branches: List[Tuple[BasicBlock, Branch]] = []
+    for pair in layout.pairs:
+        current = pair.head
+        for join, left, right in pair.splits:
+            to_join = blocks[join]
+            if left >= 0:
+                branches.append((blocks[left], Branch(to_join)))
+            if right >= 0:
+                branches.append((blocks[right], Branch(to_join)))
+            if left < 0 and right < 0:
+                guard = Branch(to_join)
             else:
-                vmap[id(op)] = UndefValue(op.type)
-        new = clone_instruction(inst, vmap)
-        if side == "a":
-            self.vmap_a[id(inst)] = new
-            if partner is not None:
-                self.vmap_b[id(partner)] = new
-        else:
-            self.vmap_b[id(inst)] = new
-        self.pending.append(
-            _Pending(new, inst if side == "a" else partner, partner if side == "a" else inst)
-        )
-        return new
+                guard = Branch(fid, blocks[right if right >= 0 else join], blocks[left if left >= 0 else join])
+            branches.append((blocks[current], guard))
+            current = join
+    for pair in layout.pairs:
+        if not pair.shared_terminator:
+            guard = Branch(fid, blocks[pair.term_b], blocks[pair.term_a])
+            branches.append((blocks[pair.tail], guard))
+    alignment = layout.alignment
+    start_a = blocks[layout.entry_a[id(alignment.function_a.entry)]]  # type: ignore[union-attr]
+    start_b = blocks[layout.entry_b[id(alignment.function_b.entry)]]  # type: ignore[union-attr]
+    dispatch = Branch(start_a) if start_a is start_b else Branch(fid, start_b, start_a)
+    branches.append((blocks[0], dispatch))
+    return branches
 
-    _dummies: Dict[int, BasicBlock]
 
-    def _dummy_block(self, original: BasicBlock) -> BasicBlock:
-        if not hasattr(self, "_dummies"):
-            self._dummies = {}
-        dummy = self._dummies.get(id(original))
-        if dummy is None:
-            dummy = BasicBlock(f"dummy.{original.name}")
-            self._dummies[id(original)] = dummy
-        return dummy
+def _emit(plan: MergePlan, merged: Function) -> None:
+    """Build *merged*'s body from *plan*.
 
-    def _resolve(self, value: Value, side: str) -> Value:
-        vmap = self.vmap_a if side == "a" else self.vmap_b
-        mapped = vmap.get(id(value))
-        if mapped is not None:
-            return mapped
-        if isinstance(value, (Constant, Function)):
-            return value
-        raise MergeError(
-            f"unmapped value %{value.name} from @{self.func_a.name if side == 'a' else self.func_b.name}"
-        )
+    Every value gains its uses in one fixed order, which SSA repair's
+    reload names and the phis' extra incomings depend on: the layout's
+    branches first, then each node's block, constant and function operands
+    in plan order, then its instruction and argument operands in plan
+    order, each select right before the slot it feeds, and phi incomings
+    last.
+    """
+    layout = plan.layout
+    args = merged.args
+    fid = args[0]
+    blocks = [BasicBlock(name, merged) for name in layout.block_names()]
+    branches = _layout_branches(layout, blocks, fid)
+    selects = plan.selects
+    # (where, entries, exits) of side A, then of side B.
+    sides = ((plan.where_a, layout.entry_a, layout.exit_a), (plan.where_b, layout.entry_b, layout.exit_b))
+    values: List[Instruction] = []
 
-    def _entry_of(self, block: BasicBlock, side: str) -> BasicBlock:
-        emap = self.layout.entry_a if side == "a" else self.layout.entry_b
-        target = emap.get(id(block))
-        if target is None:
-            raise MergeError(f"no merged entry for block %{block.name}")
-        return self.blocks[target]
+    def value(ref: object) -> Value:
+        if ref.__class__ is not int:
+            return ref  # type: ignore[return-value]
+        return values[ref] if ref >= 0 else args[-ref]  # type: ignore[operator,index]
 
-    # -- phase 1: block scaffolding ----------------------------------------------
-    def build(self) -> MergeResult:
-        with trace.span("codegen.merge"):
-            dispatch = self.blocks[0]
-            self._build_pairs()
-            self._build_unmatched(self.alignment.unmatched_a, self.layout.unmatched_a, "a")
-            self._build_unmatched(self.alignment.unmatched_b, self.layout.unmatched_b, "b")
-            self._flush_terminators()
-            self._emit_dispatch(dispatch)
-            self._patch_operands()
-            self._patch_phis()
-            self._drop_dummies()
-            self.merged.uniquify_names()
-            self.module.add_function(self.merged)
-        with trace.span("codegen.repair"):
-            try:
-                self.result.repairs = repair_ssa(
-                    self.merged,
-                    legacy_bugs=self.options.legacy_bugs,
-                    max_rounds=self.options.max_repair_rounds,
-                )
-            except MergeError:
-                self.merged.erase_from_parent()
-                raise
-        self.result.param_map_a = self.map_a
-        self.result.param_map_b = self.map_b
-        return self.result
+    # Clone each node once, into its block.  Value operands keep the
+    # original's until they are set below; only their uses are missing.
+    shells: List[Instruction] = []
+    for node, (a, b, index) in enumerate(zip(plan.source_a, plan.source_b, plan.block_of)):
+        source: Instruction = a if a is not None else b  # type: ignore[assignment]
+        where, entries, _exits = sides[a is None]
+        new = clone_detached(source)
+        values.append(new)
+        block = blocks[index]
+        if new.__class__ is not Phi:
+            ops = new._operands = list(source._operands)
+            slots = [idx for idx, _ref_a, _ref_b in selects.get(node, ())]
+            for idx, op in enumerate(ops):
+                if op.__class__ is BasicBlock:
+                    op = ops[idx] = blocks[entries[id(op)]]
+                    op._add_use(new, idx)
+                elif id(op) not in where and idx not in slots:
+                    op._add_use(new, idx)
+            for idx in slots:
+                shell = blank_instruction(Select, Opcode.SELECT, ops[idx].type)
+                shell.parent = block
+                block.instructions.append(shell)
+                shells.append(shell)
+        new.parent = block
+        block.instructions.append(new)
+    for block, branch in branches:
+        branch.parent = block
+        block.instructions.append(branch)
 
-    def _emit_dispatch(self, dispatch: BasicBlock) -> None:
-        entry_a = self._entry_of(self.func_a.entry, "a")
-        entry_b = self._entry_of(self.func_b.entry, "b")
-        if entry_a is entry_b:
-            dispatch.append(Branch(entry_a))
-        else:
-            dispatch.append(Branch(self.fid, entry_b, entry_a))
-
-    def _build_pairs(self) -> None:
-        for pair, plan in zip(self.alignment.block_pairs, self.layout.pairs):
-            self._build_pair(pair, plan)
-
-    def _build_pair(self, pair: BlockAlignment, plan: PairLayout) -> None:
-        head = self.blocks[plan.head]
-        # Phi shells for both originals live at the head.
-        for side, block in (("a", pair.block_a), ("b", pair.block_b)):
-            vmap = self.vmap_a if side == "a" else self.vmap_b
-            for phi in block.phis():
-                shell = Phi(phi.type)
-                shell.name = phi.name
-                head.append(shell)
-                vmap[id(phi)] = shell
-                self.phi_shells.append((shell, phi, side))
-
-        current = head
-        splits = iter(plan.splits)
-        for segment in pair.segments:
-            if isinstance(segment, SharedSegment):
-                for a, b in segment.pairs:
-                    current.append(self._placeholder_clone(a, "a", partner=b))
-                    self.result.num_shared += 1
-            elif isinstance(segment, SplitSegment):
-                current = self._build_split(next(splits), current, segment)
-        self._build_terminators(pair, plan, current)
-
-    def _build_split(
-        self, blocks: Tuple[int, int, int], current: BasicBlock, segment: SplitSegment
-    ) -> BasicBlock:
-        """Emit a guarded diamond for one split segment; returns the join."""
-        join, left, right = (self.blocks[i] if i >= 0 else None for i in blocks)
-        assert join is not None
-        if left is not None:
-            for inst in segment.left:
-                left.append(self._placeholder_clone(inst, "a"))
-                self.result.num_private += 1
-            left.append(Branch(join))
-        if right is not None:
-            for inst in segment.right:
-                right.append(self._placeholder_clone(inst, "b"))
-                self.result.num_private += 1
-            right.append(Branch(join))
-        if left is not None and right is not None:
-            current.append(Branch(self.fid, right, left))
-        elif left is not None:
-            current.append(Branch(self.fid, join, left))
-        elif right is not None:
-            current.append(Branch(self.fid, right, join))
-        else:  # both empty: degenerate, keep straight-line
-            current.append(Branch(join))
-        return join
-
-    # -- terminators ----------------------------------------------------------------
-    def _build_terminators(self, pair: BlockAlignment, plan: PairLayout, current: BasicBlock) -> None:
-        term_a = pair.block_a.terminator
-        term_b = pair.block_b.terminator
-        if term_a is None or term_b is None:
-            raise MergeError("cannot merge unterminated blocks")
-        # Terminators are emitted after the unmatched blocks' instructions,
-        # which fixes the order operands are patched and selects named in.
-        self._deferred_terms.append((plan, current, term_a, term_b))
-
-    def _flush_terminators(self) -> None:
-        for plan, current, term_a, term_b in self._deferred_terms:
-            if plan.shared_terminator:
-                current.append(self._placeholder_clone(term_a, "a", partner=term_b))
+    # Set the value operands in plan order.
+    namer = merged.namer()
+    next_shell = iter(shells).__next__
+    for node, (a, b) in enumerate(zip(plan.source_a, plan.source_b)):
+        source = a if a is not None else b  # type: ignore[assignment]
+        if source.__class__ is Phi:
+            continue
+        where = sides[a is None][0]
+        new = values[node]
+        pending = {idx: (ref_a, ref_b) for idx, ref_a, ref_b in selects.get(node, ())}
+        for idx, op in enumerate(source._operands):
+            refs = pending.get(idx)
+            if refs is not None:
+                val = next_shell()
+                for operand in (fid, value(refs[1]), value(refs[0])):
+                    val._append_operand(operand)
+                val.name = namer("sel")
             else:
-                blk_a = self.blocks[plan.term_a]
-                blk_b = self.blocks[plan.term_b]
-                blk_a.append(self._placeholder_clone(term_a, "a"))
-                blk_b.append(self._placeholder_clone(term_b, "b"))
-                current.append(Branch(self.fid, blk_b, blk_a))
+                ref = where.get(id(op))
+                if ref is None:
+                    continue
+                val = value(ref)
+            new._operands[idx] = val
+            val._add_use(new, idx)
 
-    # -- unmatched blocks -------------------------------------------------------------
-    def _build_unmatched(self, blocks: List[BasicBlock], placed: List[int], side: str) -> None:
-        vmap = self.vmap_a if side == "a" else self.vmap_b
-        for block, index in zip(blocks, placed):
-            clone = self.blocks[index]
-            for phi in block.phis():
-                shell = Phi(phi.type)
-                shell.name = phi.name
-                clone.append(shell)
-                vmap[id(phi)] = shell
-                self.phi_shells.append((shell, phi, side))
-            for inst in block.instructions[block.first_non_phi_index():]:
-                if inst.is_terminator:
-                    break
-                clone.append(self._placeholder_clone(inst, side))
-                self.result.num_private += 1
-            term = block.terminator
-            if term is None:
-                raise MergeError(f"unterminated block %{block.name}")
-            clone.append(self._placeholder_clone(term, side))
-
-    # -- phase 2: operand patching -----------------------------------------------------
-    def _patch_operands(self) -> None:
-        namer = self.merged.namer()
-        for pend in self.pending:
-            inst = pend.inst
-            if pend.source_a is not None and pend.source_b is not None:
-                self._patch_shared(inst, pend.source_a, pend.source_b, namer)
-            elif pend.source_a is not None:
-                self._patch_private(inst, pend.source_a, "a")
-            else:
-                assert pend.source_b is not None
-                self._patch_private(inst, pend.source_b, "b")
-
-    def _patch_shared(
-        self, inst: Instruction, src_a: Instruction, src_b: Instruction, namer: LocalNamer
-    ) -> None:
-        for idx in range(inst.num_operands):
-            op_a = src_a.operand(idx)
-            op_b = src_b.operand(idx)
-            if isinstance(op_a, BasicBlock):
-                target_a = self._entry_of(op_a, "a")
-                target_b = self._entry_of(op_b, "b")  # type: ignore[arg-type]
-                if target_a is not target_b:
-                    raise MergeError("shared terminator with diverging targets")
-                inst.set_operand(idx, target_a)
-                continue
-            val_a = self._resolve(op_a, "a")
-            val_b = self._resolve(op_b, "b")
-            if val_a is val_b or _constants_equal(val_a, val_b):
-                inst.set_operand(idx, val_a)
-            else:
-                select = Select(self.fid, val_b, val_a)
-                select.name = namer("sel")
-                block = inst.parent
-                assert block is not None
-                block.insert_before(inst, select)
-                inst.set_operand(idx, select)
-                self.result.num_selects += 1
-
-    def _patch_private(self, inst: Instruction, src: Instruction, side: str) -> None:
-        for idx in range(inst.num_operands):
-            op = src.operand(idx)
-            if isinstance(op, BasicBlock):
-                inst.set_operand(idx, self._entry_of(op, side))
-            else:
-                inst.set_operand(idx, self._resolve(op, side))
-
-    # -- phase 3: phi completion -----------------------------------------------------
-    def _patch_phis(self) -> None:
-        for shell, original, side in self.phi_shells:
-            vmap = self.vmap_a if side == "a" else self.vmap_b
-            xmap = self.layout.exit_a if side == "a" else self.layout.exit_b
-            for value, pred in original.incoming:
-                exit_block = xmap.get(id(pred))
-                if exit_block is None:
-                    raise MergeError(f"no merged exit for block %{pred.name}")
-                shell.add_incoming(self._resolve(value, side), self.blocks[exit_block])
-        # Every phi must list *all* predecessors of its merged block; edges
-        # that can only be taken by the other original function get undef.
-        for shell, _original, _side in self.phi_shells:
-            block = shell.parent
-            assert block is not None
-            covered = {id(b) for _v, b in shell.incoming}
-            for pred in block.predecessors():
-                if id(pred) not in covered:
-                    shell.add_incoming(UndefValue(shell.type), pred)
-
-    def _drop_dummies(self) -> None:
-        if hasattr(self, "_dummies"):
-            for dummy in self._dummies.values():
-                if dummy.num_uses:
-                    raise MergeError("unpatched dummy block operand")
-        # Remove degenerate empty-join artifacts is unnecessary: every block
-        # created by the merger is populated and terminated by construction.
+    # Phi incomings, then undef for each edge only the other side takes.
+    for node in plan.phis:
+        a = plan.source_a[node]
+        where, _entries, exits = sides[a is None]
+        ops = (a if a is not None else plan.source_b[node])._operands  # type: ignore[union-attr]
+        phi = values[node]
+        for i in range(0, len(ops), 2):
+            ref = where.get(id(ops[i]))
+            phi._append_operand(ops[i] if ref is None else value(ref))
+            phi._append_operand(blocks[exits[id(ops[i + 1])]])
+    for node in plan.phis:
+        phi = values[node]
+        covered = {id(pred) for pred in phi._operands[1::2]}
+        for pred in phi.parent.predecessors():  # type: ignore[union-attr]
+            if id(pred) not in covered:
+                phi.add_incoming(UndefValue(phi.type), pred)  # type: ignore[attr-defined]
 
 
 def merge_functions(
@@ -404,9 +213,43 @@ def merge_functions(
     """Merge the aligned pair into one new function added to *module*.
 
     *layout* is the alignment's :class:`BlockLayout` when the caller has
-    already built it (the pass builds one for the profitability bound);
-    otherwise one is built here.  Raises :class:`MergeError` when the pair
-    cannot be merged (diverging return types, irreparable SSA, ...); the
-    module is left unmodified in that case.
+    already built it (the pass builds and prices one for the profitability
+    bound); otherwise one is built here.  Raises :class:`MergeError` when
+    the pair cannot be merged (diverging return types, irreparable SSA,
+    ...); the module is left unmodified in that case.
     """
-    return _Merger(alignment, module, name, options, layout).build()
+    func_a: Function = alignment.function_a  # type: ignore[assignment]
+    func_b: Function = alignment.function_b  # type: ignore[assignment]
+    if func_a.return_type is not func_b.return_type:
+        raise MergeError(f"return type mismatch: {func_a.return_type} vs {func_b.return_type}")
+    if func_a.is_declaration or func_b.is_declaration:
+        raise MergeError("cannot merge declarations")
+    merged_name = name or module.unique_name(f"merged.{func_a.name}.{func_b.name}")
+    with trace.span("codegen.merge"):
+        plan = (layout if layout is not None else BlockLayout(alignment)).plan()
+        if plan.error is not None:
+            raise MergeError(plan.error)
+        merged = Function(
+            FunctionType(func_a.return_type, plan.param_types), merged_name, internal=True
+        )
+        merged.args[0].name = "fid"
+        _emit(plan, merged)
+        merged.uniquify_names()
+        module.add_function(merged)
+    result = MergeResult(
+        merged,
+        func_a,
+        func_b,
+        list(plan.map_a),
+        list(plan.map_b),
+        plan.num_selects,
+        plan.num_shared,
+        plan.num_private,
+    )
+    with trace.span("codegen.repair"):
+        try:
+            result.repairs = repair_ssa(merged, legacy_bugs=options.legacy_bugs)
+        except MergeError:
+            merged.erase_from_parent()
+            raise
+    return result

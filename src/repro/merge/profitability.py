@@ -44,15 +44,11 @@ class MergeBenefit:
 class ProfitabilityModel:
     """Size-based accept/reject decision for a completed merge."""
 
-    def __init__(self, callsite_extra: int = _CALLSITE_EXTRA, thunk_base: int = _THUNK_BASE) -> None:
-        self.callsite_extra = callsite_extra
-        self.thunk_base = thunk_base
-
     def _redirection_cost(self, func: Function) -> int:
         callers = len(func.callers())
-        cost = callers * self.callsite_extra
+        cost = callers * _CALLSITE_EXTRA
         if func.address_taken or not func.internal:
-            cost += self.thunk_base + len(func.args)  # arg forwarding
+            cost += _THUNK_BASE + len(func.args)  # arg forwarding
         return cost
 
     def evaluate(self, result: MergeResult) -> MergeBenefit:

@@ -40,6 +40,10 @@ __all__ = ["repair_ssa", "find_dominance_violations", "DEMOTE_PREFIX"]
 # store reaches is precisely a §III-E placement bug.
 DEMOTE_PREFIX = "demote."
 
+# Rounds of demotion :func:`repair_ssa` runs before it reports that repair
+# did not converge.
+MAX_REPAIR_ROUNDS = 16
+
 
 def find_dominance_violations(
     func: Function,
@@ -146,7 +150,9 @@ def _demote_to_stack(
             user.set_operand(idx, load)
 
 
-def repair_ssa(func: Function, legacy_bugs: bool = False, max_rounds: int = 16) -> int:
+def repair_ssa(
+    func: Function, legacy_bugs: bool = False, max_rounds: int = MAX_REPAIR_ROUNDS
+) -> int:
     """Fix all dominance violations in *func* by stack demotion.
 
     Returns the number of values demoted.  Raises :class:`MergeError` if the

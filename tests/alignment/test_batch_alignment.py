@@ -6,6 +6,8 @@ the alignment the pure Python path (``tests.reference.PureAlignmentEngine``)
 produces — never "close enough".
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,10 +25,15 @@ from repro.alignment.batch import (
     nw_ops_encoded,
 )
 from repro.alignment.cache import AlignmentCache, PlanCache, block_key
+from repro.ir.clone import clone_function
+from repro.ir.instructions import Ret, Unreachable
+from repro.ir.module import Module
+from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.merge.pass_ import FunctionMergingPass, PassConfig
 from repro.search.pairing import ExhaustiveRanker, MinHashLSHRanker
 from repro.workloads import build_workload
+from repro.workloads.generator import FunctionGenerator, GeneratorConfig
 from tests.reference import PureAlignmentEngine, alignment_shape
 
 # Small alphabet so random streams actually collide (matches = shared code).
@@ -152,6 +159,80 @@ class TestEngineDecisionIdentity:
         assert alignment_shape(
             engine.align_functions(functions[0], functions[1])
         ) == alignment_shape(PureAlignmentEngine().align_functions(functions[0], functions[1]))
+
+
+def _arms(name: str, left: str, right: str) -> str:
+    """Two arms with the same bodies, ending in *left* and *right*."""
+    return f"""define void @{name}(i1 %c, i32 %x) {{
+entry:
+  %a = add i32 %x, 1
+  br i1 %c, label %l, label %r
+l:
+  %b = mul i32 %x, 2
+  {left}
+r:
+  %d = mul i32 %x, 3
+  {right}
+}}
+"""
+
+
+def _terminator_variants(rng: random.Random) -> Module:
+    """Generated functions, each with copies that end some returning
+    blocks in ``unreachable`` instead: the same block bodies, so the same
+    function key, and different count rows."""
+    module = Module("variants")
+    generator = FunctionGenerator(module, rng, GeneratorConfig(max_ops=16, max_depth=2))
+    for i in range(3):
+        base = generator.generate(f"f{i}")
+        for k in range(3):
+            variant = clone_function(base, f"f{i}.v{k}", module)
+            for block in variant.blocks:
+                if isinstance(block.terminator, Ret) and rng.random() < 0.6:
+                    block.terminator.erase_from_parent()
+                    block.append(Unreachable())
+    return module
+
+
+class TestPlanCacheWarmth:
+    """A whole-function plan replays only on pairs that block pairing
+    scores the same, and pairing reads count rows that include phis and
+    terminators."""
+
+    def test_terminators_key_the_plan(self):
+        module = parse_module(
+            _arms("f1", "ret void", "ret void")
+            + _arms("g1", "ret void", "ret void")
+            + _arms("f2", "ret void", "unreachable")
+            + _arms("g2", "unreachable", "ret void")
+        )
+        get = module.get_function
+        warm = BatchAlignmentEngine()
+        warm.align_functions(get("f1"), get("g1"))
+        alignment = warm.align_functions(get("f2"), get("g2"))
+        cold = BatchAlignmentEngine().align_functions(get("f2"), get("g2"))
+        names = [(p.block_a.name, p.block_b.name) for p in alignment.block_pairs]
+        assert names == [("entry", "entry"), ("r", "l"), ("l", "r")]
+        assert alignment_shape(alignment) == alignment_shape(cold)
+        assert warm.plans.stats.hits == 0
+
+    @given(st.integers(min_value=0, max_value=2**20))
+    @settings(max_examples=30, deadline=None)
+    def test_any_order_matches_cold_engine(self, seed):
+        rng = random.Random(seed)
+        functions = _terminator_variants(rng).defined_functions()
+        pairs = [
+            (a, b)
+            for a in functions
+            for b in functions
+            if a is not b and a.return_type is b.return_type
+        ]
+        rng.shuffle(pairs)
+        for strategy in ("linear", "nw"):
+            warm = BatchAlignmentEngine(strategy)
+            for a, b in pairs[:60]:
+                cold = BatchAlignmentEngine(strategy).align_functions(a, b)
+                assert alignment_shape(warm.align_functions(a, b)) == alignment_shape(cold)
 
 
 class TestAlignmentCache:

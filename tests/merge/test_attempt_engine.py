@@ -8,6 +8,7 @@ prices, and the work they save), and the partition driver's report order.
 import pytest
 
 from repro.alignment.hyfm_blocks import align_functions
+from repro.analysis.size import function_size
 from repro.harness.experiments import make_ranker
 from repro.harness.profile import _merged_pairs
 from repro.ir.parser import parse_module
@@ -191,16 +192,16 @@ bad:
 
     @staticmethod
     def _round_one_bytes(monkeypatch):
-        """Record, for each merge, the bytes SSA repair's first round must
-        emit: an alloca and a store per violating def, a load per
-        violating use, from the real merged function before repair."""
+        """Record, for each merge, the real merged function's size before
+        repair and the bytes SSA repair's first round must emit: an
+        alloca and a store per violating def, a load per violating use."""
         real_repair = merger_module.repair_ssa
         recorded = []
 
         def repair(func, **kwargs):
             violations = find_dominance_violations(func)
             uses = sum(len(users) for _def, users in violations.values())
-            recorded.append(8 * len(violations) + 4 * uses)
+            recorded.append((function_size(func), 8 * len(violations) + 4 * uses))
             return real_repair(func, **kwargs)
 
         monkeypatch.setattr(merger_module, "repair_ssa", repair)
@@ -209,18 +210,18 @@ bad:
     def _merge_both_ways(self, text, monkeypatch):
         """(floor, bound, saving without legacy bugs, saving with them)."""
         recorded = self._round_one_bytes(monkeypatch)
-        floors, bounds, savings = set(), set(), []
+        prices, bounds, savings = set(), set(), []
         for legacy in (False, True):
             module = parse_module(text)
             f, g = module.get_function("f"), module.get_function("g")
             alignment = align_functions(f, g)
-            floors.add(BlockLayout(alignment).price()[1])
+            prices.add(BlockLayout(alignment).price())
             bounds.add(ProfitabilityBound().after_alignment(alignment))
             result = merge_functions(alignment, module, options=MergeOptions(legacy_bugs=legacy))
             savings.append(ProfitabilityModel().evaluate(result).saving)
-        (floor,), (bound,) = floors, bounds
-        assert recorded == [floor, floor]
-        return floor, bound, savings[0], savings[1]
+        (price,), (bound,) = prices, bounds
+        assert recorded == [price, price]
+        return price[1], bound, savings[0], savings[1]
 
     def test_split_def_used_after_join_is_priced_exactly(self, monkeypatch):
         """Each side's private def reaches a select in the shared join.
@@ -282,15 +283,16 @@ bad:
 
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_floor_matches_round_one_repair(self, monkeypatch, seed):
-        """Differential: on every pair that reaches codegen, the floor the
-        layout computes before codegen equals the bytes of SSA repair's
-        first round recomputed on the real merged function."""
+        """Differential: on every pair that reaches codegen, the merged
+        bytes and the floor the layout computes before codegen equal the
+        real merged function's size before repair and the bytes of SSA
+        repair's first round recomputed on it."""
         recorded = self._round_one_bytes(monkeypatch)
         real_merge = pass_module.merge_functions
         floors = []
 
         def merge_and_floor(alignment, module, options, layout=None):
-            floors.append(BlockLayout(alignment).price()[1])
+            floors.append(BlockLayout(alignment).price())
             return real_merge(alignment, module, options=options, layout=layout)
 
         monkeypatch.setattr(pass_module, "merge_functions", merge_and_floor)
@@ -302,7 +304,7 @@ bad:
         assert len(floors) == len(recorded) > 0
         mismatches = [(f, r) for f, r in zip(floors, recorded) if f != r]
         assert mismatches == []
-        assert any(floors), "no pair needed repair; the grid tests nothing"
+        assert any(floor for _size, floor in floors), "no pair needed repair; the grid tests nothing"
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_unbounded_pass_is_identical(self, strategy):

@@ -12,7 +12,7 @@ from repro.ir import (
     verify_function,
 )
 from repro.merge import MergeError, MergeOptions, merge_functions
-from repro.merge.merger import _merge_parameters
+from repro.merge.layout import _merge_parameters
 from tests.conftest import build_diamond, build_loop, build_straightline
 
 

@@ -25,13 +25,18 @@ bit-identical answers:
   profitability bound's separate walk for its code counts and weights;
 * :mod:`tests.reference.parser` — the IR text parser with a regex match,
   kind and line stored per token, and a line-based header prescan that
-  tokenizes every header line again.
+  tokenizes every header line again;
+* :func:`reference_merge_functions` — the two-phase merged-function
+  generator: every instruction cloned with placeholder operands and dummy
+  blocks, then patched in a second walk that inserts the selects, with
+  phi incomings last.
 """
 
 from .alignment import PureAlignmentEngine, alignment_shape
 from .dominance import ReferenceDominatorTree, reference_violations
 from .encoding import ReferenceProfile, reference_entry
 from .lsh import ReferenceLSHIndex
+from .merger import reference_merge_functions
 from .minhash import reference_minhash, shingle_hashes
 from .ranking import ReferenceMinHashRanker
 from .transaction import ReferenceMergeTransaction, ReferenceRetainingTransaction
@@ -46,6 +51,7 @@ __all__ = [
     "ReferenceRetainingTransaction",
     "alignment_shape",
     "reference_entry",
+    "reference_merge_functions",
     "reference_minhash",
     "reference_violations",
     "shingle_hashes",
