@@ -1,9 +1,9 @@
 """Function fingerprints: the HyFM opcode-frequency baseline and F3M MinHash.
 
 The batched engine (:mod:`.batch`) computes MinHash for a whole module,
-or one function, in a few vectorized passes; :mod:`.cache`
-shares fingerprints content-addressed across functions, runs and CLI
-invocations.
+or one function, in a few vectorized passes; :mod:`.cache` shares a
+module's fingerprints content-addressed across functions, runs and CLI
+invocations (a single function is fingerprinted directly).
 """
 
 from .batch import (
@@ -11,7 +11,6 @@ from .batch import (
     minhash_encoded_batch,
     minhash_encoded_one,
     minhash_module,
-    minhash_single,
 )
 from .cache import CacheStats, FingerprintCache
 from .encoding import EncodingOptions, encode_function, encode_instruction
@@ -29,7 +28,6 @@ __all__ = [
     "minhash_encoded_batch",
     "minhash_encoded_one",
     "minhash_module",
-    "minhash_single",
     "encode_function",
     "encode_instruction",
     "fnv1a_32",

@@ -19,9 +19,10 @@ module-wide passes:
 
 :func:`minhash_encoded_batch` is the MinHash kernel.  A single function
 (:meth:`MinHashFingerprint.from_encoded`, and through it
-:func:`minhash_function` and :func:`minhash_single`) takes its one-row
-short path, :func:`minhash_encoded_one`, which skips the per-function
-segment gathers.
+:func:`minhash_function`) takes its one-row short path,
+:func:`minhash_encoded_one`, which skips the per-function segment
+gathers; it never consults the cache, since keying one stream costs more
+than fingerprinting it.
 Every path is bit-identical to the per-function kernel kept as the test
 oracle ``tests/reference/minhash.py`` — property-tested in
 ``tests/fingerprint/test_batch.py``.
@@ -49,7 +50,6 @@ __all__ = [
     "minhash_encoded_batch",
     "minhash_encoded_one",
     "minhash_module",
-    "minhash_single",
 ]
 
 _U32 = 0xFFFFFFFF
@@ -386,27 +386,3 @@ def minhash_module(
         for i in range(n)
     ]
 
-
-def minhash_single(
-    func: Function,
-    config: MinHashConfig = MinHashConfig(),
-    encoding: Optional[EncodingOptions] = None,
-    cache=None,
-) -> MinHashFingerprint:
-    """Cache-aware single-function fingerprint (the remerge-loop path).
-
-    Merged functions re-entering the candidate pool go through here one at
-    a time; the content-addressed cache still catches identical bodies
-    (and re-runs over the same module hit every time).
-    """
-    encoded = encode_function(func, encoding or EncodingOptions())
-    if cache is None:
-        return MinHashFingerprint.from_encoded(encoded, config)
-    flat = np.asarray(encoded, dtype=np.uint64)
-    key = cache.keys_for(flat, np.array([len(encoded)], dtype=np.int64), config)[0]
-    hit = cache.get(key)
-    if hit is not None:
-        return MinHashFingerprint(hit[0], config, hit[1])
-    fp = MinHashFingerprint.from_encoded(encoded, config)
-    cache.put(key, fp.values, fp.num_shingles)
-    return fp

@@ -1,16 +1,20 @@
 """Content-addressed MinHash fingerprint cache.
 
-Merge workloads are full of identical-bodied functions — exact duplicates
-in the input, clones produced by earlier merges, and whole re-runs over the
-same module (the remerge loop, benchmark repeats, a warm serve daemon).  Fingerprints are pure functions of the
-*encoded instruction stream* and the :class:`MinHashConfig`, so they can be
-shared content-addressed:
+Merge workloads are full of identical-bodied functions: exact duplicates
+in the input, and whole re-runs over the same module (benchmark repeats,
+a warm serve daemon).  Fingerprints are pure functions of the *encoded
+instruction stream* and the :class:`MinHashConfig`, so they can be shared
+content-addressed:
 
-* key = FNV-1a of the encoded stream (two salted 32-bit passes, computed
-  vectorized for a whole module at once) + stream length + the config;
+* key = stream length + two 32-bit FNV-1a passes over the stream (one
+  unsalted, one salted) + the config; :func:`content_keys` computes both
+  passes for every stream of a pack in one sweep over word columns;
 * an in-memory LRU layer bounds resident entries (``maxsize``);
 * an optional on-disk layer (``.repro-cache/`` by default) persists
   fingerprints across CLI invocations as one ``.npz`` per config.
+
+Only whole packs are looked up (:func:`~repro.fingerprint.batch.minhash_module`):
+keying a single stream costs more than fingerprinting it.
 
 Hit/miss/eviction counters feed the pipeline profiler and the perf bench.
 """
@@ -27,8 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..arrays import sorted_unique
-from .fnv import fnv1a_32_array
+from .fnv import FNV32_OFFSET, FNV32_PRIME, fnv1a_32_ints
 from .minhash import MinHashConfig
 
 __all__ = ["CacheStats", "FingerprintCache", "DEFAULT_CACHE_DIR", "CACHE_FORMAT_VERSION"]
@@ -44,6 +47,8 @@ CACHE_FORMAT_VERSION = 1
 # Second-pass key salt: prepended to the stream so the two 32-bit FNV-1a
 # hashes are independent, giving a 64-bit effective content key.
 _KEY_SALT = 0x9E3779B9
+# The FNV-1a state after hashing the salt: where the salted pass starts.
+_SALTED_OFFSET = fnv1a_32_ints([_KEY_SALT])
 
 # (stream length, fnv1a(stream), fnv1a(salt || stream))
 ContentKey = Tuple[int, int, int]
@@ -99,37 +104,41 @@ def _config_key(config: MinHashConfig) -> Tuple[int, int, int, bool]:
 def content_keys(flat: np.ndarray, lens: np.ndarray) -> List[ContentKey]:
     """Content keys for every stream packed in ``(flat, lens)``.
 
-    Both FNV-1a passes run vectorized: streams are grouped by length and
-    each group hashed as one ``(m, length)`` batch, so keying a module
-    costs a few array operations rather than a Python hash loop per
-    function.
+    Both FNV-1a passes run in one sweep over word columns, with
+    ``fnv1a_32_array_u32``'s arithmetic (xor one little-endian byte, then
+    multiply in uint32).  The streams are ordered longest first (stably),
+    so the streams still longer than column *j* are a prefix of that
+    order; column *j* gathers their word *j* straight from ``flat`` and
+    steps the unsalted and salted states together as one ``(2, n)``
+    array.  No padded matrix is built: scratch is O(n), and a module
+    costs about ten array operations per word of its longest stream.
     """
-    flat = np.asarray(flat, dtype=np.uint64)
     lens = np.asarray(lens, dtype=np.int64)
     n = lens.shape[0]
-    offsets = np.cumsum(lens) - lens
-    h1 = np.empty(n, dtype=np.uint32)
-    h2 = np.empty(n, dtype=np.uint32)
-    for length in sorted_unique(lens)[0].tolist():
-        rows = np.flatnonzero(lens == length)
-        if length == 0:
-            empty = np.empty((rows.shape[0], 0), dtype=np.uint64)
-            h1[rows] = fnv1a_32_array(empty)
-            h2[rows] = fnv1a_32_array(
-                np.full((rows.shape[0], 1), _KEY_SALT, dtype=np.uint64)
-            )
-            continue
-        gather = offsets[rows][:, None] + np.arange(length, dtype=np.int64)[None, :]
-        streams = flat[gather]
-        h1[rows] = fnv1a_32_array(streams)
-        salted = np.empty((rows.shape[0], length + 1), dtype=np.uint64)
-        salted[:, 0] = _KEY_SALT
-        salted[:, 1:] = streams
-        h2[rows] = fnv1a_32_array(salted)
-    lens_list = lens.tolist()
-    h1_list = h1.tolist()
-    h2_list = h2.tolist()
-    return list(zip(lens_list, h1_list, h2_list))
+    if n == 0:
+        return []
+    words = np.asarray(flat, dtype=np.uint64).astype("<u4")
+    order = np.argsort(-lens, kind="stable")
+    by_len = lens[order]
+    # active[j] = how many streams are longer than j
+    active = np.searchsorted(-by_len, -np.arange(int(by_len[0])), side="left")
+    cursor = (np.cumsum(lens) - lens)[order]
+    state = np.empty((2, n), dtype=np.uint32)
+    state[0] = FNV32_OFFSET
+    state[1] = _SALTED_OFFSET
+    column = np.empty(n, dtype="<u4")
+    octets = column.view(np.uint8).reshape(n, 4)
+    prime = np.uint32(FNV32_PRIME)
+    for m in active.tolist():
+        np.take(words, cursor[:m], out=column[:m])
+        cursor[:m] += 1
+        live = state[:, :m]
+        for byte in range(4):
+            np.bitwise_xor(live, octets[:m, byte], out=live)
+            np.multiply(live, prime, out=live)
+    keys = np.empty((2, n), dtype=np.uint32)
+    keys[:, order] = state
+    return list(zip(lens.tolist(), keys[0].tolist(), keys[1].tolist()))
 
 
 class FingerprintCache:

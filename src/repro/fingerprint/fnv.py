@@ -61,38 +61,18 @@ def fnv1a_32_pair(a: int, b: int) -> int:
     return h
 
 
-def fnv1a_32_array(values: "np.ndarray") -> "np.ndarray":
+def fnv1a_32_array_u32(values: "np.ndarray") -> "np.ndarray":
     """Vectorized FNV-1a over the rows of a ``(n, w)`` uint32 array.
 
     Each row is hashed as *w* little-endian 32-bit words, matching
-    :func:`fnv1a_32_ints` exactly.
-    """
-    values = np.asarray(values, dtype=np.uint64)
-    if values.ndim == 1:
-        values = values[:, None]
-    h = np.full(values.shape[0], FNV32_OFFSET, dtype=np.uint64)
-    prime = np.uint64(FNV32_PRIME)
-    mask = np.uint64(_U32)
-    for col in range(values.shape[1]):
-        word = values[:, col]
-        for shift in (0, 8, 16, 24):
-            h ^= (word >> np.uint64(shift)) & np.uint64(0xFF)
-            h = (h * prime) & mask
-    return h.astype(np.uint32)
-
-
-def fnv1a_32_array_u32(values: "np.ndarray") -> "np.ndarray":
-    """Bit-identical to :func:`fnv1a_32_array`, computed in uint32.
-
-    The hash state is a 32-bit value throughout, so uint32 wraparound
-    multiplication replaces the explicit ``& 0xFFFFFFFF`` masking, and a
-    little-endian byte view of the words replaces the shift-and-mask byte
-    extraction: two array operations per byte instead of four.  The batched
-    fingerprint engine and the LSH band keys hash with this.  The original
-    :func:`fnv1a_32_array` is independent code and stays in use where it
-    was: :class:`~repro.fingerprint.minhash.MinHashFingerprint` (the
-    per-function path the tests take as the batched engine's reference)
-    and the fingerprint cache's content keys.
+    :func:`fnv1a_32_ints` exactly.  The hash state is a 32-bit value
+    throughout, so uint32 wraparound multiplication replaces explicit
+    ``& 0xFFFFFFFF`` masking, and a little-endian byte view of the words
+    replaces shift-and-mask byte extraction: two array operations per
+    byte.  The batched fingerprint engine and the LSH band keys hash with
+    this; the fingerprint cache's content keys step the same arithmetic
+    column by column.  The masked uint64 kernel it replaced is the test
+    oracle ``tests/reference/fnv.py``.
     """
     values = np.asarray(values)
     if values.dtype != np.uint32:

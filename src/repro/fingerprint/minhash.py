@@ -22,7 +22,7 @@ import numpy as np
 
 from ..ir.function import Function
 from .encoding import EncodingOptions, encode_function
-from .fnv import salts, fnv1a_32_array
+from .fnv import salts
 from .shingles import shingle_set
 
 __all__ = ["MinHashConfig", "MinHashFingerprint", "minhash_function", "exact_jaccard"]
@@ -108,17 +108,6 @@ class MinHashFingerprint:
     def distance(self, other: "MinHashFingerprint") -> float:
         """Estimated Jaccard distance (1 − similarity)."""
         return 1.0 - self.similarity(other)
-
-    def band_hashes(self, rows: int) -> np.ndarray:
-        """LSH band signatures: FNV-1a over consecutive *rows*-sized chunks.
-
-        The fingerprint is split into ``b = k // rows`` non-overlapping
-        sub-vectors and each is hashed into one 32-bit band value.
-        """
-        k = self.config.k
-        b = k // rows
-        usable = self.values[: b * rows].reshape(b, rows)
-        return fnv1a_32_array(usable)
 
     def __len__(self) -> int:
         return self.config.k

@@ -19,10 +19,10 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from ..fingerprint.batch import minhash_module, minhash_single
+from ..fingerprint.batch import minhash_module
 from ..fingerprint.cache import FingerprintCache
 from ..fingerprint.encoding import EncodingOptions
-from ..fingerprint.minhash import MinHashConfig, MinHashFingerprint
+from ..fingerprint.minhash import MinHashConfig, MinHashFingerprint, minhash_function
 from ..fingerprint.opcode_freq import OpcodeFingerprint, fingerprint_function
 from ..ir.function import Function
 from ..obs.stage import StageContext, stage
@@ -225,7 +225,9 @@ class MinHashLSHRanker(Ranker):
 
     Preprocessing fingerprints the whole module through the vectorized
     batch engine and bulk-inserts into the LSH index.  ``cache`` shares
-    fingerprints content-addressed across runs and partitions.
+    fingerprints content-addressed across runs and partitions.  A merged
+    function entering the pool through :meth:`insert` is fingerprinted
+    directly: keying one stream costs more than fingerprinting it.
     """
 
     name = "f3m"
@@ -298,7 +300,7 @@ class MinHashLSHRanker(Ranker):
 
     def insert(self, func: Function) -> None:
         assert self._index is not None, "preprocess() must run first"
-        fp = minhash_single(func, self.config, self.encoding, cache=self.cache)
+        fp = minhash_function(func, self.config, self.encoding)
         self._index.insert(id(func), fp)
         self._functions[id(func)] = func
 

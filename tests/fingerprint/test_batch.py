@@ -25,7 +25,6 @@ from repro.fingerprint import (
     minhash_encoded_one,
     minhash_function,
     minhash_module,
-    minhash_single,
 )
 from repro.search.pairing import MinHashLSHRanker
 from repro.workloads import build_workload
@@ -199,18 +198,6 @@ class TestMinhashModule:
         assert cache.stats.hits > before
         assert cache.stats.hit_rate > 0
 
-    def test_minhash_single_matches_and_caches(self):
-        funcs = _functions(10, "single")
-        config = MinHashConfig(k=40)
-        cache = FingerprintCache()
-        for func in funcs:
-            got = minhash_single(func, config, cache=cache)
-            assert np.array_equal(got.values, reference_minhash(encode_function(func), config)[0])
-            assert np.array_equal(minhash_single(func, config).values, got.values)
-        # Identical bodies (or repeat calls) now hit.
-        minhash_single(funcs[0], config, cache=cache)
-        assert cache.stats.hits >= 1
-
 
 class TestRankerFingerprints:
     def test_ranker_fingerprints_match_reference(self):
@@ -224,3 +211,30 @@ class TestRankerFingerprints:
             got, ref = ranker.fingerprint(func), reference.fingerprint(func)
             assert np.array_equal(got.values, ref.values), func.name
             assert got.num_shingles == ref.num_shingles
+
+    def test_insert_bypasses_cache(self):
+        """A function inserted one at a time is fingerprinted directly:
+        the cache's counters do not move, and the stored fingerprint is
+        the one a ranker without a cache stores."""
+        funcs = _functions(12, "insert")
+        config = MinHashConfig(k=40)
+        cache = FingerprintCache()
+        cached, plain = MinHashLSHRanker(config, cache=cache), MinHashLSHRanker(config)
+        cached.preprocess(funcs[:6])
+        plain.preprocess(funcs[:6])
+        before = cache.stats.to_dict()
+        entries = len(cache)
+        # funcs[:6] have cached bodies; funcs[6:] do not.
+        for func in funcs:
+            cached.remove(func)
+            plain.remove(func)
+            cached.insert(func)
+            plain.insert(func)
+            got, want = cached.fingerprint(func), plain.fingerprint(func)
+            assert np.array_equal(got.values, want.values), func.name
+            assert got.num_shingles == want.num_shingles
+            ref_values, ref_shingles = reference_minhash(encode_function(func), config)
+            assert np.array_equal(got.values, ref_values)
+            assert got.num_shingles == ref_shingles
+        assert cache.stats.to_dict() == before
+        assert len(cache) == entries

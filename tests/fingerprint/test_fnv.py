@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.fingerprint import fnv1a_32, fnv1a_32_ints, fnv1a_32_pair, salts
-from repro.fingerprint.fnv import fnv1a_32_array, fnv1a_32_array_u32
+from repro.fingerprint.fnv import fnv1a_32_array_u32
+from tests.reference.fnv import fnv1a_32_array
 
 
 class TestScalar:

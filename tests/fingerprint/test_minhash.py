@@ -69,12 +69,6 @@ class TestFingerprint:
         b = MinHashFingerprint.from_encoded([1, 2, 3, 9], cfg)
         assert a.distance(b) == pytest.approx(1.0 - a.similarity(b))
 
-    def test_band_hashes_shape(self):
-        cfg = MinHashConfig(k=200)
-        fp = MinHashFingerprint.from_encoded(list(range(30)), cfg)
-        assert fp.band_hashes(rows=2).shape == (100,)
-        assert fp.band_hashes(rows=4).shape == (50,)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MinHashConfig(k=0)

@@ -29,12 +29,17 @@ bit-identical answers:
 * :func:`reference_merge_functions` — the two-phase merged-function
   generator: every instruction cloned with placeholder operands and dummy
   blocks, then patched in a second walk that inserts the selects, with
-  phi incomings last.
+  phi incomings last;
+* :func:`fnv1a_32_array` and :func:`reference_content_keys` — FNV-1a
+  with every byte shifted and masked out of a uint64 carrier, and the
+  fingerprint cache's content keys with the streams grouped by length,
+  each group hashed as one matrix and again with the salt word prepended.
 """
 
 from .alignment import PureAlignmentEngine, alignment_shape
 from .dominance import ReferenceDominatorTree, reference_violations
 from .encoding import ReferenceProfile, reference_entry
+from .fnv import fnv1a_32_array, reference_content_keys
 from .lsh import ReferenceLSHIndex
 from .merger import reference_merge_functions
 from .minhash import reference_minhash, shingle_hashes
@@ -50,6 +55,8 @@ __all__ = [
     "ReferenceProfile",
     "ReferenceRetainingTransaction",
     "alignment_shape",
+    "fnv1a_32_array",
+    "reference_content_keys",
     "reference_entry",
     "reference_merge_functions",
     "reference_minhash",

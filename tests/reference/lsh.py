@@ -7,6 +7,8 @@ from typing import Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 from repro.fingerprint.minhash import MinHashFingerprint
 from repro.search.lsh import LSHQueryStats
 
+from .fnv import fnv1a_32_array
+
 KeyT = TypeVar("KeyT", bound=Hashable)
 
 # LSHIndex compacts no index smaller than this many stored rows.
@@ -56,7 +58,10 @@ class ReferenceLSHIndex(Generic[KeyT]):
         return self._fingerprints[self._row_of[key]]
 
     def _band_keys(self, fingerprint: MinHashFingerprint) -> List[Tuple[int, int]]:
-        return list(enumerate(fingerprint.band_hashes(self.rows)[: self.bands].tolist()))
+        # FNV-1a over consecutive rows-sized chunks of the values.
+        chunks = fingerprint.config.k // self.rows
+        usable = fingerprint.values[: chunks * self.rows].reshape(chunks, self.rows)
+        return list(enumerate(fnv1a_32_array(usable)[: self.bands].tolist()))
 
     def insert(self, key: KeyT, fingerprint: MinHashFingerprint) -> None:
         if key in self:

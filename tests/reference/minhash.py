@@ -6,8 +6,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.fingerprint.fnv import fnv1a_32_array, salts
+from repro.fingerprint.fnv import salts
 from repro.fingerprint.minhash import MinHashConfig
+
+from .fnv import fnv1a_32_array
 
 
 def shingle_hashes(encoded: Sequence[int], k: int = 2) -> np.ndarray:

@@ -204,7 +204,7 @@ class TestBatchedRanker:
         ranker = MinHashLSHRanker(cache=cache)
         ranker.preprocess(funcs)
         assert cache.stats.misses > 0
-        # insert() of a function with a known body hits the cache.
+        # A second ranker's preprocess() of a known body hits the cache.
         extra = MinHashLSHRanker(cache=cache)
         extra.preprocess(funcs[:1])
         assert cache.stats.hits > 0
