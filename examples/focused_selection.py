@@ -13,7 +13,7 @@ opcode metric prefers the wrong partner while MinHash picks the right one.
 Run:  python examples/focused_selection.py
 """
 
-from repro.alignment import align_functions
+from repro.alignment import BatchAlignmentEngine
 from repro.fingerprint import fingerprint_function, minhash_function
 from repro.harness import format_table
 from repro.ir import parse_module, verify_module
@@ -82,12 +82,13 @@ def main() -> None:
     fp_target = fingerprint_function(target)
     mh_target = minhash_function(target)
 
+    engine = BatchAlignmentEngine()
     rows = []
     for cand in (ideal, trap):
         opcode_dist = fp_target.distance(fingerprint_function(cand))
         opcode_sim = fp_target.similarity(fingerprint_function(cand))
         mh_sim = mh_target.similarity(minhash_function(cand))
-        ratio = align_functions(target, cand).alignment_ratio
+        ratio = engine.align_functions(target, cand).alignment_ratio
         rows.append(
             (
                 cand.name,

@@ -13,7 +13,7 @@ Walks the full pipeline on a pair of hand-written IR functions:
 Run:  python examples/quickstart.py
 """
 
-from repro.alignment import align_functions
+from repro.alignment import BatchAlignmentEngine
 from repro.analysis import module_size
 from repro.fingerprint import (
     encode_function,
@@ -82,7 +82,7 @@ def main() -> None:
     print(f"encoded length: {len(encode_function(f1))} instructions")
 
     print("\n== alignment ==")
-    alignment = align_functions(f1, f2)
+    alignment = BatchAlignmentEngine().align_functions(f1, f2)
     print(f"block pairs: {len(alignment.block_pairs)}")
     print(f"alignment ratio: {alignment.alignment_ratio:.2f}")
 

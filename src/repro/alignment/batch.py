@@ -1,32 +1,35 @@
-"""Vectorized attempt-stage alignment over encoded instruction streams.
+"""HyFM's block-level alignment over encoded instruction streams.
 
-The pure aligner (:mod:`~repro.alignment.hyfm_blocks`) calls
-:func:`~repro.alignment.model.mergeable` per DP cell — a Python predicate
-over opcodes, types and operand lists, quadratic per block pair.  This
-module moves the whole attempt-stage hot path onto integer codes:
+HyFM pairs the blocks of two functions greedily by opcode-frequency
+similarity, most similar first, and aligns each block pair either
+linearly (shared prefix and suffix, split middle) or with
+Needleman–Wunsch (paper Section V).  This module is the one aligner in
+the package, and it runs entirely on integer codes:
 
 * :class:`InstructionInterner` assigns every instruction a dense integer
-  *mergeability code* such that code equality is **exactly**
-  ``mergeable(a, b)``.  This works because ``mergeable`` is an equivalence
-  relation on non-phi, non-terminator instructions: it only tests the
-  opcode, identity of the result/operand types, the comparison predicate
-  and the alloca allocated type — all per-instruction attributes, interned
-  here into one key.  (The 32-bit *fingerprint* encoding of
+  *mergeability code*: two instructions share a code exactly when they
+  can be emitted as one merged instruction — same opcode, identity of the
+  result and operand types, operand count, comparison predicate and
+  alloca allocated type.  That relation is an equivalence on non-phi,
+  non-terminator instructions, so one interned key per instruction
+  decides it.  (The 32-bit *fingerprint* encoding of
   :mod:`~repro.fingerprint.encoding` deliberately blurs predicates and
   type identity, so it cannot be reused for alignment decisions.)
 * :func:`nw_ops_encoded` runs Needleman–Wunsch over two code streams with
   numpy row-wise DP — the left-gap dependency inside a row is resolved by
-  a prefix-scan (``np.maximum.accumulate``) — plus an optional banded mode
-  for near-diagonal alignments; :func:`linear_ops_encoded` is HyFM's
-  prefix/suffix strategy as three array comparisons.  Both return an
-  *ops array* (``int8``: match / gap-A / gap-B) whose decisions are
-  bit-identical to the pure-Python aligners (property-tested).
+  a prefix-scan (``np.maximum.accumulate``); :func:`linear_ops_encoded`
+  is HyFM's prefix/suffix strategy as three array comparisons.  Both
+  return an *ops array* (``int8``: match / gap-A / gap-B).
 * :class:`BatchAlignmentEngine` memoizes one entry per function — block
   encodings, exact content keys and opcode counts, built in one walk and
   read by the profitability bound too — scores all block pairs of a
-  candidate function pair in one vectorized similarity matrix, replays
-  the pure greedy pairing order exactly, and shares decisions through a
-  content-addressed :class:`~repro.alignment.cache.AlignmentCache`.
+  candidate function pair in one vectorized similarity matrix, and
+  shares decisions through content-addressed
+  :class:`~repro.alignment.cache.AlignmentCache` instances.
+
+The pure-Python aligner with a per-comparison predicate, which these
+decisions must equal exactly, is the test oracle
+``tests/reference/alignment.py``.
 """
 
 from __future__ import annotations
@@ -51,8 +54,7 @@ from ..ir.instructions import (
     Opcode,
 )
 from ..obs import trace
-from .cache import AlignmentCache, PlanCache, block_key
-from .hyfm_blocks import _body
+from .cache import AlignmentCache, block_key
 from .model import BlockAlignment, FunctionAlignment, SharedSegment, SplitSegment
 
 __all__ = [
@@ -73,23 +75,31 @@ OP_MATCH, OP_GAP_A, OP_GAP_B = 0, 1, 2
 # Below this DP area the numpy per-row overhead loses to the pure loop.
 _SMALL_NW_PRODUCT = 256
 
-# Opcodes whose instructions ``mergeable`` rejects even reflexively.
+# Opcodes whose instructions never merge, not even with themselves: the
+# merger handles phis and terminators structurally.
 _UNIQUE_OPCODES = TERMINATOR_OPCODES | {Opcode.PHI}
 
-# Banded-mode sentinel: far below any reachable alignment score, far above
-# int64 overflow when penalties are added.
-_NEG = -(1 << 40)
+
+def _body(block: BasicBlock) -> List[Instruction]:
+    """Alignable instructions: everything but phis and the terminator."""
+    insts = block.instructions
+    end = len(insts)
+    if end and insts[-1].opcode in TERMINATOR_OPCODES:
+        end -= 1
+    start = 0
+    while start < end and insts[start].opcode == Opcode.PHI:
+        start += 1
+    return insts[start:end]
 
 
 class InstructionInterner:
-    """Dense integer codes where code equality ⇔ :func:`mergeable`.
+    """Dense integer codes where code equality ⇔ mergeability.
 
     Keys hold the type objects themselves: the IR types have no value
-    equality, so dict lookup degenerates to the ``is`` checks ``mergeable``
-    performs, and the key tuples keep the types alive (an ``id`` can never
-    be reused while its entry is live).  Phi and terminator instructions —
-    for which ``mergeable`` is false even reflexively — get a fresh code
-    per instance, so their codes never compare equal to anything.
+    equality, so dict lookup degenerates to identity checks, and the key
+    tuples keep the types alive (an ``id`` can never be reused while its
+    entry is live).  Phi and terminator instructions get a fresh code per
+    instance, so their codes never compare equal to anything.
     """
 
     def __init__(self) -> None:
@@ -169,11 +179,10 @@ def _traceback(
     mismatch_penalty: int,
     gap_penalty: int,
 ) -> np.ndarray:
-    """Replay the pure NW traceback preference (diag, then up, then left).
+    """The NW traceback, preferring diagonal, then up, then left.
 
     A mismatch-diagonal emits gap-A then gap-B into the reversed list, so
-    the final order is gap-B before gap-A — exactly the two entries
-    :func:`~repro.alignment.needleman_wunsch.needleman_wunsch` produces.
+    the final order is gap-B before gap-A.
     """
     ops: List[int] = []
     i, j = len(a), len(b)
@@ -208,7 +217,6 @@ def nw_ops_encoded(
     match_score: int = 2,
     mismatch_penalty: int = -1,
     gap_penalty: int = -1,
-    band: Optional[int] = None,
 ) -> np.ndarray:
     """Needleman–Wunsch decisions over two encoded streams, vectorized.
 
@@ -217,19 +225,12 @@ def nw_ops_encoded(
     a running maximum, so each row is a prefix scan instead of a Python
     loop.  Tiny problems fall back to the pure loop (same recurrence, same
     traceback — identical decisions either way).
-
-    ``band`` restricts the DP to ``|i − j| ≤ band`` (cells outside score a
-    sentinel ``−∞``), an *approximation* for near-diagonal pairs; it is
-    ignored when ``|n − m| > band`` would make the end cell unreachable.
-    With ``band ≥ max(n, m)`` the result is identical to the full DP.
     """
     a = np.asarray(codes_a, dtype=np.int64)
     b = np.asarray(codes_b, dtype=np.int64)
     n, m = a.shape[0], b.shape[0]
-    if band is not None and abs(n - m) > band:
-        band = None
     al, bl = a.tolist(), b.tolist()
-    if band is None and n * m <= _SMALL_NW_PRODUCT:
+    if n * m <= _SMALL_NW_PRODUCT:
         score = _nw_ops_py(al, bl, match_score, mismatch_penalty, gap_penalty)
         return _traceback(score, al, bl, match_score, mismatch_penalty, gap_penalty)
 
@@ -237,21 +238,14 @@ def nw_ops_encoded(
     jg = np.arange(m + 1, dtype=np.int64) * g
     score = np.empty((n + 1, m + 1), dtype=np.int64)
     score[0] = jg
-    if band is not None and band + 1 <= m:
-        score[0, band + 1 :] = _NEG
     u = np.empty(m + 1, dtype=np.int64)
     for i in range(1, n + 1):
         prev = score[i - 1]
         diag = prev[:-1] + np.where(b == a[i - 1], match_score, mismatch_penalty)
         np.maximum(diag, prev[1:] + g, out=u[1:])
         u[1:] -= jg[1:]
-        u[0] = i * g if band is None or i <= band else _NEG
-        row = np.maximum.accumulate(u) + jg
-        if band is not None:
-            row[: max(0, i - band)] = _NEG
-            if i + band + 1 <= m:
-                row[i + band + 1 :] = _NEG
-        score[i] = row
+        u[0] = i * g
+        score[i] = np.maximum.accumulate(u) + jg
     return _traceback(
         score.tolist(), al, bl, match_score, mismatch_penalty, gap_penalty
     )
@@ -260,8 +254,7 @@ def nw_ops_encoded(
 def linear_ops_encoded(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
     """HyFM's linear strategy (shared prefix/suffix, split middle) as ops.
 
-    Mirrors :func:`~repro.alignment.hyfm_blocks.align_blocks_linear`: the
-    prefix is the longest run of equal leading codes, the suffix the
+    The prefix is the longest run of equal leading codes, the suffix the
     longest run of equal trailing codes over what the prefix left.
     """
     a = np.asarray(codes_a, dtype=np.int64)
@@ -298,9 +291,7 @@ def ops_to_alignment(
     """Rebuild the segment structure from an ops array.
 
     Contiguous matches become one :class:`SharedSegment`, contiguous gap
-    runs one :class:`SplitSegment` — the same grouping the pure aligners'
-    flush logic produces, so the resulting alignment is structurally
-    identical to theirs.
+    runs one :class:`SplitSegment`.
     """
     alignment = BlockAlignment(block_a, block_b)
     segments = alignment.segments
@@ -419,45 +410,34 @@ class _FunctionEntry:
 
 
 class BatchAlignmentEngine:
-    """Memoized, vectorized, cache-backed drop-in for ``align_functions``.
-
-    Produces a :class:`FunctionAlignment` with exactly the block pairing
-    and segment structure of the pure path:
+    """Memoized, vectorized, cache-backed function-pair aligner.
 
     * each function's linearization, mergeability encodings and block
       opcode counts are memoized in one :class:`_FunctionEntry` (a
       function is scored against many candidates before it is consumed),
       which the profitability bound reads too;
-    * all pair similarities are computed as one integer matrix and ranked
-      with the pure path's exact ``(−sim, i, j)`` order;
-    * per-pair decisions come from the :class:`AlignmentCache` when the
-      same block contents were aligned before (remerge rounds, sibling
+    * all pair similarities are computed as one matrix and ranked by
+      descending similarity, ties in block order;
+    * per-pair decisions come from the block-pair cache when the same
+      block contents were aligned before (remerge rounds, sibling
       functions, partition sweeps), else from the vectorized kernels;
-    * whole function-pair decisions come from the :class:`PlanCache` when
-      a pair with the same block bodies and the same opcode-count rows
-      (which include phis and terminators) was aligned before, skipping
-      scoring, greedy pairing and per-pair DP entirely.
+    * whole function-pair decisions come from the plan cache when a pair
+      with the same block bodies and the same opcode-count rows (which
+      include phis and terminators) was aligned before, skipping scoring,
+      greedy pairing and per-pair DP entirely.
 
     Callers must invalidate functions whose blocks were mutated in place
     or replaced (:meth:`invalidate_function`); the merging pass does this
     for every function captured by a committed or rolled-back transaction.
     """
 
-    def __init__(
-        self,
-        strategy: str = "linear",
-        cache: Optional[AlignmentCache] = None,
-        interner: Optional[InstructionInterner] = None,
-        nw_band: Optional[int] = None,
-        plans: Optional[PlanCache] = None,
-    ) -> None:
+    def __init__(self, strategy: str = "linear") -> None:
         if strategy not in ("linear", "nw"):
             raise ValueError(f"unknown alignment strategy {strategy!r}")
         self.strategy = strategy
-        self.cache = cache if cache is not None else AlignmentCache()
-        self.plans = plans if plans is not None else PlanCache()
-        self.interner = interner if interner is not None else InstructionInterner()
-        self.nw_band = nw_band
+        self.cache = AlignmentCache()
+        self.plans = AlignmentCache(maxsize=1 << 16)
+        self.interner = InstructionInterner()
         self._functions: Dict[int, _FunctionEntry] = {}
 
     # -- memoization -----------------------------------------------------------------
@@ -477,33 +457,23 @@ class BatchAlignmentEngine:
         self._functions.clear()
 
     # -- alignment -------------------------------------------------------------------
-    def _strategy_tag(self, strategy: str) -> str:
-        """Cache-key spelling of the strategy; a banded NW is its own
-        decision space, so engines sharing a cache can never mix bands."""
-        if strategy == "nw" and self.nw_band is not None:
-            return f"nw@{self.nw_band}"
-        return strategy
-
     def _pair_ops(
         self, fe_a: _FunctionEntry, i: int, fe_b: _FunctionEntry, j: int, strategy: str
     ) -> np.ndarray:
-        key = (self._strategy_tag(strategy), fe_a.keys[i], fe_b.keys[j])
+        key = (strategy, fe_a.keys[i], fe_b.keys[j])
         ops = self.cache.get(key)
         if ops is not None:
             return ops
         if strategy == "linear":
             ops = linear_ops_encoded(fe_a.arrays[i], fe_b.arrays[j])
         else:
-            ops = nw_ops_encoded(fe_a.arrays[i], fe_b.arrays[j], band=self.nw_band)
+            ops = nw_ops_encoded(fe_a.arrays[i], fe_b.arrays[j])
+        ops.flags.writeable = False
         self.cache.put(key, ops)
         return ops
 
     def align_functions(
-        self,
-        func_a: Function,
-        func_b: Function,
-        strategy: Optional[str] = None,
-        min_block_similarity: float = 0.0,
+        self, func_a: Function, func_b: Function, strategy: Optional[str] = None
     ) -> FunctionAlignment:
         strategy = strategy or self.strategy
         if strategy not in ("linear", "nw"):
@@ -513,14 +483,7 @@ class BatchAlignmentEngine:
         blocks_a, blocks_b = fe_a.blocks, fe_b.blocks
         na, nb = len(blocks_a), len(blocks_b)
 
-        plan_key = (
-            self._strategy_tag(strategy),
-            min_block_similarity,
-            fe_a.key,
-            fe_b.key,
-            fe_a.rows,
-            fe_b.rows,
-        )
+        plan_key = (strategy, fe_a.key, fe_b.key, fe_a.rows, fe_b.rows)
         plan = self.plans.get(plan_key)
         if plan is not None:
             trace.event("plan_cache", hit=True)
@@ -541,29 +504,23 @@ class BatchAlignmentEngine:
             # these magnitudes, so similarities are bit-identical to
             # OpcodeFingerprint.similarity.
             sim = np.where(total == 0, 1.0, 1.0 - dist / np.maximum(total, 1))
-            idx_a, idx_b = np.nonzero(sim >= min_block_similarity)
-            sims = sim[idx_a, idx_b]
-            # The pure path sorts (−sim, i, j); lexsort orders by its last
-            # key first.
-            order = np.lexsort((idx_b, idx_a, -sims))
+            # Highest similarity first; the stable sort over the row-major
+            # flattening breaks ties by (i, j).
+            order = np.argsort(-sim, axis=None, kind="stable")
 
             used_a = [False] * na
             used_b = [False] * nb
             paired: List[Tuple[int, int, np.ndarray]] = []
             for k in order.tolist():
-                i = int(idx_a[k])
-                j = int(idx_b[k])
+                i, j = divmod(k, nb)
                 if used_a[i] or used_b[j]:
                     continue
-                # Entry blocks must pair with each other; the pure path
-                # computes the alignment before this check and discards it,
-                # so skipping the compute here changes nothing observable.
+                # Entry blocks must pair with each other: the merged entry
+                # dispatch needs a single entry.
                 if (i == 0) != (j == 0):
                     continue
                 used_a[i] = used_b[j] = True
-                ops = self._pair_ops(fe_a, i, fe_b, j, strategy)
-                ops.flags.writeable = False
-                paired.append((i, j, ops))
+                paired.append((i, j, self._pair_ops(fe_a, i, fe_b, j, strategy)))
             paired.sort(key=lambda t: t[0])
             for i, j, ops in paired:
                 result.block_pairs.append(

@@ -1,4 +1,4 @@
-"""Content-addressed cache of block-pair alignment decisions.
+"""Content-addressed caches of alignment decisions.
 
 Merge workloads align the same block contents over and over: sibling
 functions share identical blocks, remerge rounds re-align merged families,
@@ -12,10 +12,13 @@ and the strategy, so it can be shared content-addressed, mirroring
   tuple, so two keys are equal exactly when the streams are and no hit
   can be a collision;
 * pair key = the strategy plus both block keys;
-* the cached value is the *ops array* — an ``int8`` vector of
+* the cached value is the *ops array* — a read-only ``int8`` vector of
   match / gap-A / gap-B decisions from which the segment structure is
   rebuilt against the live instruction lists;
 * an in-memory LRU layer bounds resident entries (``maxsize``).
+
+Whole-function plans go through the same :class:`AlignmentCache` class,
+keyed by both functions' block keys and opcode-count rows.
 
 Hit/miss/eviction counters feed the merge report and the perf bench.
 There is no disk layer: interner codes are assigned in first-seen order,
@@ -27,14 +30,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "AlignmentCacheStats",
     "AlignmentCache",
-    "PlanCache",
     "block_key",
     "BlockKey",
     "PairKey",
@@ -79,11 +81,18 @@ class AlignmentCacheStats:
 
 
 class AlignmentCache:
-    """LRU store of alignment ops arrays keyed by block-pair content.
+    """A locked LRU map with hit/miss/eviction counters.
 
-    Thread-safe (one lock around the entry map).  Shared across remerge
-    rounds, successive passes and partition sweeps by handing the same
-    instance (or the same :class:`BatchAlignmentEngine`) to every pass.
+    The engine keeps two: block-pair ops arrays keyed by :data:`PairKey`,
+    and whole-function *plans* — tuples of ``(block_index_a,
+    block_index_b, ops)`` triples in final block order, from which a hit
+    rebuilds the :class:`~repro.alignment.model.FunctionAlignment`
+    without block scoring, greedy pairing or any per-pair DP.  Values are
+    stored and returned as they are: the engine makes every ops array
+    read-only before it is cached, so no caller can mutate a cached
+    decision.  Shared across remerge rounds, successive passes and
+    partition sweeps by handing the same :class:`BatchAlignmentEngine` to
+    every pass.
     """
 
     def __init__(self, maxsize: int = 1 << 18) -> None:
@@ -92,79 +101,28 @@ class AlignmentCache:
         self.maxsize = maxsize
         self.stats = AlignmentCacheStats()
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[PairKey, np.ndarray]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: PairKey) -> Optional[np.ndarray]:
-        """The cached ops array for *key*, or None on a miss.
-
-        Returned as a copy so callers can never mutate a cached decision.
-        """
+    def get(self, key: Hashable) -> Optional[Any]:
+        """The cached value for *key*, or None on a miss."""
         with self._lock:
-            ops = self._entries.get(key)
-            if ops is None:
+            value = self._entries.get(key)
+            if value is None:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return ops.copy()
+            return value
 
-    def put(self, key: PairKey, ops: np.ndarray) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 return
-            self._entries[key] = np.array(ops, dtype=np.int8, copy=True)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-class PlanCache:
-    """LRU store of whole-function alignment *plans*.
-
-    A plan is the content-addressed residue of one function-pair
-    alignment: a tuple of ``(block_index_a, block_index_b, ops)`` triples
-    in final block order.  On a hit the engine rebuilds the
-    :class:`~repro.alignment.model.FunctionAlignment` against the live
-    blocks without redoing block scoring, greedy pairing or any per-pair
-    DP.  Values are immutable (tuples of read-only arrays), so no
-    defensive copies are needed.
-    """
-
-    def __init__(self, maxsize: int = 1 << 16) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self.stats = AlignmentCacheStats()
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> Optional[tuple]:
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return plan
-
-    def put(self, key: tuple, plan: tuple) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return
-            self._entries[key] = plan
+            self._entries[key] = value
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1

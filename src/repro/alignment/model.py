@@ -1,4 +1,4 @@
-"""Alignment data model shared by the alignment strategies and the merger.
+"""Alignment data model shared by the alignment engine and the merger.
 
 An alignment of two basic blocks is a list of *segments*: shared segments
 (pairs of mergeable instructions that will be emitted once) and split
@@ -10,60 +10,17 @@ code generator, not the aligner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..ir.basicblock import BasicBlock
-from ..ir.instructions import (
-    Alloca,
-    Call,
-    FCmp,
-    GetElementPtr,
-    ICmp,
-    Instruction,
-    Invoke,
-    Switch,
-)
+from ..ir.instructions import Instruction
 
 __all__ = [
-    "mergeable",
     "SharedSegment",
     "SplitSegment",
     "BlockAlignment",
     "FunctionAlignment",
 ]
-
-
-def mergeable(a: Instruction, b: Instruction) -> bool:
-    """True if *a* and *b* can be emitted as a single merged instruction.
-
-    Mirrors the equivalence the paper's encoding targets — same opcode,
-    result type, operand count and operand types — plus the semantic
-    details the encoding deliberately blurs (comparison predicates, callee
-    signatures, switch case sets) that the alignment stage must honour.
-    """
-    if a.opcode != b.opcode:
-        return False
-    if a.type is not b.type:
-        return False
-    if a.num_operands != b.num_operands:
-        return False
-    for op_a, op_b in zip(a.operands, b.operands):
-        if op_a.type is not op_b.type:
-            return False
-    if a.is_phi or a.is_terminator:
-        return False  # handled structurally by the merger
-    if isinstance(a, ICmp) and a.pred != b.pred:  # type: ignore[union-attr]
-        return False
-    if isinstance(a, FCmp) and a.pred != b.pred:  # type: ignore[union-attr]
-        return False
-    if isinstance(a, Alloca) and a.allocated_type is not b.allocated_type:  # type: ignore[union-attr]
-        return False
-    if isinstance(a, (Call, Invoke)):
-        # Merged calls keep a single callee operand; differing callees of the
-        # same signature are resolved by operand merging, so type equality
-        # (checked above) suffices.
-        pass
-    return True
 
 
 @dataclass
@@ -105,10 +62,6 @@ class BlockAlignment:
     @property
     def mismatched(self) -> int:
         return sum(s.length for s in self.segments if isinstance(s, SplitSegment))
-
-    def profitable(self) -> bool:
-        """HyFM's block-level filter: aligned blocks must share something."""
-        return self.matched > 0
 
 
 @dataclass

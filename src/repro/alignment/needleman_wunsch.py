@@ -1,81 +1,22 @@
-"""Needleman–Wunsch global alignment over instruction sequences.
+"""Alignment ratios of encoded instruction streams.
 
 SalSSA aligned whole functions with Needleman–Wunsch; HyFM replaced it with
-a cheaper block-level linear strategy.  We provide NW both as an optional
-block-level aligner (higher quality, quadratic cost) and as the
-ground-truth *alignment ratio* oracle used to reproduce Figures 4 and 10.
+a cheaper block-level linear strategy.  Both block-level aligners run in
+:class:`~repro.alignment.batch.BatchAlignmentEngine`; this module scores
+whole encoded streams by their longest matching subsequences, the
+*alignment ratio* oracle behind Figures 4 and 10.
 """
 
 from __future__ import annotations
 
 from difflib import SequenceMatcher
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
-
-T = TypeVar("T")
+from typing import Sequence
 
 __all__ = [
-    "needleman_wunsch",
     "alignment_ratio_encoded",
     "matched_count_encoded",
     "EncodedRatioScorer",
 ]
-
-
-def needleman_wunsch(
-    seq_a: Sequence[T],
-    seq_b: Sequence[T],
-    match_fn: Callable[[T, T], bool],
-    match_score: int = 2,
-    mismatch_penalty: int = -1,
-    gap_penalty: int = -1,
-) -> List[Tuple[Optional[T], Optional[T]]]:
-    """Globally align two sequences; returns (a, b) pairs with None gaps.
-
-    A pair with both entries non-None is only emitted for *matching*
-    elements — mismatching elements are represented as two gap entries, so
-    downstream users can treat "both present" as "mergeable".
-    """
-    n, m = len(seq_a), len(seq_b)
-    # DP score matrix, linear-space reconstruction is unnecessary at block scale.
-    score = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        score[i][0] = score[i - 1][0] + gap_penalty
-    for j in range(1, m + 1):
-        score[0][j] = score[0][j - 1] + gap_penalty
-    for i in range(1, n + 1):
-        row = score[i]
-        prev = score[i - 1]
-        a_item = seq_a[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (
-                match_score if match_fn(a_item, seq_b[j - 1]) else mismatch_penalty
-            )
-            row[j] = max(diag, prev[j] + gap_penalty, row[j - 1] + gap_penalty)
-
-    # Traceback.
-    out: List[Tuple[Optional[T], Optional[T]]] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            matched = match_fn(seq_a[i - 1], seq_b[j - 1])
-            diag = score[i - 1][j - 1] + (match_score if matched else mismatch_penalty)
-            if score[i][j] == diag:
-                if matched:
-                    out.append((seq_a[i - 1], seq_b[j - 1]))
-                else:
-                    out.append((seq_a[i - 1], None))
-                    out.append((None, seq_b[j - 1]))
-                i -= 1
-                j -= 1
-                continue
-        if i > 0 and score[i][j] == score[i - 1][j] + gap_penalty:
-            out.append((seq_a[i - 1], None))
-            i -= 1
-        else:
-            out.append((None, seq_b[j - 1]))
-            j -= 1
-    out.reverse()
-    return out
 
 
 def _as_sequence(encoded: Sequence[int]) -> Sequence[int]:

@@ -16,7 +16,7 @@ from .cache import CacheStats, FingerprintCache
 from .encoding import EncodingOptions, encode_function, encode_instruction
 from .fnv import fnv1a_32, fnv1a_32_ints, fnv1a_32_pair, salts
 from .minhash import MinHashConfig, MinHashFingerprint, exact_jaccard, minhash_function
-from .opcode_freq import OpcodeFingerprint, fingerprint_block, fingerprint_function
+from .opcode_freq import OpcodeFingerprint, fingerprint_function
 from .shingles import shingle_set, shingles
 from .store import FingerprintStore, StoreFormatError
 
@@ -39,7 +39,6 @@ __all__ = [
     "exact_jaccard",
     "minhash_function",
     "OpcodeFingerprint",
-    "fingerprint_block",
     "fingerprint_function",
     "shingles",
     "shingle_set",

@@ -14,10 +14,9 @@ from typing import Dict, Iterable, List
 import numpy as np
 
 from ..ir.function import Function
-from ..ir.basicblock import BasicBlock
 from ..ir.instructions import Opcode
 
-__all__ = ["OpcodeFingerprint", "fingerprint_function", "fingerprint_block"]
+__all__ = ["OpcodeFingerprint", "fingerprint_function"]
 
 _OPCODES: List[Opcode] = sorted(Opcode, key=int)
 _INDEX: Dict[int, int] = {int(op): i for i, op in enumerate(_OPCODES)}
@@ -64,7 +63,3 @@ def fingerprint_function(func: Function) -> OpcodeFingerprint:
     """Opcode-frequency fingerprint of a whole function."""
     return OpcodeFingerprint.from_instructions(func.instructions())
 
-
-def fingerprint_block(block: BasicBlock) -> OpcodeFingerprint:
-    """Opcode-frequency fingerprint of one basic block (HyFM block pairing)."""
-    return OpcodeFingerprint.from_instructions(block.instructions)

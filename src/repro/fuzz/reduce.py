@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..alignment import align_functions
+from ..alignment import BatchAlignmentEngine
 from ..ir.instructions import Instruction
 from ..ir.module import Module
 from ..ir.parser import parse_module
@@ -66,7 +66,7 @@ def replay_shapes(
     if f1 is None or f2 is None or f1.is_declaration or f2.is_declaration:
         return []
     try:
-        alignment = align_functions(f1, f2)
+        alignment = BatchAlignmentEngine().align_functions(f1, f2)
         result = merge_functions(
             alignment, module, options=MergeOptions(legacy_bugs=legacy_bugs)
         )

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..alignment.batch import BatchAlignmentEngine
 from ..alignment.needleman_wunsch import EncodedRatioScorer, alignment_ratio_encoded
 from ..analysis.size import module_size
 from ..fingerprint.encoding import EncodingOptions, encode_function
@@ -172,10 +173,10 @@ def correlation_experiment(
         pair_iter = sample()
 
     if oracle == "blocks":
-        from ..alignment.hyfm_blocks import align_functions
+        engine = BatchAlignmentEngine()
 
         def ratio(i: int, j: int) -> float:
-            return align_functions(functions[i], functions[j]).alignment_ratio
+            return engine.align_functions(functions[i], functions[j]).alignment_ratio
 
     elif oracle == "lcs":
         # One scorer per left index: the dense pair order is i-outer, so

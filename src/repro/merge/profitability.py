@@ -65,11 +65,11 @@ class ProfitabilityBound:
 
     The merged function emits every *reachable body* instruction of both
     originals (shared pairs once, split and unmatched-block instructions
-    separately), and a shared pair requires ``mergeable``.  Mergeability
-    is an equivalence relation, so each body instruction carries a dense
-    *mergeability-class code* (the alignment interner's encoding — a
-    refinement of its opcode, since mergeable instructions always share
-    an opcode).  The multiset intersection of the two functions' code
+    separately), and a shared pair requires two mergeable instructions.
+    Mergeability is an equivalence relation, so each body instruction
+    carries a dense *mergeability-class code* (the alignment interner's
+    encoding — a refinement of its opcode, since mergeable instructions
+    always share an opcode).  The multiset intersection of the two functions' code
     frequencies therefore bounds the alignment from above on both axes:
 
     * ``Σ_code min(cA, cB)`` bounds the number of shared instruction

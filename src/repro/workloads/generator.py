@@ -187,6 +187,9 @@ class FunctionGenerator:
         budget = rng.randint(cfg.min_ops, cfg.max_ops)
         scope = self._emit_region(builder, scope, budget, cfg.max_depth)
         self._emit_return(builder, scope, ret)
+        # Every loop names its phis %iv and %acc; a second loop must not
+        # redefine them, or the printed function would not parse again.
+        func.uniquify_names()
 
         depth = 1 + max(
             [0] + [self.depths.get(c.name, 0) for c in self._called_in(func)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -36,6 +37,9 @@ __all__ = [
     "benchmark_by_name",
     "size_class",
 ]
+
+# The ".N" a function's uniquify_names() appends to a repeated name.
+_NUMBER_SUFFIX = re.compile(r"\.\d+$")
 
 
 @dataclass(frozen=True)
@@ -177,10 +181,13 @@ def build_workload(
         from ..transforms.pipeline import optimize_module
 
         optimize_module(module, max_rounds=2, drop_dead_functions=False)
-    # Generated loops reuse local names like %iv; make every function's
-    # names unique so the module's printed form round-trips through the
-    # parser (the CLI and the serve daemon exchange modules as text).
+    # The generator numbers repeated loop names (%iv, %iv.1, ...) per
+    # function, and the optimizer may have deleted some of those loops.
+    # Number the survivors again from their base names, in block order, so
+    # a workload's text stays what the benchmarks were measured on.
     for func in module.defined_functions():
+        for inst in func.instructions():
+            inst.name = _NUMBER_SUFFIX.sub("", inst.name)
         func.uniquify_names()
     return module
 

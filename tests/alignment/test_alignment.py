@@ -1,17 +1,18 @@
-"""Tests for the alignment layer: mergeable predicate, NW, block pairing."""
+"""Tests for the alignment layer: mergeability codes, NW, block pairing.
+
+The block and function cases drive :class:`BatchAlignmentEngine`; the
+mergeability predicate and the generic Needleman–Wunsch they are checked
+against live in the test oracle ``tests/reference/alignment.py``.
+"""
 
 import pytest
 
 from repro.alignment import (
-    SharedSegment,
+    BatchAlignmentEngine,
+    InstructionInterner,
     SplitSegment,
-    align_blocks_linear,
-    align_blocks_nw,
-    align_functions,
     alignment_ratio_encoded,
     matched_count_encoded,
-    mergeable,
-    needleman_wunsch,
 )
 from repro.ir import (
     Argument,
@@ -29,10 +30,36 @@ from repro.ir import (
     parse_module,
 )
 from tests.conftest import build_diamond, build_loop, build_straightline
+from tests.reference.alignment import mergeable as reference_mergeable
+from tests.reference.alignment import needleman_wunsch
 
 
 def arg(t=I32, n="a", i=0):
     return Argument(t, n, i)
+
+
+def mergeable(a, b):
+    """The reference predicate, checked against the engine's interner:
+    two instructions share a mergeability code exactly when they merge."""
+    interner = InstructionInterner()
+    expected = reference_mergeable(a, b)
+    assert (interner.code(a) == interner.code(b)) == expected
+    return expected
+
+
+def align_block_pair(block_a, block_b, strategy="linear"):
+    """The engine's alignment of the pair holding *block_a* and *block_b*,
+    the only blocks of their functions in these cases."""
+    alignment = BatchAlignmentEngine(strategy).align_functions(
+        block_a.parent, block_b.parent
+    )
+    (pair,) = alignment.block_pairs
+    assert (pair.block_a, pair.block_b) == (block_a, block_b)
+    return pair
+
+
+def align_functions(func_a, func_b, strategy=None):
+    return BatchAlignmentEngine().align_functions(func_a, func_b, strategy)
 
 
 class TestMergeable:
@@ -117,16 +144,14 @@ class TestEncodedRatio:
 
 
 class TestBlockAlignment:
-    def _twin_blocks(self, module, mul1=2, mul2=5):
-        f1 = build_diamond(module, "f1", mul_by=mul1)
-        f2 = build_diamond(module, "f2", mul_by=mul2)
-        return f1.entry, f2.entry
-
     def test_linear_full_match(self, module):
-        b1, b2 = self._twin_blocks(module)
-        alignment = align_blocks_linear(b1, b2)
-        assert alignment.matched == 2  # add + icmp (terminator excluded)
-        assert alignment.mismatched == 0
+        f1 = build_diamond(module, "f1", mul_by=2)
+        f2 = build_diamond(module, "f2", mul_by=5)
+        alignment = align_functions(f1, f2)
+        entry = alignment.block_pairs[0]
+        assert (entry.block_a, entry.block_b) == (f1.entry, f2.entry)
+        assert entry.matched == 2  # add + icmp (terminator excluded)
+        assert entry.mismatched == 0
 
     def test_linear_prefix_suffix_split(self):
         text = """
@@ -146,7 +171,7 @@ entry:
 }
 """
         m = parse_module(text)
-        alignment = align_blocks_linear(
+        alignment = align_block_pair(
             m.get_function("f1").entry, m.get_function("f2").entry
         )
         kinds = [type(s).__name__ for s in alignment.segments]
@@ -174,14 +199,13 @@ entry:
 """
         m = parse_module(text)
         b1, b2 = m.get_function("f1").entry, m.get_function("f2").entry
-        linear = align_blocks_linear(b1, b2)
-        nw = align_blocks_nw(b1, b2)
+        linear = align_block_pair(b1, b2, "linear")
+        nw = align_block_pair(b1, b2, "nw")
         assert nw.matched >= linear.matched
         assert nw.matched == 3
-
-    def test_profitable_flag(self, module):
-        b1, b2 = self._twin_blocks(module)
-        assert align_blocks_linear(b1, b2).profitable()
+        kinds = [type(s).__name__ for s in nw.segments]
+        assert kinds == ["SharedSegment", "SplitSegment", "SharedSegment"]
+        assert [len(s.right) for s in nw.segments if isinstance(s, SplitSegment)] == [1]
 
 
 class TestFunctionAlignment:

@@ -24,7 +24,7 @@ from repro.alignment.batch import (
     linear_ops_encoded,
     nw_ops_encoded,
 )
-from repro.alignment.cache import AlignmentCache, PlanCache, block_key
+from repro.alignment.cache import AlignmentCache, block_key
 from repro.ir.clone import clone_function
 from repro.ir.instructions import Ret, Unreachable
 from repro.ir.module import Module
@@ -66,16 +66,6 @@ class TestVectorizedNWEqualsPure:
             B._SMALL_NW_PRODUCT = old
         assert vec.tolist() == pure.tolist()
         _check_ops_shape(vec, len(a), len(b))
-
-    @given(codes, codes)
-    @settings(max_examples=100, deadline=None)
-    def test_full_band_equals_full_dp(self, a, b):
-        full = nw_ops_encoded(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        band = max(len(a), len(b))
-        banded = nw_ops_encoded(
-            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), band=band
-        )
-        assert banded.tolist() == full.tolist()
 
     def test_empty_both(self):
         assert nw_ops_encoded(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).tolist() == []
@@ -257,16 +247,26 @@ class TestAlignmentCache:
         assert cache.get(kc).tolist() == [2]
         assert cache.stats.misses == 1 and cache.stats.hits == 1
 
-    def test_get_returns_copy(self):
-        cache = AlignmentCache()
-        key = ("nw", (1, 0, 0), (1, 0, 0))
-        cache.put(key, np.array([0, 1], dtype=np.int8))
-        got = cache.get(key)
-        got[0] = 2
-        assert cache.get(key).tolist() == [0, 1]
+    def test_cached_ops_are_read_only(self):
+        """The engine caches its ops arrays read-only and the cache hands
+        back the stored array, so no caller can mutate a cached decision."""
+        functions = build_workload(12, "readonly").defined_functions()
+        for strategy in ("linear", "nw"):
+            engine = BatchAlignmentEngine(strategy)
+            for a, b in zip(functions, functions[1:]):
+                engine.align_functions(a, b)
+            assert len(engine.cache) > 0
+            for key in list(engine.cache._entries):
+                got = engine.cache.get(key)
+                assert got is engine.cache.get(key)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[...] = OP_GAP_A
+            for plan in list(engine.plans._entries.values()):
+                assert all(not ops.flags.writeable for _i, _j, ops in plan)
 
     def test_plan_cache_lru(self):
-        plans = PlanCache(maxsize=1)
+        plans = AlignmentCache(maxsize=1)
         plans.put(("a",), ())
         plans.put(("b",), ())
         assert plans.get(("a",)) is None

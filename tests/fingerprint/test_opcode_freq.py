@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fingerprint import fingerprint_block, fingerprint_function
+from repro.fingerprint import OpcodeFingerprint, fingerprint_function
 from repro.workloads import make_variant
 from tests.conftest import build_diamond, build_straightline
 import random
@@ -42,7 +42,7 @@ class TestOpcodeFingerprint:
 
     def test_block_fingerprint(self, module):
         func = build_diamond(module)
-        entry_fp = fingerprint_block(func.entry)
+        entry_fp = OpcodeFingerprint.from_instructions(func.entry.instructions)
         assert entry_fp.magnitude == len(func.entry)
 
     def test_variant_similarity_decreases_with_mutations(self, module):

@@ -92,13 +92,13 @@ def test_corpus_reproducers_never_prove_on_legacy_path(name, pair, shape):
     # The two known miscompile shapes are the validator's reason to
     # exist: a regression to ``proved`` (or even ``unknown``) on either
     # one means the static gate no longer catches the paper's bugs.
-    from repro.alignment import align_functions
+    from repro.alignment import BatchAlignmentEngine
     from repro.ir.parser import parse_module
     from repro.merge.merger import MergeOptions, merge_functions
     from repro.staticcheck import REFUTED, validate_merge
 
     module = parse_module((CORPUS / name).read_text(), name=name)
-    alignment = align_functions(
+    alignment = BatchAlignmentEngine().align_functions(
         module.get_function(pair[0]), module.get_function(pair[1])
     )
     merged = merge_functions(

@@ -16,6 +16,7 @@ from repro.harness import (
     selected_pairs_experiment,
 )
 from repro.workloads import build_workload
+from tests.reference.alignment import align_functions as reference_align_functions
 
 
 class TestStats:
@@ -92,6 +93,28 @@ class TestExperimentDrivers:
         assert len(opcode.pairs) == len(minhash.pairs)
         assert -1.0 <= opcode.correlation <= 1.0
         assert minhash.correlation > opcode.correlation - 0.1
+
+    @pytest.fixture(scope="class")
+    def blocks_module(self):
+        """A workload and its reference alignment ratio for every pair, in
+        the dense (i < j) order the experiment uses below max_pairs."""
+        module = build_workload(60, "harness-blocks")
+        functions = module.defined_functions()
+        ratios = [
+            reference_align_functions(functions[i], functions[j]).alignment_ratio
+            for i in range(len(functions))
+            for j in range(i + 1, len(functions))
+        ]
+        return module, ratios
+
+    @pytest.mark.parametrize("kind", ["opcode", "minhash"])
+    def test_blocks_oracle_matches_reference(self, blocks_module, kind):
+        """The block-level oracle, aligned through one engine per sweep,
+        gives every pair the pure aligner's ratio."""
+        module, ratios = blocks_module
+        result = correlation_experiment(module, kind, oracle="blocks")
+        assert [r for _s, r in result.pairs] == ratios
+        assert result.correlation == pearson([s for s, _r in result.pairs], ratios)
 
     def test_correlation_unknown_kind(self):
         module = build_workload(20, "harness-k")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.alignment import align_functions
+from repro.alignment import BatchAlignmentEngine
 from repro.fingerprint import MinHashConfig, exact_jaccard, minhash_function
 from repro.ir import (
     Interpreter,
@@ -87,7 +87,7 @@ class TestMergeEquivalenceProperty:
             return  # pair rejected by design
         rng = random.Random(seed ^ 0xABCDEF)
         try:
-            result = merge_functions(align_functions(f1, f2), module)
+            result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         except MergeError:
             return  # rejection is allowed; miscompilation is not
         verify_function(result.merged)
@@ -115,7 +115,7 @@ class TestMergeEquivalenceProperty:
         base = funcs[0]
         rng = random.Random(seed * 31 + n_mut)
         variant = make_variant(base, "variant", rng, n_mut, module)
-        result = merge_functions(align_functions(base, variant), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(base, variant), module)
         verify_function(result.merged)
         merged = result.merged
         for trial in range(3):

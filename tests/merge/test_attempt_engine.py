@@ -7,7 +7,6 @@ prices, and the work they save), and the partition driver's report order.
 
 import pytest
 
-from repro.alignment.hyfm_blocks import align_functions
 from repro.analysis.size import function_size
 from repro.harness.experiments import make_ranker
 from repro.harness.profile import _merged_pairs
@@ -26,6 +25,7 @@ from repro.merge.ssa_repair import find_dominance_violations
 from repro.search.pairing import ExhaustiveRanker
 from repro.workloads import build_workload
 from repro.workloads.suites import WorkloadConfig
+from tests.reference.alignment import align_functions
 
 STRATEGIES = ("hyfm", "f3m", "f3m-adaptive")
 

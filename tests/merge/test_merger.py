@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.alignment import align_functions
+from repro.alignment import BatchAlignmentEngine
 from repro.ir import (
     I1,
     I32,
@@ -17,7 +17,7 @@ from tests.conftest import build_diamond, build_loop, build_straightline
 
 
 def merge_pair(module, f1, f2, **opts):
-    alignment = align_functions(f1, f2)
+    alignment = BatchAlignmentEngine().align_functions(f1, f2)
     return merge_functions(alignment, module, options=MergeOptions(**opts))
 
 
@@ -93,7 +93,7 @@ class TestMergeCorrectness:
     def test_structurally_different_functions(self, module):
         f1 = build_diamond(module, "f1")
         f2 = build_loop(module, "f2")
-        alignment = align_functions(f1, f2)
+        alignment = BatchAlignmentEngine().align_functions(f1, f2)
         # Widen the signature gap: diamond takes 2 args, loop takes 1.
         result = merge_functions(alignment, module)
         verify_function(result.merged)

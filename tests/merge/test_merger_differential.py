@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.alignment.hyfm_blocks import align_functions
 from repro.analysis.linearizer import linearize_blocks
 from repro.harness.experiments import make_ranker
 from repro.ir.basicblock import BasicBlock
@@ -39,6 +38,7 @@ from repro.workloads import build_workload
 from repro.workloads.generator import FunctionGenerator, GeneratorConfig
 from repro.workloads.mutate import make_variant, mutate_function_danger
 from repro.workloads.suites import WorkloadConfig
+from tests.reference.alignment import align_functions
 from tests.reference.merger import reference_merge_functions
 
 

@@ -240,12 +240,12 @@ join:
   ret i32 %z
 }
 """
-        from repro.alignment import align_functions
+        from repro.alignment import BatchAlignmentEngine
         from repro.merge import merge_functions
 
         module = parse_module(text)
         f1, f2 = module.get_function("f1"), module.get_function("f2")
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         verify_function(result.merged)
         interp = Interpreter()
         for x in (0, 9, 10, 50):

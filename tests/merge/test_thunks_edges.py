@@ -5,7 +5,7 @@ address-taken originals reached indirectly, calls to an original from
 inside the merged body, and originals with no callers at all.
 """
 
-from repro.alignment import align_functions
+from repro.alignment import BatchAlignmentEngine
 from repro.ir import (
     BasicBlock,
     Function,
@@ -65,7 +65,7 @@ bad:
         main = module.get_function("main")
         ref = {x: Interpreter().run(main, [x]).value for x in (0, 6)}
         f1, f2 = module.get_function("f1"), module.get_function("f2")
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         commit_merge(result)
         verify_module(module)
         # Invokes were retargeted in place, keeping their unwind edges.
@@ -100,7 +100,7 @@ class TestAddressTaken:
         f1, f2 = module.get_function("f1"), module.get_function("f2")
         assert f1.address_taken
         ref = Interpreter().run(module.get_function("main"), [5]).value
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         commit_merge(result)
         verify_module(module)
         # @f1 survives as a one-block thunk; @f2 had no other uses and dies.
@@ -150,7 +150,7 @@ class TestMergedBodyCalls:
         g1, g2 = module.get_function("g1"), module.get_function("g2")
         ref1 = Interpreter().run(g1, [4]).value
         ref2 = Interpreter().run(g2, [4]).value
-        result = merge_functions(align_functions(g1, g2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(g1, g2), module)
         commit_merge(result)
         verify_module(module)
         sites = _direct_call_sites(module)
@@ -169,7 +169,7 @@ class TestMergedBodyCalls:
         g1, g2 = module.get_function("g1"), module.get_function("g2")
         ref1 = Interpreter().run(g1, [4]).value
         ref2 = Interpreter().run(g2, [4]).value
-        result = merge_functions(align_functions(g1, g2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(g1, g2), module)
         commit_merge(result)
         verify_module(module)
         assert module.get_function("g1") is g1 and len(g1.blocks) == 1
@@ -182,7 +182,7 @@ class TestZeroCallers:
     def test_rewrite_returns_zero_without_callers(self):
         module = parse_module(PAIR)
         f1, f2 = module.get_function("f1"), module.get_function("f2")
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         assert rewrite_call_sites(f1, result.merged, result.param_map_a, 0) == 0
 
     def test_commit_deletes_uncalled_originals(self):
@@ -190,7 +190,7 @@ class TestZeroCallers:
         f1, f2 = module.get_function("f1"), module.get_function("f2")
         ref1 = Interpreter().run(f1, [2, 3]).value
         ref2 = Interpreter().run(f2, [2, 3]).value
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         commit_merge(result)
         verify_module(module)
         assert module.get_function("f1") is None

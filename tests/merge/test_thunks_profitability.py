@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.alignment import align_functions
+from repro.alignment import BatchAlignmentEngine
 from repro.ir import (
     BasicBlock,
     Call,
@@ -55,7 +55,7 @@ class TestCommitMerge:
         module = _module_with_callers()
         f1, f2 = module.get_function("f1"), module.get_function("f2")
         ref = {x: Interpreter().run(module.get_function("main"), [x]).value for x in (0, 5)}
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         commit_merge(result)
         verify_module(module)
         assert module.get_function("f1") is None
@@ -68,7 +68,7 @@ class TestCommitMerge:
         f1, f2 = module.get_function("f1"), module.get_function("f2")
         f1.internal = False  # visible outside the module
         ref = Interpreter().run(module.get_function("main"), [4]).value
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         commit_merge(result)
         verify_module(module)
         thunk = module.get_function("f1")
@@ -81,7 +81,7 @@ class TestCommitMerge:
     def test_rewrite_counts_sites(self):
         module = _module_with_callers()
         f1, f2 = module.get_function("f1"), module.get_function("f2")
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         n = rewrite_call_sites(f1, result.merged, result.param_map_a, 0)
         assert n == 1
         assert len(f1.callers()) == 0
@@ -89,7 +89,7 @@ class TestCommitMerge:
     def test_make_thunk_standalone(self, module):
         f1 = build_diamond(module, "f1")
         f2 = build_diamond(module, "f2")
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         make_thunk(f1, result.merged, result.param_map_a, 0)
         assert len(f1.blocks) == 1
         assert Interpreter().run(f1, [7, 8]).value == 30
@@ -127,7 +127,7 @@ done:
         r1, r2 = module.get_function("r1"), module.get_function("r2")
         ref1 = Interpreter().run(r1, [4]).value
         ref2 = Interpreter().run(r2, [4]).value
-        result = merge_functions(align_functions(r1, r2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(r1, r2), module)
         commit_merge(result)
         verify_module(module)
         merged = result.merged
@@ -139,7 +139,7 @@ class TestProfitability:
     def test_identical_merge_is_profitable(self, module):
         f1 = build_diamond(module, "f1")
         f2 = build_diamond(module, "f2")
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         benefit = ProfitabilityModel().evaluate(result)
         assert benefit.profitable
         assert benefit.saving > 0
@@ -147,7 +147,7 @@ class TestProfitability:
     def test_thunk_cost_charged_for_external(self, module):
         f1 = build_diamond(module, "f1")
         f2 = build_diamond(module, "f2")
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         internal = ProfitabilityModel().evaluate(result)
         f1.internal = False
         external = ProfitabilityModel().evaluate(result)
@@ -157,6 +157,6 @@ class TestProfitability:
     def test_callsite_cost_counted(self):
         module = _module_with_callers()
         f1, f2 = module.get_function("f1"), module.get_function("f2")
-        result = merge_functions(align_functions(f1, f2), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
         benefit = ProfitabilityModel().evaluate(result)
         assert benefit.overhead >= 2  # one rewritten call site each

@@ -5,7 +5,7 @@ import contextlib
 import pytest
 
 import repro.merge.pass_ as pass_module
-from repro.alignment import align_functions
+from repro.alignment import BatchAlignmentEngine
 from repro.fingerprint.encoding import encode_function
 from repro.ir import Interpreter, parse_module, print_module, verify_module
 from repro.ir.instructions import Instruction
@@ -83,7 +83,7 @@ entry:
 
 def _merge_pair(module):
     f1, f2 = module.get_function("f1"), module.get_function("f2")
-    return merge_functions(align_functions(f1, f2), module)
+    return merge_functions(BatchAlignmentEngine().align_functions(f1, f2), module)
 
 
 class TestRollback:

@@ -7,7 +7,7 @@ through the same merges produced by the fixed codegen.
 
 import pytest
 
-from repro.alignment import align_functions
+from repro.alignment import BatchAlignmentEngine
 from repro.ir import ConstantInt, I32, Opcode, parse_module, print_module, verify_module
 from repro.merge import FunctionMergingPass, MergeOptions, PassConfig, merge_functions
 from repro.oracle import DifferentialOracle, OracleConfig
@@ -18,7 +18,9 @@ def _merge_text(text, name_a="f1", name_b="f2", **options):
     module = parse_module(text)
     fa, fb = module.get_function(name_a), module.get_function(name_b)
     return merge_functions(
-        align_functions(fa, fb), module, options=MergeOptions(**options)
+        BatchAlignmentEngine().align_functions(fa, fb),
+        module,
+        options=MergeOptions(**options),
     )
 
 
@@ -192,7 +194,9 @@ class TestLegacyBugDetection:
         module = _bug_effect_suite()
         fa, fb = module.get_function("fa"), module.get_function("fb")
         result = merge_functions(
-            align_functions(fa, fb), module, options=MergeOptions(legacy_bugs=True)
+            BatchAlignmentEngine().align_functions(fa, fb),
+            module,
+            options=MergeOptions(legacy_bugs=True),
         )
         verdict = DifferentialOracle().check(result)
         assert not verdict.equivalent
@@ -203,7 +207,9 @@ class TestLegacyBugDetection:
         module = _bug_effect_suite()
         fa, fb = module.get_function("fa"), module.get_function("fb")
         result = merge_functions(
-            align_functions(fa, fb), module, options=MergeOptions(legacy_bugs=False)
+            BatchAlignmentEngine().align_functions(fa, fb),
+            module,
+            options=MergeOptions(legacy_bugs=False),
         )
         assert DifferentialOracle().check(result).equivalent
 

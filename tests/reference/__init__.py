@@ -11,8 +11,11 @@ bit-identical answers:
   batched engine vectorizes;
 * :class:`ReferenceMinHashRanker` — F3M ranking with per-function MinHash
   fingerprints searched through :class:`ReferenceLSHIndex`;
-* :class:`PureAlignmentEngine` — alignment through the pure-Python
-  aligner, accepted by ``FunctionMergingPass(alignment_engine=...)``;
+* :func:`~tests.reference.alignment.align_functions` — HyFM's block
+  pairing over per-block opcode fingerprints, with each pair aligned
+  through the ``mergeable`` predicate (prefix/suffix or a generic
+  Needleman–Wunsch), and :class:`PureAlignmentEngine`, which wraps it
+  for ``FunctionMergingPass(alignment_engine=...)``;
 * :class:`ReferenceDominatorTree` and :func:`reference_violations` — the
   per-block dominator loop and ``list.index`` dominance scan;
 * :class:`ReferenceMergeTransaction` and

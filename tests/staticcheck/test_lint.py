@@ -8,7 +8,7 @@ acceptance suite at zero interpretation cost.
 
 import pytest
 
-from repro.alignment import align_functions
+from repro.alignment import BatchAlignmentEngine
 from repro.diagnostics import Severity, errors_only
 from repro.ir import parse_module, print_module, verify_module
 from repro.merge import (
@@ -83,7 +83,9 @@ class TestLegacyCodegenDetection:
         module = _bug_effect_suite()
         fa, fb = module.get_function("fa"), module.get_function("fb")
         result = merge_functions(
-            align_functions(fa, fb), module, options=MergeOptions(legacy_bugs=True)
+            BatchAlignmentEngine().align_functions(fa, fb),
+            module,
+            options=MergeOptions(legacy_bugs=True),
         )
         diags = errors_only(lint_merge(result, module))
         assert diags
@@ -93,7 +95,9 @@ class TestLegacyCodegenDetection:
         module = _bug_effect_suite()
         fa, fb = module.get_function("fa"), module.get_function("fb")
         result = merge_functions(
-            align_functions(fa, fb), module, options=MergeOptions(legacy_bugs=False)
+            BatchAlignmentEngine().align_functions(fa, fb),
+            module,
+            options=MergeOptions(legacy_bugs=False),
         )
         assert errors_only(lint_merge(result, module)) == []
 
@@ -159,7 +163,7 @@ class TestLintCommit:
         module = _bug_effect_suite()
         fa, fb = module.get_function("fa"), module.get_function("fb")
         fa.internal = False  # visible outside the module: kept as a thunk
-        result = merge_functions(align_functions(fa, fb), module)
+        result = merge_functions(BatchAlignmentEngine().align_functions(fa, fb), module)
         commit_merge(result)
         diags = lint_commit(result, module)
         assert diags == []  # honest commit: clean

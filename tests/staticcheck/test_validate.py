@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.alignment import align_functions
+from repro.alignment import BatchAlignmentEngine
 from repro.ir.parser import parse_module
 from repro.ir.verifier import verify_module
 from repro.merge.merger import MergeOptions, merge_functions
@@ -42,7 +42,9 @@ CORPUS_ENTRIES = [
 def _merge_pair(text, a, b, legacy_bugs=False):
     module = parse_module(text)
     verify_module(module)
-    alignment = align_functions(module.get_function(a), module.get_function(b))
+    alignment = BatchAlignmentEngine().align_functions(
+        module.get_function(a), module.get_function(b)
+    )
     return merge_functions(
         alignment, module, options=MergeOptions(legacy_bugs=legacy_bugs)
     )
@@ -184,7 +186,7 @@ class TestCommittedChecker:
     def test_validate_checker_flags_committed_legacy_merge(self):
         name, pair = CORPUS_ENTRIES[0]
         module = parse_module((CORPUS / name).read_text())
-        alignment = align_functions(
+        alignment = BatchAlignmentEngine().align_functions(
             module.get_function(pair[0]), module.get_function(pair[1])
         )
         result = merge_functions(

@@ -3,9 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fingerprint import fingerprint_function
-from repro.ir import Interpreter, Module, print_function, verify_function, verify_module
+from repro.ir import (
+    Interpreter,
+    Module,
+    parse_module,
+    print_function,
+    print_module,
+    verify_function,
+    verify_module,
+)
 from repro.workloads import (
     BENCHMARKS,
     FunctionGenerator,
@@ -59,6 +69,23 @@ class TestGenerator:
         for i in range(10):
             func = gen.generate(f"g{i}")
             assert 1 <= len(func.args) <= 2
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        max_depth=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_generated_text_round_trips(self, seed, max_depth):
+        """Functions with several loops name each loop's phis apart, so
+        the printed module parses back to the same text."""
+        module = Module("gen")
+        gen = FunctionGenerator(
+            module, random.Random(seed), GeneratorConfig(max_ops=16, max_depth=max_depth)
+        )
+        for i in range(2):
+            gen.generate(f"g{i}")
+        text = print_module(module)
+        assert print_module(parse_module(text)) == text
 
 
 class TestMutation:
