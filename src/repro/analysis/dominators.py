@@ -21,7 +21,6 @@ from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Instruction
 from ..ir.values import Value
-from .cfg import reverse_postorder
 
 __all__ = ["DominatorTree", "dominance_violations"]
 
@@ -34,23 +33,17 @@ def _reverse_postorder(succs: Sequence[Sequence[int]]) -> List[int]:
     seen = [False] * len(succs)
     seen[0] = True
     order: List[int] = []
-    nodes = [0]
-    idxs = [0]
-    while nodes:
-        here = succs[nodes[-1]]
-        i = idxs[-1]
-        n = len(here)
-        while i < n and seen[here[i]]:
-            i += 1
-        if i < n:
-            idxs[-1] = i + 1
-            nxt = here[i]
-            seen[nxt] = True
-            nodes.append(nxt)
-            idxs.append(0)
+    stack = [(0, iter(succs[0]))]
+    while stack:
+        node, rest = stack[-1]
+        for nxt in rest:
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append((nxt, iter(succs[nxt])))
+                break
         else:
-            order.append(nodes.pop())
-            idxs.pop()
+            order.append(node)
+            stack.pop()
     order.reverse()
     return order
 
@@ -59,18 +52,28 @@ class DominatorTree:
     """Immediate-dominator tree of a control-flow graph.
 
     ``DominatorTree(func)`` is the tree of a function's reachable blocks;
-    :meth:`of_successors` builds it for any graph given as successor-index
-    lists, such as a merged function's block layout before a block of it
-    exists.  Nodes are numbered in reverse postorder; predecessor lists are
-    built once from successor edges, so only reachable predecessors appear
-    and no block's use list is ever scanned.
+    :meth:`of_blocks` builds the same tree from successor lists the caller
+    has already read off the blocks' terminators, and :meth:`of_successors`
+    builds it for any graph given as successor-index lists, such as a
+    merged function's block layout before a block of it exists.  All three
+    number the graph's nodes and build the tree in one place.  Nodes are
+    numbered in reverse postorder; predecessor lists are built once from
+    successor edges, so only reachable predecessors appear and no block's
+    use list is ever scanned.
     """
 
     def __init__(self, func: Function) -> None:
-        self.function: Optional[Function] = func
-        self._rpo: list = reverse_postorder(func)
-        index = self._index = {id(b): i for i, b in enumerate(self._rpo)}
-        self._build([[index[id(s)] for s in b.successors()] for b in self._rpo])
+        self._of_blocks(func, [block.successors() for block in func.blocks])
+
+    @classmethod
+    def of_blocks(
+        cls, func: Function, successors: Sequence[Sequence[BasicBlock]]
+    ) -> "DominatorTree":
+        """The tree of *func*, where ``successors[k]`` are the successors
+        of ``func.blocks[k]``, as :meth:`BasicBlock.successors` gives them."""
+        tree = cls.__new__(cls)
+        tree._of_blocks(func, successors)
+        return tree
 
     @classmethod
     def of_successors(cls, succs: Sequence[Sequence[int]]) -> "DominatorTree":
@@ -82,6 +85,40 @@ class DominatorTree:
         index = tree._index = {v: i for i, v in enumerate(tree._rpo)}
         tree._build([[index[s] for s in succs[v]] for v in tree._rpo])
         return tree
+
+    def _of_blocks(self, func: Function, successors: Sequence[Sequence[BasicBlock]]) -> None:
+        """Number *func*'s blocks by position and build the tree.  A
+        successor outside ``func.blocks`` is a node too, numbered after
+        them, and its own successors are read from its terminator, so the
+        graph is the one a walk from the entry would follow."""
+        nodes = list(func.blocks)
+        # Numbered from the back, so a block listed twice is its first node.
+        number = {id(block): k for k, block in reversed(list(enumerate(nodes)))}
+        try:
+            succs = [[number[id(block)] for block in row] for row in successors]
+        except KeyError:
+            succs = [self._number(row, nodes, number) for row in successors]
+            while len(succs) < len(nodes):
+                succs.append(self._number(nodes[len(succs)].successors(), nodes, number))
+        self.function = func
+        rpo = _reverse_postorder(succs)
+        self._rpo = [nodes[v] for v in rpo]
+        self._index = {id(nodes[v]): i for i, v in enumerate(rpo)}
+        order = [0] * len(succs)
+        for i, v in enumerate(rpo):
+            order[v] = i
+        self._build([[order[s] for s in succs[v]] for v in rpo])
+
+    @staticmethod
+    def _number(row: Sequence[BasicBlock], nodes: List[BasicBlock], number: dict) -> List[int]:
+        out = []
+        for block in row:
+            v = number.get(id(block))
+            if v is None:
+                v = number[id(block)] = len(nodes)
+                nodes.append(block)
+            out.append(v)
+        return out
 
     def _build(self, succs: List[List[int]]) -> None:
         """Build the tree from successor lists numbered in reverse

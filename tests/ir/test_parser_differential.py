@@ -48,7 +48,8 @@ bad:
 }
 """
 
-#: The inputs of ``tests/ir/test_printer_parser.py::TestParseErrors``.
+#: The inputs of ``tests/ir/test_printer_parser.py::TestParseErrors``, then
+#: label errors.
 PARSE_ERROR_TEXTS = [
     "define i32 @f() {\nentry:\n  %x = frob i32 1, 2\n  ret i32 %x\n}",
     "define i32 @f() {\nentry:\n  ret i32 %nope\n}",
@@ -61,21 +62,56 @@ PARSE_ERROR_TEXTS = [
     "define i32 @f() {\nentry:\n  %p = alloca i0\n  ret i32 0\n}",
     "define i32 @f() {\nentry:\n  %p = alloca void*\n  ret i32 0\n}",
     "define i32 @f() {\nentry:\n  %p = alloca [x x i32]\n  ret i32 0\n}",
+    # Labels: used by a phi, a switch or an invoke but never defined,
+    # defined twice, named like an argument or a value, numeric, and named
+    # by a phi before the block is defined (valid up to a later error).
+    "define i32 @f(i32 %x) {\nentry:\n  br label %next\nnext:\n"
+    "  %p = phi i32 [ %x, %entry ], [ %x, %gone ]\n  ret i32 %p\n}",
+    "define i32 @f(i32 %x) {\nentry:\n  switch i32 %x, label %out [i32 1 label %gone]\n"
+    "out:\n  ret i32 0\n}",
+    "declare i32 @g(i32)\n\ndefine i32 @f(i32 %x) {\nentry:\n"
+    "  %r = invoke i32 @g(i32 %x) to label %ok unwind label %gone\nok:\n  ret i32 %r\n}",
+    "define i32 @f() {\nentry:\n  br label %a\na:\n  br label %a\na:\n  ret i32 0\n}",
+    "define i32 @f(i32 %x) {\nentry:\n  br label %x\nx:\n  ret i32 0\n}",
+    "define i32 @f(i32 %x) {\nentry:\n  br label %x\n}",
+    "define i32 @f(i32 %x) {\nentry:\n  %v = add i32 %x, 1\n  br label %v\nv:\n  ret i32 %v\n}",
+    "define i32 @f(i32 %x) {\nentry:\n  br label %v\nbody:\n  %v = add i32 %x, 1\n"
+    "  ret i32 %v\n}",
+    "define i32 @f() {\n0:\n  br label %1\n1:\n  br label %2\n}",
+    "define i32 @f(i32 %x) {\nentry:\n  br label %loop\nloop:\n"
+    "  %i = phi i32 [ %x, %entry ], [ %n, %latch ]\n  %n = add i32 %i, 1\n"
+    "  br label %latch\nlatch:\n  %n = add i32 %x, 2\n  br label %loop\n}",
 ]
 
 #: Lines the property inserts between the module's lines.
 FILLER = ("", "   ", "; a comment", "  ; define i32 @fake(i32 %x) {", ";")
 
 
+def _uses(module):
+    """Every argument's, block's and instruction's uses in use-list order,
+    each as its user's position and operand index: merged code and
+    mem2reg's phis are built in this order."""
+    where = {}
+    values = []
+    for f, func in enumerate(module.functions):
+        values.extend(func.args)
+        for b, block in enumerate(func.blocks):
+            values.append(block)
+            for i, inst in enumerate(block.instructions):
+                where[id(inst)] = (f, b, i)
+                values.append(inst)
+    return [[(where[id(user)], index) for user, index in v.uses()] for v in values]
+
+
 def _outcome(parse, text):
-    """The printed module with each function's ``internal`` flag, or the
-    error as its type, message and line."""
+    """The printed module with each function's ``internal`` flag and its
+    use lists, or the error as its type, message and line."""
     try:
         module = parse(text)
     except Exception as exc:  # the two parsers must fail the same way
         return ("error", type(exc).__name__, str(exc), getattr(exc, "line", None))
     flags = [(f.name, f.internal) for f in module.functions]
-    return ("module", print_module(module), flags)
+    return ("module", print_module(module), flags, _uses(module))
 
 
 def _message(exc: ParseError) -> str:
@@ -194,6 +230,9 @@ class TestSameError:
             "define i32 @f() {\n-inf:\n  ret i32 0\n}\n",
             "define i32 @f() {\nnan:\n  ret i32 0\n}\n",
             "define i32 @f() {\nentry:\n  ret i32 -inf\n}\n",
+            "define i32 @f(i32 %x) {\n0:\n  br label %2\n2:\n"
+            "  %p = phi i32 [ %x, %0 ], [ %n, %3 ]\n  %n = add i32 %p, 1\n"
+            "  br label %3\n3:\n  br label %2\n}\n",
         ],
     )
     def test_edge_texts(self, text):

@@ -27,8 +27,13 @@ bit-identical answers:
   encoding with FNV content keys and stacked opcode-count rows, and the
   profitability bound's separate walk for its code counts and weights;
 * :mod:`tests.reference.parser` — the IR text parser with a regex match,
-  kind and line stored per token, and a line-based header prescan that
+  kind and line stored per token, a method-call cursor, a placeholder
+  block for every forward label, and a line-based header prescan that
   tokenizes every header line again;
+* :func:`reference_verify_function` and :func:`reference_verify_module` —
+  the IR verifier in four walks per function (block shape, phis against
+  every block's use-list predecessors, operand scope, returns), with
+  dominance from :func:`reference_violations`;
 * :func:`reference_merge_functions` — the two-phase merged-function
   generator: every instruction cloned with placeholder operands and dummy
   blocks, then patched in a second walk that inserts the selects, with
@@ -48,6 +53,7 @@ from .merger import reference_merge_functions
 from .minhash import reference_minhash, shingle_hashes
 from .ranking import ReferenceMinHashRanker
 from .transaction import ReferenceMergeTransaction, ReferenceRetainingTransaction
+from .verifier import reference_verify_function, reference_verify_module
 
 __all__ = [
     "PureAlignmentEngine",
@@ -63,6 +69,8 @@ __all__ = [
     "reference_entry",
     "reference_merge_functions",
     "reference_minhash",
+    "reference_verify_function",
+    "reference_verify_module",
     "reference_violations",
     "shingle_hashes",
 ]
