@@ -58,14 +58,24 @@ def test_ablation_xor_salt_trick(benchmark):
     """The single-hash + xor-salts derivation must match independent hash
     functions on estimate quality while being much faster to compute."""
     from repro.fingerprint import MinHashFingerprint, encode_function, exact_jaccard
+    from tests.reference import reference_minhash
 
     functions = _corpus().defined_functions()[:60]
     encoded = [encode_function(f) for f in functions]
 
+    cfg = MinHashConfig(k=128)
+
+    def independent_fingerprint(stream):
+        # The k-independent-hashes side lives in the test oracle.
+        values, shingles = reference_minhash(stream, cfg, independent=True)
+        return MinHashFingerprint(values, cfg, shingles)
+
     def build(independent):
-        cfg = MinHashConfig(k=128, independent_hashes=independent)
+        make = independent_fingerprint if independent else (
+            lambda e: MinHashFingerprint.from_encoded(e, cfg)
+        )
         start = time.perf_counter()
-        fps = [MinHashFingerprint.from_encoded(e, cfg) for e in encoded]
+        fps = [make(e) for e in encoded]
         elapsed = time.perf_counter() - start
         errors = []
         for i in range(0, len(fps) - 1, 2):

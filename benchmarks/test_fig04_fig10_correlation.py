@@ -71,14 +71,14 @@ def test_fig10_encoding_ablation(benchmark):
     """DESIGN.md ablation: hashing *encoded* instructions (types folded in)
     must correlate at least as well as the default; the encoding is what
     separates mergeable from textually-identical."""
-    from repro.fingerprint import EncodingOptions
+    from tests.reference import encode_function_with_predicates
 
     def run():
         return correlation_experiment(
             _corpus(),
             "minhash",
             max_pairs=10_000,
-            encoding=EncodingOptions(include_predicates=True),
+            encode=encode_function_with_predicates,
         )
 
     with_preds = benchmark.pedantic(run, rounds=1, iterations=1)

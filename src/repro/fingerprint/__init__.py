@@ -13,7 +13,7 @@ from .batch import (
     minhash_module,
 )
 from .cache import CacheStats, FingerprintCache
-from .encoding import EncodingOptions, encode_function, encode_instruction
+from .encoding import encode_function, encode_instruction
 from .fnv import fnv1a_32, fnv1a_32_ints, fnv1a_32_pair, salts
 from .minhash import MinHashConfig, MinHashFingerprint, exact_jaccard, minhash_function
 from .opcode_freq import OpcodeFingerprint, fingerprint_function
@@ -22,7 +22,6 @@ from .store import FingerprintStore, StoreFormatError
 
 __all__ = [
     "CacheStats",
-    "EncodingOptions",
     "FingerprintCache",
     "encode_module",
     "minhash_encoded_batch",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from ..analysis.linearizer import linearize
 from ..arrays import sorted_unique
 from ..ir.function import Function
 from ..obs import trace
-from .encoding import EncodingOptions, encode_function
 from .minhash import MinHashConfig, MinHashFingerprint, _salts_for
 from .fnv import fnv1a_32_array_u32
 
@@ -90,19 +89,7 @@ _GET_OPERANDS = attrgetter("_operands")
 # ---------------------------------------------------------------------------
 
 
-def _pack_streams(encoded: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack per-function encoded streams into (flat uint64, lengths)."""
-    lens = np.array([len(e) for e in encoded], dtype=np.int64)
-    total = int(lens.sum())
-    flat = np.fromiter(
-        (v for stream in encoded for v in stream), dtype=np.uint64, count=total
-    )
-    return flat, lens
-
-
-def encode_module(
-    functions: Sequence[Function], options: Optional[EncodingOptions] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+def encode_module(functions: Sequence[Function]) -> Tuple[np.ndarray, np.ndarray]:
     """Encode all *functions* at once.
 
     Returns ``(flat, lens)`` where ``flat`` is every function's encoded
@@ -115,14 +102,6 @@ def encode_module(
     xor-folds and the bit packing of the 32-bit encoding run as whole-module
     array operations.
     """
-    options = options or EncodingOptions()
-    if options.include_predicates:
-        # The predicate ablation folds per-instruction predicate kinds into
-        # the opcode field; it needs isinstance dispatch per instruction, so
-        # it takes the reference encoder (correctness over speed for the
-        # ablation configuration).
-        return _pack_streams([encode_function(f, options) for f in functions])
-
     insts_all: List = []
     lens_list: List[int] = []
     for func in functions:
@@ -261,21 +240,9 @@ def minhash_encoded_batch(
 
     base, seg_starts, wcounts, nonempty = _window_hashes(flat, lens, config.shingle_size)
     counts[nonempty] = wcounts
-    salt_vec = _salts_for(config)
+    salt_vec = _salts_for(k)
 
-    if config.independent_hashes:
-        # k separate FNV-1a hashes of (salt, window_hash) pairs, one pass
-        # over the whole window stream per salt.
-        pairs = np.empty((base.shape[0], 2), dtype=np.uint32)
-        pairs[:, 1] = base
-        out = np.empty((k, nonempty.shape[0]), dtype=np.uint32)
-        for j in range(k):
-            pairs[:, 0] = salt_vec[j]
-            out[j] = np.minimum.reduceat(fnv1a_32_array_u32(pairs), seg_starts)
-        values[nonempty] = out.T
-        return values, counts
-
-    # xor-salt path: expand the window-hash stream against all k salts in
+    # Expand the window-hash stream against all k salts in
     # (k, windows) blocks — the salts-major layout keeps each reduceat
     # segment contiguous — and reduce per-function minima in one call.
     m = nonempty.shape[0]
@@ -312,15 +279,7 @@ def minhash_encoded_one(
     width = min(config.shingle_size, n)
     windows = np.ndarray((n - width + 1, width), np.uint32, words, 0, (4, 4))
     base = fnv1a_32_array_u32(windows)
-    salt_vec = _salts_for(config)
-    if config.independent_hashes:
-        pairs = np.empty((base.shape[0], 2), dtype=np.uint32)
-        pairs[:, 1] = base
-        values = np.empty(config.k, dtype=np.uint32)
-        for j in range(config.k):
-            pairs[:, 0] = salt_vec[j]
-            values[j] = fnv1a_32_array_u32(pairs).min()
-        return values, int(base.shape[0])
+    salt_vec = _salts_for(config.k)
     # Windows-major, so the min runs down contiguous rows of k salts.
     return (base[:, None] ^ salt_vec[None, :]).min(axis=0), int(base.shape[0])
 
@@ -333,15 +292,14 @@ def minhash_encoded_one(
 def minhash_module(
     functions: Iterable[Function],
     config: MinHashConfig = MinHashConfig(),
-    encoding: Optional[EncodingOptions] = None,
     *,
     cache=None,
 ) -> List[MinHashFingerprint]:
     """MinHash fingerprints for a whole module in one batched pass.
 
-    Bit-identical to ``[minhash_function(f, config, encoding) for f in
-    functions]``.  With *cache* (a :class:`FingerprintCache`) fingerprints
-    are shared content-addressed: functions with identical encoded streams
+    Bit-identical to ``[minhash_function(f, config) for f in functions]``.
+    With *cache* (a :class:`FingerprintCache`) fingerprints are shared
+    content-addressed: functions with identical encoded streams
     — within this call, across calls, and across CLI invocations when the
     cache has a disk layer — are hashed once.
     """
@@ -349,7 +307,7 @@ def minhash_module(
     if not functions:
         return []
     with trace.span("encode", functions=len(functions)):
-        flat, lens = encode_module(functions, encoding)
+        flat, lens = encode_module(functions)
     n = len(functions)
     if cache is None:
         with trace.span("minhash", functions=n, hashed=n):

@@ -42,7 +42,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 # array schema changes; files with a different (or missing) version are
 # skipped on load — a cold cache is always correct, silently mixing
 # incompatible fingerprints never is.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 # Second-pass key salt: prepended to the stream so the two 32-bit FNV-1a
 # hashes are independent, giving a 64-bit effective content key.
@@ -52,8 +52,9 @@ _SALTED_OFFSET = fnv1a_32_ints([_KEY_SALT])
 
 # (stream length, fnv1a(stream), fnv1a(salt || stream))
 ContentKey = Tuple[int, int, int]
-# ((k, shingle_size, seed, independent), length, h1, h2)
-CacheKey = Tuple[Tuple[int, int, int, bool], int, int, int]
+# ((k, shingle_size), length, h1, h2)
+ConfigKey = Tuple[int, int]
+CacheKey = Tuple[ConfigKey, int, int, int]
 
 
 @dataclass
@@ -97,8 +98,8 @@ class CacheStats:
         }
 
 
-def _config_key(config: MinHashConfig) -> Tuple[int, int, int, bool]:
-    return (config.k, config.shingle_size, config.seed, config.independent_hashes)
+def _config_key(config: MinHashConfig) -> ConfigKey:
+    return (config.k, config.shingle_size)
 
 
 def content_keys(flat: np.ndarray, lens: np.ndarray) -> List[ContentKey]:
@@ -203,10 +204,9 @@ class FingerprintCache:
                 self.stats.evictions += 1
 
     # -- disk layer ------------------------------------------------------------------
-    def _config_path(self, directory: str, ckey: Tuple[int, int, int, bool]) -> str:
-        k, shingle, seed, independent = ckey
-        name = f"minhash-k{k}-s{shingle}-seed{seed:x}" + ("-ind" if independent else "")
-        return os.path.join(directory, f"{name}.npz")
+    def _config_path(self, directory: str, ckey: ConfigKey) -> str:
+        k, shingle = ckey
+        return os.path.join(directory, f"minhash-k{k}-s{shingle}.npz")
 
     def save(self, directory: Optional[str] = None) -> List[str]:
         """Persist all entries under *directory* (one ``.npz`` per config).
@@ -217,7 +217,7 @@ class FingerprintCache:
         directory = directory or self.directory or DEFAULT_CACHE_DIR
         os.makedirs(directory, exist_ok=True)
         with self._lock:
-            by_config: Dict[Tuple[int, int, int, bool], List[Tuple[CacheKey, Tuple[np.ndarray, int]]]] = {}
+            by_config: Dict[ConfigKey, List[Tuple[CacheKey, Tuple[np.ndarray, int]]]] = {}
             for key, entry in self._entries.items():
                 by_config.setdefault(key[0], []).append((key, entry))
         paths = []
@@ -226,9 +226,7 @@ class FingerprintCache:
             np.savez_compressed(
                 path,
                 format_version=np.array([CACHE_FORMAT_VERSION], dtype=np.int64),
-                config=np.array(
-                    [ckey[0], ckey[1], ckey[2], int(ckey[3])], dtype=np.int64
-                ),
+                config=np.array(ckey, dtype=np.int64),
                 lengths=np.array([key[1] for key, _ in items], dtype=np.int64),
                 h1=np.array([key[2] for key, _ in items], dtype=np.uint64),
                 h2=np.array([key[3] for key, _ in items], dtype=np.uint64),
@@ -262,9 +260,9 @@ class FingerprintCache:
                 if int(version[0]) != CACHE_FORMAT_VERSION:
                     return None, "version"
                 cfg = payload["config"]
-                if cfg.shape != (4,):
+                if cfg.shape != (2,):
                     return None, "invalid"
-                ckey = (int(cfg[0]), int(cfg[1]), int(cfg[2]), bool(cfg[3]))
+                ckey = (int(cfg[0]), int(cfg[1]))
                 lengths = payload["lengths"]
                 h1 = payload["h1"]
                 h2 = payload["h2"]

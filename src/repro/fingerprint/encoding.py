@@ -16,7 +16,9 @@ Bit layout (LSB first)::
 
 For the combined operand type we multiply the per-type ids, exactly as the
 paper does ("we multiply all the numerical representations of the operand
-types"), then fold into the available bits.
+types"), then fold into the available bits.  Compare predicates are not
+encoded (the alignment checks them later); the predicate-aware variant the
+Figure 10 ablation measures is ``tests/reference/encoding.py``.
 """
 
 from __future__ import annotations
@@ -24,29 +26,12 @@ from __future__ import annotations
 from typing import List
 
 from ..ir.function import Function
-from ..ir.instructions import FCmp, ICmp, Instruction
+from ..ir.instructions import Instruction
 from ..analysis.linearizer import linearize
 
-__all__ = ["encode_instruction", "encode_function", "EncodingOptions"]
+__all__ = ["encode_instruction", "encode_function"]
 
 _U32 = 0xFFFFFFFF
-
-
-class EncodingOptions:
-    """Knobs for the encoding (ablation support).
-
-    ``include_predicates`` folds icmp/fcmp predicates into the opcode field;
-    the paper's four-property scheme omits them (the alignment strategy
-    checks predicates later), so the default is False.
-    """
-
-    __slots__ = ("include_predicates",)
-
-    def __init__(self, include_predicates: bool = False) -> None:
-        self.include_predicates = include_predicates
-
-
-_DEFAULT_OPTIONS = EncodingOptions()
 
 
 def _fold(value: int, bits: int) -> int:
@@ -60,12 +45,9 @@ def _fold(value: int, bits: int) -> int:
     return out
 
 
-def encode_instruction(inst: Instruction, options: EncodingOptions = _DEFAULT_OPTIONS) -> int:
+def encode_instruction(inst: Instruction) -> int:
     """Encode one instruction into a 32-bit integer."""
     opcode = int(inst.opcode) & 0x3F
-    if options.include_predicates and isinstance(inst, (ICmp, FCmp)):
-        opcode ^= (int(inst.pred) & 0x3F) << 1
-        opcode &= 0x3F
     noperands = min(inst.num_operands, 15)
     result_ty = _fold(inst.type.type_id, 8)
     product = 1
@@ -80,6 +62,6 @@ def encode_instruction(inst: Instruction, options: EncodingOptions = _DEFAULT_OP
     ) & _U32
 
 
-def encode_function(func: Function, options: EncodingOptions = _DEFAULT_OPTIONS) -> List[int]:
+def encode_function(func: Function) -> List[int]:
     """Encode the linearized instruction sequence of *func*."""
-    return [encode_instruction(inst, options) for inst in linearize(func)]
+    return [encode_instruction(inst) for inst in linearize(func)]

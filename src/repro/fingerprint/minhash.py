@@ -8,7 +8,10 @@ within :math:`O(1/\\sqrt{k})`.
 
 Following the paper, the *k* hash functions are derived from a single
 FNV-1a hash by xor-ing with *k* fixed random salts, "making its generation
-many times faster" with "a very small effect on the quality".
+many times faster" with "a very small effect on the quality".  The salts
+come from one fixed seed, so fingerprints are reproducible across runs;
+the k-independent-hashes alternative the ablation compares against is
+``tests/reference/minhash.py``.
 """
 
 from __future__ import annotations
@@ -16,16 +19,20 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..ir.function import Function
-from .encoding import EncodingOptions, encode_function
+from .encoding import encode_function
 from .fnv import salts
 from .shingles import shingle_set
 
 __all__ = ["MinHashConfig", "MinHashFingerprint", "minhash_function", "exact_jaccard"]
+
+# Seed of the salt derivation: every fingerprint of every run uses the
+# same k salts for a given k.
+SALT_SEED = 0xF3F3F3
 
 
 @dataclass(frozen=True)
@@ -35,15 +42,11 @@ class MinHashConfig:
     ``k`` — fingerprint size (number of derived hash functions); the paper's
     default is 200, with the adaptive policy shrinking it for large modules.
     ``shingle_size`` — K in the paper, default 2.
-    ``seed`` — salt-derivation seed (fixed so results are reproducible).
-    ``independent_hashes`` — ablation switch: use k *independent* FNV-1a
-    variants (hash of salt||shingle) instead of the xor-salt trick.
+    The salts derive from the fixed :data:`SALT_SEED`.
     """
 
     k: int = 200
     shingle_size: int = 2
-    seed: int = 0xF3F3F3
-    independent_hashes: bool = False
 
     def __post_init__(self) -> None:
         if self.k <= 0:
@@ -52,25 +55,24 @@ class MinHashConfig:
             raise ValueError("shingle size must be positive")
 
 
-# Bounded LRU of derived salt vectors.  A handful of (k, seed) pairs are
+# Bounded LRU of derived salt vectors, keyed by k.  A handful of sizes are
 # ever live at once (static + adaptive configs and ablation sweeps), but
 # unbounded growth would leak across long parameter sweeps.  The lock makes
 # the cache safe under threaded rankers.
-_SALT_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_SALT_CACHE: "OrderedDict[int, np.ndarray]" = OrderedDict()
 _SALT_CACHE_MAX = 16
 _SALT_CACHE_LOCK = threading.Lock()
 
 
-def _salts_for(config: MinHashConfig) -> np.ndarray:
-    key = (config.k, config.seed)
+def _salts_for(k: int) -> np.ndarray:
     with _SALT_CACHE_LOCK:
-        cached = _SALT_CACHE.get(key)
+        cached = _SALT_CACHE.get(k)
         if cached is not None:
-            _SALT_CACHE.move_to_end(key)
+            _SALT_CACHE.move_to_end(k)
             return cached
-    computed = salts(config.k, config.seed).astype(np.uint32)
+    computed = salts(k, SALT_SEED).astype(np.uint32)
     with _SALT_CACHE_LOCK:
-        _SALT_CACHE[key] = computed
+        _SALT_CACHE[k] = computed
         while len(_SALT_CACHE) > _SALT_CACHE_MAX:
             _SALT_CACHE.popitem(last=False)
     return computed
@@ -114,13 +116,10 @@ class MinHashFingerprint:
 
 
 def minhash_function(
-    func: Function,
-    config: MinHashConfig = MinHashConfig(),
-    encoding: Optional[EncodingOptions] = None,
+    func: Function, config: MinHashConfig = MinHashConfig()
 ) -> MinHashFingerprint:
     """MinHash fingerprint of a function's encoded instruction sequence."""
-    encoded = encode_function(func, encoding or EncodingOptions())
-    return MinHashFingerprint.from_encoded(encoded, config)
+    return MinHashFingerprint.from_encoded(encode_function(func), config)
 
 
 def exact_jaccard(encoded_a: Sequence[int], encoded_b: Sequence[int], k: int = 2) -> float:

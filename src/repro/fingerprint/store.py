@@ -9,7 +9,7 @@ that are read back through ``np.memmap``, so working-set size is governed by
 the page cache rather than corpus size:
 
 ``header.json``
-    ``{"magic": "f3m-fpstore", "format_version": 1, "config": {...},
+    ``{"magic": "f3m-fpstore", "format_version": 2, "config": {...},
     "count": n, "encoded_total": m, "store_encoded": bool}`` — rewritten
     atomically (tmp + rename) after every append, so a crash mid-append
     leaves at worst unreferenced trailing bytes.
@@ -47,7 +47,7 @@ from .minhash import MinHashConfig
 __all__ = ["FingerprintStore", "StoreFormatError"]
 
 _MAGIC = "f3m-fpstore"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 # meta.i64 column indices
 _META_LEN, _META_H1, _META_H2, _META_SHINGLES = 0, 1, 2, 3
@@ -59,21 +59,11 @@ class StoreFormatError(ValueError):
 
 
 def _config_to_dict(config: MinHashConfig) -> Dict[str, object]:
-    return {
-        "k": config.k,
-        "shingle_size": config.shingle_size,
-        "seed": config.seed,
-        "independent_hashes": config.independent_hashes,
-    }
+    return {"k": config.k, "shingle_size": config.shingle_size}
 
 
 def _config_from_dict(payload: Dict[str, object]) -> MinHashConfig:
-    return MinHashConfig(
-        k=int(payload["k"]),
-        shingle_size=int(payload["shingle_size"]),
-        seed=int(payload["seed"]),
-        independent_hashes=bool(payload["independent_hashes"]),
-    )
+    return MinHashConfig(k=int(payload["k"]), shingle_size=int(payload["shingle_size"]))
 
 
 class FingerprintStore:

@@ -11,14 +11,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..alignment.batch import BatchAlignmentEngine
 from ..alignment.needleman_wunsch import EncodedRatioScorer, alignment_ratio_encoded
 from ..analysis.size import module_size
-from ..fingerprint.encoding import EncodingOptions, encode_function
+from ..fingerprint.encoding import encode_function
 from ..fingerprint.minhash import MinHashConfig, MinHashFingerprint
 from ..fingerprint.opcode_freq import fingerprint_function
+from ..ir.function import Function
 from ..ir.interp import Interpreter
 from ..ir.module import Module
 from ..merge.pass_ import FunctionMergingPass, PassConfig
@@ -116,7 +117,7 @@ def correlation_experiment(
     max_pairs: int = 50_000,
     seed: int = 7,
     minhash_config: MinHashConfig = MinHashConfig(),
-    encoding: Optional[EncodingOptions] = None,
+    encode: Callable[[Function], List[int]] = encode_function,
     oracle: str = "blocks",
 ) -> CorrelationResult:
     """Sampled all-pairs similarity-vs-alignment sweep (Figs. 4 and 10).
@@ -129,11 +130,12 @@ def correlation_experiment(
     runs HyFM's structural block-level alignment (what the paper measures);
     ``"lcs"`` is a cheaper longest-common-subsequence ratio over the
     linearized encodings (more forgiving for unrelated pairs).
+    ``encode`` maps a function to the stream MinHash and ``"lcs"`` read;
+    the Figure 10 encoding ablation passes an alternative encoder.
     """
     rng = random.Random(seed)
     functions = module.defined_functions()
-    enc_options = encoding or EncodingOptions()
-    encoded = [encode_function(f, enc_options) for f in functions]
+    encoded = [encode(f) for f in functions]
 
     if fingerprint == "opcode":
         fps = [fingerprint_function(f) for f in functions]

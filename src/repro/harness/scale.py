@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..fingerprint.batch import encode_module, minhash_encoded_batch
-from ..fingerprint.encoding import EncodingOptions
 from ..fingerprint.minhash import MinHashConfig, MinHashFingerprint
 from ..fingerprint.store import FingerprintStore
 from ..search.adaptive import adaptive_parameters
@@ -71,7 +70,6 @@ def _generate_corpus(
     from ..workloads.suites import WorkloadConfig, build_workload
 
     store = FingerprintStore.create(corpus_dir, config, store_encoded=True)
-    encoding = EncodingOptions()
     gen_s = 0.0
     encode_s = 0.0
     made = 0
@@ -85,7 +83,7 @@ def _generate_corpus(
         functions = module.defined_functions()[:want]
         gen_s += time.perf_counter() - t0
         t0 = time.perf_counter()
-        flat, lens = encode_module(functions, encoding)
+        flat, lens = encode_module(functions)
         store.append_encoded(flat, lens)
         encode_s += time.perf_counter() - t0
         made += len(functions)

@@ -33,7 +33,6 @@ import tempfile
 from typing import Dict, List, Sequence, Tuple
 
 from ..fingerprint.batch import minhash_module
-from ..fingerprint.encoding import EncodingOptions
 from ..fingerprint.minhash import MinHashConfig
 from ..ir.function import Function
 from ..ir.module import Module
@@ -114,7 +113,6 @@ def _serial_replay_identical(
     from-scratch rebuild agrees (reported, not gated — tombstones occupy
     capped bucket windows that a rebuild never sees)."""
     config = MinHashConfig()
-    encoding = EncodingOptions()
     db = daemon.db
     serial: LSHIndex = LSHIndex(
         rows=db._ROWS,
@@ -129,7 +127,7 @@ def _serial_replay_identical(
     # re-inserts them (freshly fingerprinted) in delta definition order.
     for name in sorted(f.name for f in ddef):
         serial.remove(name)
-    fps1 = minhash_module(ddef, config, encoding)
+    fps1 = minhash_module(ddef, config)
     serial.insert_batch([f.name for f in ddef], fps1)
 
     snap = db.snapshot
@@ -148,7 +146,7 @@ def _serial_replay_identical(
     post = parse_module(db.dump(), name="post")
     post_defined = post.defined_functions()
     rebuild.insert_batch(
-        [f.name for f in post_defined], minhash_module(post_defined, config, encoding)
+        [f.name for f in post_defined], minhash_module(post_defined, config)
     )
     names = sorted(snap.entries)
     stride = max(1, len(names) // 1000)
@@ -240,9 +238,7 @@ def run_serve_bench(
         )
 
         # Incremental phase: corpus build, 1%-changed delta, full rebuild.
-        corpus_fps = minhash_module(
-            module.defined_functions(), MinHashConfig(), EncodingOptions()
-        )
+        corpus_fps = minhash_module(module.defined_functions(), MinHashConfig())
         corpus_names = [f.name for f in module.defined_functions()]
         submit_full_s = best_of({"t": lambda: client.submit(module=text)}, 1)["t"]
         delta_text, changed = build_delta_text(

@@ -49,12 +49,20 @@ from .report import ATTEMPT_STAGES, AttemptRecord, MergeReport, Outcome
 from .thunks import commit_merge
 from .transaction import MergeTransaction
 
-__all__ = ["PassConfig", "FunctionMergingPass"]
+__all__ = ["PassConfig", "FunctionMergingPass", "MIN_INSTRUCTIONS"]
+
+# Functions with fewer instructions are not merge candidates.
+MIN_INSTRUCTIONS = 1
 
 
 @dataclass(frozen=True)
 class PassConfig:
     """Pass-wide options.
+
+    A successful merge always puts the merged function back in the
+    candidate pool, so whole families collapse into one function across
+    successive merges (the paper's Fig. 1 workflow); functions below
+    :data:`MIN_INSTRUCTIONS` are never candidates.
 
     ``threshold`` — similarity threshold t below which ranked pairs are
     rejected before alignment (Section III-D; HyFM effectively uses 0).
@@ -63,11 +71,6 @@ class PassConfig:
     ``legacy_bugs`` — re-enable the HyFM codegen bugs of Section III-E.
     ``verify`` — run the IR verifier on every merged function (slower;
     always on in tests, optional in benchmarks).
-    ``min_instructions`` — skip trivially small functions as candidates.
-    ``remerge`` — merged functions re-enter the candidate pool, so whole
-    families collapse into one function across successive merges (the
-    paper's Fig. 1 workflow replaces the pair with the merged function in
-    the module being optimized).
     ``static_check`` — gate every profitable merge with the static
     merge-safety linter (:func:`repro.staticcheck.lint.lint_merge`): an
     error-severity diagnostic vetoes the commit with a ``static_fail``
@@ -96,25 +99,17 @@ class PassConfig:
     and skip codegen for pairs that cannot pay.  Either check records a
     ``rejected_bound`` outcome.  The bound is sound: it never rejects a
     pair the full pipeline would have merged.
-    ``lsh_compact_ratio`` — auto-compaction threshold of the LSH index:
-    compact when tombstones exceed this fraction of the live entries.
-    The default 1.0 is the historical "tombstones outnumber live rows"
-    trigger; long-lived daemon indexes use a lower ratio, ``None``
-    disables auto-compaction.
     """
 
     threshold: float = 0.0
     alignment: str = "linear"
     legacy_bugs: bool = False
     verify: bool = True
-    min_instructions: int = 1
-    remerge: bool = True
     static_check: bool = False
     validate: str = "off"
     oracle: bool = False
     on_error: str = "skip"
     prealign_bound: bool = True
-    lsh_compact_ratio: Optional[float] = 1.0
 
     def __post_init__(self) -> None:
         if self.on_error not in ("skip", "raise"):
@@ -124,10 +119,6 @@ class PassConfig:
         if self.validate not in ("off", "observe", "gate"):
             raise ValueError(
                 f"validate must be 'off', 'observe' or 'gate', got {self.validate!r}"
-            )
-        if self.lsh_compact_ratio is not None and self.lsh_compact_ratio <= 0:
-            raise ValueError(
-                f"lsh_compact_ratio must be positive or None, got {self.lsh_compact_ratio!r}"
             )
 
 
@@ -161,10 +152,6 @@ class FunctionMergingPass:
             # injector; their faults surface inside best_match() and are
             # contained by the per-attempt transaction like any other.
             ranker.faults = faults
-        if config.lsh_compact_ratio != 1.0 and hasattr(ranker, "compact_ratio"):
-            # Non-default compaction threshold flows onto the LSH ranker
-            # before preprocess() builds its index.
-            ranker.compact_ratio = config.lsh_compact_ratio
         if oracle is None and config.oracle:
             oracle = DifferentialOracle(OracleConfig())
         self.oracle = oracle
@@ -188,11 +175,7 @@ class FunctionMergingPass:
         start = time.perf_counter()
 
         population = functions if functions is not None else module.defined_functions()
-        functions = [
-            f
-            for f in population
-            if f.num_instructions >= self.config.min_instructions
-        ]
+        functions = [f for f in population if f.num_instructions >= MIN_INSTRUCTIONS]
         report.num_functions = len(functions)
 
         self.ranker.preprocess(functions)
@@ -214,7 +197,7 @@ class FunctionMergingPass:
             report.attempts.append(attempt)
             if attempt.success:
                 report.merges += 1
-                if self.config.remerge and merged is not None:
+                if merged is not None:
                     with stage(clock, "insert", fn=merged.name):
                         self.ranker.insert(merged)
                     worklist.append(merged)

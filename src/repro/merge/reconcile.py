@@ -54,7 +54,7 @@ from ..ir.function import Function
 from ..ir.module import Module
 from ..obs import trace
 from ..search.pairing import Match, Ranker, RankingStats
-from .pass_ import FunctionMergingPass, PassConfig
+from .pass_ import MIN_INSTRUCTIONS, FunctionMergingPass, PassConfig
 from .report import Outcome
 from .thunks import thunk_target
 from .transaction import Journal, MergeTransaction
@@ -306,7 +306,6 @@ class _PoolEntry:
 
 def _survivor_pool(
     module: Module,
-    config: PassConfig,
     partition_of: Dict[str, int],
     retained_merges: List[RetainedMerge],
 ) -> List[_PoolEntry]:
@@ -321,7 +320,7 @@ def _survivor_pool(
     merged_partition = {r.merged_name: r.partition for r in retained_merges}
     pool: List[_PoolEntry] = []
     for func in module.defined_functions():
-        if func.num_instructions < config.min_instructions:
+        if func.num_instructions < MIN_INSTRUCTIONS:
             continue
         if thunk_target(func) is not None:
             continue
@@ -334,7 +333,7 @@ def _survivor_pool(
             body = retained.journal.pre_merge_body(original)
             if body is None:  # pragma: no cover - a commit moves both bodies
                 continue
-            if body.num_instructions < config.min_instructions:
+            if body.num_instructions < MIN_INSTRUCTIONS:
                 continue
             pool.append(_PoolEntry(original, retained.partition, body, retained))
     return pool
@@ -509,7 +508,7 @@ def run_reconcile_phase(
     each original function name to its partition."""
     report = ReconcileReport(partitions=partitions, size_phase1=module_size(module))
     driver = _OptimisticDriver(module, config, retained_merges, engine, faults)
-    pool = _survivor_pool(module, config, partition_of, retained_merges)
+    pool = _survivor_pool(module, partition_of, retained_merges)
     driver.ranker.fault_stage = "reconcile"
     candidates = _rank_cross_candidates(pool, ranker_factory, config)
     report.cross_candidates = len(candidates)

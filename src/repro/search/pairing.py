@@ -13,7 +13,7 @@ Two interchangeable rankers drive the merging pass:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional
 
@@ -21,7 +21,6 @@ import numpy as np
 
 from ..fingerprint.batch import minhash_module
 from ..fingerprint.cache import FingerprintCache
-from ..fingerprint.encoding import EncodingOptions
 from ..fingerprint.minhash import MinHashConfig, MinHashFingerprint, minhash_function
 from ..fingerprint.opcode_freq import OpcodeFingerprint, fingerprint_function
 from ..ir.function import Function
@@ -240,7 +239,6 @@ class MinHashLSHRanker(Ranker):
         bucket_cap: Optional[int] = 100,
         threshold: float = 0.0,
         adaptive: bool = False,
-        encoding: Optional[EncodingOptions] = None,
         cache: Optional[FingerprintCache] = None,
         compact_ratio: Optional[float] = 1.0,
     ) -> None:
@@ -250,7 +248,6 @@ class MinHashLSHRanker(Ranker):
         self.bucket_cap = bucket_cap
         self.threshold = threshold
         self.adaptive = adaptive
-        self.encoding = encoding or EncodingOptions()
         self.cache = cache
         self.compact_ratio = compact_ratio
         self.config: Optional[MinHashConfig] = None
@@ -267,14 +264,8 @@ class MinHashLSHRanker(Ranker):
             self.parameters = params
             self.threshold = params.threshold
             bands = params.bands
-            k = params.fingerprint_size
             base = self._requested_config or MinHashConfig()
-            self.config = MinHashConfig(
-                k=k,
-                shingle_size=base.shingle_size,
-                seed=base.seed,
-                independent_hashes=base.independent_hashes,
-            )
+            self.config = replace(base, k=params.fingerprint_size)
         else:
             self.config = self._requested_config or MinHashConfig()
             bands = self.bands if self.bands is not None else self.config.k // self.rows
@@ -286,12 +277,7 @@ class MinHashLSHRanker(Ranker):
         )
         clock = StageContext()
         with stage(clock, "fingerprint", functions=len(functions), ranker=self.name):
-            fingerprints = minhash_module(
-                functions,
-                self.config,
-                self.encoding,
-                cache=self.cache,
-            )
+            fingerprints = minhash_module(functions, self.config, cache=self.cache)
         with stage(clock, "index", functions=len(functions)):
             self._index.insert_batch([id(f) for f in functions], fingerprints)
             for func in functions:
@@ -300,7 +286,7 @@ class MinHashLSHRanker(Ranker):
 
     def insert(self, func: Function) -> None:
         assert self._index is not None, "preprocess() must run first"
-        fp = minhash_function(func, self.config, self.encoding)
+        fp = minhash_function(func, self.config)
         self._index.insert(id(func), fp)
         self._functions[id(func)] = func
 

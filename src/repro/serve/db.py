@@ -44,7 +44,6 @@ from ..alignment.batch import BatchAlignmentEngine
 from ..faults import FaultInjector
 from ..fingerprint.batch import minhash_module
 from ..fingerprint.cache import FingerprintCache
-from ..fingerprint.encoding import EncodingOptions
 from ..fingerprint.minhash import MinHashConfig
 from ..fingerprint.store import FingerprintStore
 from ..ir.clone import clone_function_into
@@ -121,7 +120,6 @@ class FingerprintDatabase:
         self.faults = faults
         self.module = Module("corpus")
         self.minhash_config = MinHashConfig()
-        self.encoding = EncodingOptions()
         self.fingerprints = FingerprintCache(
             maxsize=self.config.fingerprint_cache_size
         )
@@ -281,9 +279,7 @@ class FingerprintDatabase:
         # Fingerprints flow through the shared content-addressed cache —
         # an unchanged body re-submitted later is a pure cache hit.
         upserts = [vmap[id(func)] for func in defined]
-        fps = minhash_module(
-            upserts, self.minhash_config, self.encoding, cache=self.fingerprints
-        )
+        fps = minhash_module(upserts, self.minhash_config, cache=self.fingerprints)
 
         # Copy-on-write index update against the published snapshot.
         index = snap.index.clone()
@@ -391,8 +387,7 @@ class FingerprintDatabase:
                     f"got {len(probes)}"
                 )
             fp = minhash_module(
-                probes, self.minhash_config, self.encoding,
-                cache=self.fingerprints,
+                probes, self.minhash_config, cache=self.fingerprints
             )[0]
             matches = snap.index.probe(fp, stats)
         matches.sort(key=lambda kv: (-kv[1], kv[0]))

@@ -119,7 +119,7 @@ class TestDiskLayer:
         directory = str(tmp_path / "cache")
         cache = FingerprintCache()
         flat, lens = _pack([[1, 2, 3]])
-        for config in (MinHashConfig(k=8), MinHashConfig(k=16, independent_hashes=True)):
+        for config in (MinHashConfig(k=8), MinHashConfig(k=16, shingle_size=3)):
             key = cache.keys_for(flat, lens, config)[0]
             cache.put(key, np.zeros(config.k, dtype=np.uint32), 1)
         paths = cache.save(directory)

@@ -1,6 +1,6 @@
 """Tests for the 32-bit instruction encoding (paper Section III-B)."""
 
-from repro.fingerprint import EncodingOptions, encode_function, encode_instruction
+from repro.fingerprint import encode_function, encode_instruction
 from repro.ir import (
     Argument,
     BinaryOp,
@@ -13,6 +13,7 @@ from repro.ir import (
     Opcode,
 )
 from tests.conftest import build_diamond, build_straightline
+from tests.reference import encode_instruction_with_predicates
 
 
 def add(type_=I32, a_name="a", b_name="b"):
@@ -65,7 +66,8 @@ class TestPredicateOption:
         assert encode_instruction(c1) == encode_instruction(c2)
 
     def test_option_distinguishes_predicates(self):
-        options = EncodingOptions(include_predicates=True)
+        """The predicate-aware encoding of the Figure 10 ablation (a test
+        oracle) tells the two compares apart."""
         c1 = ICmp(ICmpPred.SLT, Argument(I32, "a", 0), Argument(I32, "b", 1))
         c2 = ICmp(ICmpPred.SGT, Argument(I32, "a", 0), Argument(I32, "b", 1))
-        assert encode_instruction(c1, options) != encode_instruction(c2, options)
+        assert encode_instruction_with_predicates(c1) != encode_instruction_with_predicates(c2)

@@ -12,7 +12,7 @@ from repro.fingerprint import (
     shingle_set,
     shingles,
 )
-from tests.reference import shingle_hashes
+from tests.reference import reference_minhash, shingle_hashes
 
 
 class TestShingles:
@@ -132,10 +132,18 @@ class TestEstimationQuality:
         for pos in rng.integers(0, 100, size=20):
             variant[int(pos)] = int(rng.integers(0, 400))
         exact = exact_jaccard(base, variant)
+        cfg = MinHashConfig(k=256)
+
+        def independent_fingerprint(stream):
+            values, shingles = reference_minhash(stream, cfg, independent=True)
+            return MinHashFingerprint(values, cfg, shingles)
+
         for independent in (False, True):
-            cfg = MinHashConfig(k=256, independent_hashes=independent)
-            fa = MinHashFingerprint.from_encoded(base, cfg)
-            fb = MinHashFingerprint.from_encoded(variant, cfg)
+            if independent:
+                fa, fb = independent_fingerprint(base), independent_fingerprint(variant)
+            else:
+                fa = MinHashFingerprint.from_encoded(base, cfg)
+                fb = MinHashFingerprint.from_encoded(variant, cfg)
             assert abs(fa.similarity(fb) - exact) <= 0.3
 
 

@@ -108,12 +108,17 @@ class TestValidation:
         with pytest.raises(StoreFormatError, match="bad magic"):
             FingerprintStore.open(store.directory)
 
-    def test_open_rejects_future_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_open_rejects_future_version(self, tmp_path, version):
+        """A newer store, or one of format 1 (whose config also carried
+        the salt seed and an independent-hashes flag), is refused."""
         store = FingerprintStore.create(str(tmp_path / "s"), CFG)
         header_path = os.path.join(store.directory, "header.json")
         with open(header_path) as fh:
             header = json.load(fh)
-        header["format_version"] = 99
+        header["format_version"] = version
+        if version == 1:
+            header["config"].update(seed=0xF3F3F3, independent_hashes=False)
         with open(header_path, "w") as fh:
             json.dump(header, fh)
         with pytest.raises(StoreFormatError, match="format_version"):
@@ -212,15 +217,22 @@ class TestCacheFormatValidation:
         assert fresh.load(str(tmp_path)) == 6
         assert fresh.stats.disk_files_skipped == 0
 
-    def test_wrong_version_skipped_cold(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_wrong_version_skipped_cold(self, tmp_path, version):
+        """A newer file, or one of format 1 (a 4-wide config with the salt
+        seed and an independent-hashes flag), starts the cache cold."""
         paths = self._saved_dir(tmp_path, _streams(6))
         with np.load(paths[0]) as payload:
             arrays = dict(payload)
-        arrays["format_version"] = np.array([999], dtype=np.int64)
+        arrays["format_version"] = np.array([version], dtype=np.int64)
+        if version == 1:
+            k, shingle = arrays["config"].tolist()
+            arrays["config"] = np.array([k, shingle, 0xF3F3F3, 0], dtype=np.int64)
         np.savez_compressed(paths[0], **arrays)
         fresh = FingerprintCache()
         assert fresh.load(str(tmp_path)) == 0
         assert fresh.stats.disk_files_skipped == 1
+        assert fresh.stats.disk_files_skipped_version == 1
 
     def test_legacy_file_without_version_skipped(self, tmp_path):
         paths = self._saved_dir(tmp_path, _streams(4))

@@ -65,13 +65,6 @@ class TestPassBasics:
             if att.outcome == "merged":
                 assert att.similarity >= 0.9999
 
-    def test_min_instructions_filter(self):
-        module = small_module()
-        config = PassConfig(min_instructions=10**6)
-        report = FunctionMergingPass(ExhaustiveRanker(), config).run(module)
-        assert report.num_functions == 0
-        assert report.merges == 0
-
     def test_summary_is_printable(self):
         module = small_module()
         report = FunctionMergingPass(ExhaustiveRanker()).run(module)

@@ -6,6 +6,7 @@ from repro.ir import Interpreter, Module, verify_module
 from repro.merge import FunctionMergingPass, PassConfig
 from repro.search import ExhaustiveRanker, MinHashLSHRanker
 from tests.conftest import build_diamond
+from tests.reference import PairwiseRanker
 
 
 def _family_module(k=4):
@@ -28,8 +29,8 @@ class TestRemerge:
 
     def test_remerge_disabled_pairs_only(self):
         module = _family_module(4)
-        config = PassConfig(remerge=False)
-        report = FunctionMergingPass(ExhaustiveRanker(), config).run(module)
+        config = PassConfig()
+        report = FunctionMergingPass(PairwiseRanker(ExhaustiveRanker()), config).run(module)
         verify_module(module)
         assert report.merges == 2  # two disjoint pairs, no second level
         assert len(module.defined_functions()) == 2
@@ -38,7 +39,7 @@ class TestRemerge:
         m1, m2 = _family_module(6), _family_module(6)
         with_remerge = FunctionMergingPass(ExhaustiveRanker(), PassConfig()).run(m1)
         without = FunctionMergingPass(
-            ExhaustiveRanker(), PassConfig(remerge=False)
+            PairwiseRanker(ExhaustiveRanker()), PassConfig()
         ).run(m2)
         assert with_remerge.size_after <= without.size_after
 

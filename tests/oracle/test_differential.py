@@ -314,7 +314,7 @@ loop:
         module = parse_module(SIMPLE_PAIR)
         pass_ = FunctionMergingPass(
             ExhaustiveRanker(),
-            PassConfig(oracle=True, min_instructions=0),
+            PassConfig(oracle=True),
             oracle=_LoopingOracle(),
         )
         report = pass_.run(module)

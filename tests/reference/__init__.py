@@ -8,9 +8,12 @@ bit-identical answers:
   buckets, one member at a time;
 * :func:`reference_minhash` and :func:`shingle_hashes` — one function's
   MinHash values from its shingle hashes and k salts, the kernel the
-  batched engine vectorizes;
+  batched engine vectorizes, and with ``independent=True`` the k
+  independent FNV-1a hashes the xor-salt ablation compares against;
 * :class:`ReferenceMinHashRanker` — F3M ranking with per-function MinHash
   fingerprints searched through :class:`ReferenceLSHIndex`;
+* :class:`PairwiseRanker` — any ranker with merged functions kept out of
+  the candidate pool, the re-merging ablation's pairwise side;
 * :func:`~tests.reference.alignment.align_functions` — HyFM's block
   pairing over per-block opcode fingerprints, with each pair aligned
   through the ``mergeable`` predicate (prefix/suffix or a generic
@@ -26,6 +29,8 @@ bit-identical answers:
 * :func:`reference_entry` and :class:`ReferenceProfile` — per-block
   encoding with FNV content keys and stacked opcode-count rows, and the
   profitability bound's separate walk for its code counts and weights;
+  :func:`encode_function_with_predicates`, the predicate-aware encoding
+  the Figure 10 ablation measures;
 * :mod:`tests.reference.parser` — the IR text parser with a regex match,
   kind and line stored per token, a method-call cursor, a placeholder
   block for every forward label, and a line-based header prescan that
@@ -46,16 +51,22 @@ bit-identical answers:
 
 from .alignment import PureAlignmentEngine, alignment_shape
 from .dominance import ReferenceDominatorTree, reference_violations
-from .encoding import ReferenceProfile, reference_entry
+from .encoding import (
+    ReferenceProfile,
+    encode_function_with_predicates,
+    encode_instruction_with_predicates,
+    reference_entry,
+)
 from .fnv import fnv1a_32_array, reference_content_keys
 from .lsh import ReferenceLSHIndex
 from .merger import reference_merge_functions
 from .minhash import reference_minhash, shingle_hashes
-from .ranking import ReferenceMinHashRanker
+from .ranking import PairwiseRanker, ReferenceMinHashRanker
 from .transaction import ReferenceMergeTransaction, ReferenceRetainingTransaction
 from .verifier import reference_verify_function, reference_verify_module
 
 __all__ = [
+    "PairwiseRanker",
     "PureAlignmentEngine",
     "ReferenceDominatorTree",
     "ReferenceLSHIndex",
@@ -64,6 +75,8 @@ __all__ = [
     "ReferenceProfile",
     "ReferenceRetainingTransaction",
     "alignment_shape",
+    "encode_function_with_predicates",
+    "encode_instruction_with_predicates",
     "fnv1a_32_array",
     "reference_content_keys",
     "reference_entry",

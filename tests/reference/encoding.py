@@ -12,6 +12,10 @@ it in one walk and must agree with :func:`reference_entry` and
 :class:`ReferenceProfile` field by field.  Codes are only comparable
 within one interner, so both sides take the production
 :class:`~repro.alignment.batch.InstructionInterner`.
+
+:func:`encode_instruction_with_predicates` is the alternative F3M encoding
+the Figure 10 ablation measures: the paper's four properties plus the
+icmp/fcmp predicate folded into the opcode field.
 """
 
 from __future__ import annotations
@@ -21,18 +25,21 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.alignment.batch import InstructionInterner
-from repro.analysis.linearizer import linearize_blocks
+from repro.analysis.linearizer import linearize, linearize_blocks
 from repro.analysis.size import function_size, instruction_size
+from repro.fingerprint.encoding import encode_instruction
 from repro.fingerprint.fnv import fnv1a_32_ints
 from repro.fingerprint.opcode_freq import _DIM, _INDEX
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction
+from repro.ir.instructions import FCmp, ICmp, Instruction
 
 __all__ = [
     "ReferenceBlockEntry",
     "ReferenceFunctionEntry",
     "ReferenceProfile",
+    "encode_function_with_predicates",
+    "encode_instruction_with_predicates",
     "reference_block_key",
     "reference_entry",
 ]
@@ -123,3 +130,17 @@ class ReferenceProfile:
         self.code_counts = counts
         self.code_weights = weights
         self.body_weight = body_weight
+
+
+def encode_instruction_with_predicates(inst: Instruction) -> int:
+    """:func:`~repro.fingerprint.encoding.encode_instruction` with a
+    compare's predicate xor-ed into the 6-bit opcode field."""
+    encoded = encode_instruction(inst)
+    if isinstance(inst, (ICmp, FCmp)):
+        encoded ^= ((int(inst.pred) & 0x3F) << 1) & 0x3F
+    return encoded
+
+
+def encode_function_with_predicates(func: Function) -> List[int]:
+    """The predicate-aware encoding of *func*'s linearized instructions."""
+    return [encode_instruction_with_predicates(inst) for inst in linearize(func)]

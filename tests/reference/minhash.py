@@ -7,7 +7,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.fingerprint.fnv import salts
-from repro.fingerprint.minhash import MinHashConfig
+from repro.fingerprint.minhash import SALT_SEED, MinHashConfig
 
 from .fnv import fnv1a_32_array
 
@@ -26,20 +26,23 @@ def shingle_hashes(encoded: Sequence[int], k: int = 2) -> np.ndarray:
 
 
 def reference_minhash(
-    encoded: Sequence[int], config: MinHashConfig = MinHashConfig()
+    encoded: Sequence[int],
+    config: MinHashConfig = MinHashConfig(),
+    independent: bool = False,
 ) -> Tuple[np.ndarray, int]:
     """``(values, num_shingles)`` of one encoded stream.
 
-    The k hash functions are the shingle hash xor-ed with k salts, or
-    with ``independent_hashes`` k FNV-1a hashes of ``(salt, shingle_hash)``
-    pairs.  An empty stream gets all-ones values, which match nothing but
-    another empty stream.
+    The k hash functions are the shingle hash xor-ed with k salts (the
+    paper's trick, which production computes), or with ``independent``
+    k FNV-1a hashes of ``(salt, shingle_hash)`` pairs (the alternative the
+    xor-salt ablation compares against).  An empty stream gets all-ones
+    values, which match nothing but another empty stream.
     """
     base = shingle_hashes(encoded, config.shingle_size)
     if base.size == 0:
         return np.full(config.k, 0xFFFFFFFF, dtype=np.uint32), 0
-    salt_vec = salts(config.k, config.seed).astype(np.uint32)
-    if config.independent_hashes:
+    salt_vec = salts(config.k, SALT_SEED).astype(np.uint32)
+    if independent:
         cols = []
         for salt in salt_vec:
             pairs = np.stack([np.full(base.shape, salt, dtype=np.uint32), base], axis=1)

@@ -1,10 +1,10 @@
-"""F3M ranking computed one function at a time."""
+"""F3M ranking computed one function at a time, and merging without
+re-merging."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.fingerprint.encoding import EncodingOptions
 from repro.fingerprint.minhash import MinHashConfig, MinHashFingerprint, minhash_function
 from repro.ir.function import Function
 from repro.obs.stage import StageContext, stage
@@ -33,7 +33,6 @@ class ReferenceMinHashRanker(Ranker):
         bands: Optional[int] = None,
         bucket_cap: Optional[int] = 100,
         threshold: float = 0.0,
-        encoding: Optional[EncodingOptions] = None,
         compact_ratio: Optional[float] = 1.0,
     ) -> None:
         self.config = config or MinHashConfig()
@@ -41,14 +40,11 @@ class ReferenceMinHashRanker(Ranker):
         self.bands = bands if bands is not None else self.config.k // rows
         self.bucket_cap = bucket_cap
         self.threshold = threshold
-        self.encoding = encoding or EncodingOptions()
         self.compact_ratio = compact_ratio
         self._functions: Dict[int, Function] = {}
         self._stats = RankingStats()
 
     def preprocess(self, functions: List[Function]) -> None:
-        # Built here, as in MinHashLSHRanker, so the pass can set
-        # compact_ratio first.
         self._index: ReferenceLSHIndex[int] = ReferenceLSHIndex(
             self.rows, self.bands, self.bucket_cap, self.compact_ratio
         )
@@ -59,7 +55,7 @@ class ReferenceMinHashRanker(Ranker):
         self.stage_times = clock.stage_times
 
     def insert(self, func: Function) -> None:
-        self._index.insert(id(func), minhash_function(func, self.config, self.encoding))
+        self._index.insert(id(func), minhash_function(func, self.config))
         self._functions[id(func)] = func
 
     def remove(self, func: Function) -> None:
@@ -86,3 +82,46 @@ class ReferenceMinHashRanker(Ranker):
     @property
     def stats(self) -> RankingStats:
         return self._stats
+
+
+class PairwiseRanker(Ranker):
+    """Wraps a ranker so merged functions never re-enter the pool.
+
+    ``insert`` does nothing, and ``best_match`` returns None for a function
+    the wrapped ranker never preprocessed.  So the pass never queries a
+    merged function, never offers one as a candidate, and every original
+    merges at most once: the re-merging ablation's pairwise side.
+    """
+
+    def __init__(self, ranker: Ranker) -> None:
+        self.ranker = ranker
+        self.name = ranker.name
+        # Holding the functions keeps their ids from being reused.
+        self._preprocessed: Dict[int, Function] = {}
+
+    @property
+    def threshold(self) -> float:
+        return getattr(self.ranker, "threshold", 0.0)
+
+    def preprocess(self, functions: List[Function]) -> None:
+        self._preprocessed = {id(f): f for f in functions}
+        self.ranker.preprocess(functions)
+        self.stage_times = self.ranker.stage_times
+
+    def insert(self, func: Function) -> None:
+        pass
+
+    def best_match(self, func: Function) -> Optional[Match]:
+        if id(func) not in self._preprocessed:
+            return None
+        return self.ranker.best_match(func)
+
+    def remove(self, func: Function) -> None:
+        self.ranker.remove(func)
+
+    def similarity(self, a: Function, b: Function) -> float:
+        return self.ranker.similarity(a, b)
+
+    @property
+    def stats(self) -> RankingStats:
+        return self.ranker.stats

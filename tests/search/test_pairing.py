@@ -225,11 +225,11 @@ class TestDecisionEquivalence:
         from repro.merge.pass_ import FunctionMergingPass, PassConfig
         from repro.workloads import build_workload
 
-        config = PassConfig(verify=False, lsh_compact_ratio=compact_ratio)
+        config = PassConfig(verify=False)
         results = []
         for ranker in (
-            MinHashLSHRanker(bucket_cap=bucket_cap),
-            ReferenceMinHashRanker(bucket_cap=bucket_cap),
+            MinHashLSHRanker(bucket_cap=bucket_cap, compact_ratio=compact_ratio),
+            ReferenceMinHashRanker(bucket_cap=bucket_cap, compact_ratio=compact_ratio),
         ):
             module = build_workload(200, "decision-eq")
             report = FunctionMergingPass(ranker, config).run(module)

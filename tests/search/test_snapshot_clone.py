@@ -91,19 +91,12 @@ class TestCompactRatio:
             LSHIndex(compact_ratio=-1.0)
 
     def test_ranker_and_pass_config_plumb_the_knob(self):
-        from repro.merge.pass_ import FunctionMergingPass, PassConfig
         from repro.search.pairing import MinHashLSHRanker
 
         ranker = MinHashLSHRanker(compact_ratio=0.25)
         assert ranker.compact_ratio == 0.25
         ranker.preprocess([])
         assert ranker._index.compact_ratio == 0.25
-
-        with pytest.raises(ValueError):
-            PassConfig(lsh_compact_ratio=0.0)
-        ranker2 = MinHashLSHRanker()
-        FunctionMergingPass(ranker2, PassConfig(lsh_compact_ratio=0.5))
-        assert ranker2.compact_ratio == 0.5
 
 
 class TestClone:

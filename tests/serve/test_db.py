@@ -255,7 +255,6 @@ class TestDeltaBench:
         """The incrementally maintained index gives every function the same
         best match as a serial replay of the identical op sequence."""
         from repro.fingerprint.batch import minhash_module
-        from repro.fingerprint.encoding import EncodingOptions
         from repro.fingerprint.minhash import MinHashConfig
         from repro.search.lsh import LSHIndex
 
@@ -266,21 +265,20 @@ class TestDeltaBench:
         database.apply_delta(module_text=delta_text)
 
         config = MinHashConfig()
-        encoding = EncodingOptions()
         serial = LSHIndex(
             rows=2, bands=config.k // 2, bucket_cap=100,
             compact_ratio=database.config.compact_ratio,
         )
         defined = corpus.defined_functions()
         serial.insert_batch(
-            [f.name for f in defined], minhash_module(defined, config, encoding)
+            [f.name for f in defined], minhash_module(defined, config)
         )
         delta = parse_module(delta_text)
         ddef = delta.defined_functions()
         for name in sorted(f.name for f in ddef):
             serial.remove(name)
         serial.insert_batch(
-            [f.name for f in ddef], minhash_module(ddef, config, encoding)
+            [f.name for f in ddef], minhash_module(ddef, config)
         )
         snap = database.snapshot
         for name in snap.entries:

@@ -197,6 +197,34 @@ class TestMarkdownLint:
         problems = lint.run_checks()
         assert problems == ["README.md: code path `search/gone.py` names no file"]
 
+    def test_lint_catches_dead_config_fields(self, tmp_path, monkeypatch):
+        lint = self._load()
+        (tmp_path / "CHANGES.md").write_text("PR 1: `PassConfig.remerge` is history\n")
+        (tmp_path / "ROADMAP.md").write_text("## Open items\n\n## Recent\n")
+        sources = {
+            "PassConfig": ("merge", "pass_.py", "threshold: float = 0.0"),
+            "MinHashConfig": ("fingerprint", "minhash.py", "k: int = 200"),
+            "ServeConfig": ("serve", "config.py", "compact_ratio: float = 0.5"),
+        }
+        for cls, (pkg, name, field) in sources.items():
+            (tmp_path / "src" / "repro" / pkg).mkdir(parents=True)
+            (tmp_path / "src" / "repro" / pkg / name).write_text(
+                f"class {cls}:\n    {field}\n    def method(self): pass\n"
+            )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "page.md").write_text(
+            "`PassConfig.threshold`, `PassConfig(threshold=0.2)`, "
+            "`MinHashConfig(k=64)`, `ServeConfig.compact_ratio`, `PassConfig`\n"
+            "`ServeConfig.lsh_compact_ratio`\n"
+        )
+        (tmp_path / "README.md").write_text("`MinHashConfig(k=8, seed=1)`\n")
+        monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
+        problems = lint.run_checks()
+        assert problems == [
+            "README.md: `MinHashConfig(k=8, seed=1)` names no field of MinHashConfig",
+            "docs/page.md: `ServeConfig.lsh_compact_ratio` names no field of ServeConfig",
+        ]
+
 
 class TestReadmePointers:
     def test_readme_links_all_docs(self):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint the repository's Markdown for formatting drift and dead links.
 
-Four checks, all cheap enough for tier 1 (``tests/test_docs.py`` runs
+Five checks, all cheap enough for tier 1 (``tests/test_docs.py`` runs
 ``run_checks`` directly):
 
 1. **CHANGES.md format** — one line per PR, each matching ``PR <n>: ...``
@@ -19,6 +19,11 @@ Four checks, all cheap enough for tier 1 (``tests/test_docs.py`` runs
    ``README.md``, ``DESIGN.md`` and ``docs/`` resolves from the repository
    root, ``src/`` or ``src/repro/`` (the ledgers, such as ``CHANGES.md``
    and ``ROADMAP.md``, record history and are not checked).
+5. **Dead config fields** — every backticked ``PassConfig.x``,
+   ``PassConfig(x=...)``, and the same for ``MinHashConfig`` and
+   ``ServeConfig``, in the same pages names a field of that dataclass.
+   The fields are read from the class bodies under ``src/`` with
+   :mod:`ast`, without importing the package.
 
 Usage (from the repository root)::
 
@@ -27,6 +32,7 @@ Usage (from the repository root)::
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import sys
@@ -40,6 +46,18 @@ _LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)#\s]+)[^)]*\)")
 # `dir/file.py`, optionally followed by `:line` or `::test`.
 _CODE_PATH_RE = re.compile(r"`((?:[\w.-]+/)+[\w.-]+\.py)(?::[^`]*)?`")
 _CODE_PATH_ROOTS = ("", "src", os.path.join("src", "repro"))
+# The settings dataclasses whose fields the docs name, and their sources.
+_CONFIG_SOURCES = {
+    "PassConfig": ("src", "repro", "merge", "pass_.py"),
+    "MinHashConfig": ("src", "repro", "fingerprint", "minhash.py"),
+    "ServeConfig": ("src", "repro", "serve", "config.py"),
+}
+_BACKTICKED_RE = re.compile(r"`([^`\n]+)`")
+# Cls.field, or Cls(field=..., other=...) — the keyword names are read
+# out of the parenthesized arguments.
+_CONFIG_ATTR_RE = re.compile(r"\b(%s)\.(\w+)" % "|".join(_CONFIG_SOURCES))
+_CONFIG_CALL_RE = re.compile(r"\b(%s)\(([^)]*)\)" % "|".join(_CONFIG_SOURCES))
+_KEYWORD_RE = re.compile(r"(\w+)\s*=(?!=)")
 
 
 def _markdown_files() -> list:
@@ -138,21 +156,26 @@ def check_links(problems: list) -> None:
                 problems.append(f"{rel}: dead relative link ({target})")
 
 
-def check_code_paths(problems: list) -> None:
+def _doc_pages() -> list:
+    """``(relative path, text)`` of README.md, DESIGN.md and docs/*.md."""
     docs = os.path.join(REPO_ROOT, "docs")
-    pages = [os.path.join(REPO_ROOT, name) for name in ("README.md", "DESIGN.md")]
+    paths = [os.path.join(REPO_ROOT, name) for name in ("README.md", "DESIGN.md")]
     if os.path.isdir(docs):
-        pages += [
+        paths += [
             os.path.join(docs, name)
             for name in sorted(os.listdir(docs))
             if name.endswith(".md")
         ]
-    for path in pages:
-        if not os.path.exists(path):
-            continue
-        rel = os.path.relpath(path, REPO_ROOT)
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    pages = []
+    for path in paths:
+        if os.path.exists(path):
+            with open(path, "r", encoding="utf-8") as fh:
+                pages.append((os.path.relpath(path, REPO_ROOT), fh.read()))
+    return pages
+
+
+def check_code_paths(problems: list) -> None:
+    for rel, text in _doc_pages():
         for target in _CODE_PATH_RE.findall(text):
             if not any(
                 os.path.isfile(os.path.join(REPO_ROOT, root, target))
@@ -161,12 +184,51 @@ def check_code_paths(problems: list) -> None:
                 problems.append(f"{rel}: code path `{target}` names no file")
 
 
+def _dataclass_fields(name: str):
+    """The annotated field names in class *name*'s body, or None when its
+    source file or class cannot be found."""
+    path = os.path.join(REPO_ROOT, *_CONFIG_SOURCES[name])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+    except (OSError, SyntaxError):
+        return None
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return {
+                stmt.target.id
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            }
+    return None
+
+
+def check_config_fields(problems: list) -> None:
+    fields: dict = {}
+    for rel, text in _doc_pages():
+        for span in _BACKTICKED_RE.findall(text):
+            named = _CONFIG_ATTR_RE.findall(span)
+            for cls, args in _CONFIG_CALL_RE.findall(span):
+                named += [(cls, kw) for kw in _KEYWORD_RE.findall(args)]
+            for cls, field in named:
+                if cls not in fields:
+                    fields[cls] = _dataclass_fields(cls)
+                    if fields[cls] is None:
+                        problems.append(
+                            f"{'/'.join(_CONFIG_SOURCES[cls])}: no class {cls} to check "
+                            f"the docs' fields against"
+                        )
+                if fields[cls] is not None and field not in fields[cls]:
+                    problems.append(f"{rel}: `{span}` names no field of {cls}")
+
+
 def run_checks() -> list:
     problems = []
     check_changes(problems)
     check_roadmap(problems)
     check_links(problems)
     check_code_paths(problems)
+    check_config_fields(problems)
     return problems
 
 
