@@ -212,7 +212,10 @@ class FingerprintCache:
         """Persist all entries under *directory* (one ``.npz`` per config).
 
         Returns the written paths.  A ``stats.json`` sidecar records the
-        session counters for post-hoc inspection.
+        session counters for post-hoc inspection.  The cache's own
+        ``minhash-*.npz`` files of another format version are deleted:
+        their names differ from this version's, so nothing would overwrite
+        them and every load would skip them again.
         """
         directory = directory or self.directory or DEFAULT_CACHE_DIR
         os.makedirs(directory, exist_ok=True)
@@ -234,10 +237,28 @@ class FingerprintCache:
                 values=np.stack([e[0] for _, e in items]),
             )
             paths.append(path)
+        self._remove_other_versions(directory, paths)
         with open(os.path.join(directory, "stats.json"), "w", encoding="utf-8") as fh:
             json.dump(self.stats.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return paths
+
+    @staticmethod
+    def _remove_other_versions(directory: str, keep: List[str]) -> None:
+        """Delete the ``minhash-*.npz`` files under *directory*, other than
+        *keep*, that carry a format version other than this one.  A file
+        without a readable version is left alone: it may not be ours."""
+        for name in os.listdir(directory):
+            path = os.path.join(directory, name)
+            if not (name.startswith("minhash-") and name.endswith(".npz")) or path in keep:
+                continue
+            try:
+                with np.load(path) as payload:
+                    version = payload["format_version"]
+            except (OSError, KeyError, ValueError, zipfile.BadZipFile):
+                continue
+            if version.shape == (1,) and int(version[0]) != CACHE_FORMAT_VERSION:
+                os.remove(path)
 
     def _read_npz(self, path: str):
         """Parse and validate one saved ``.npz``.

@@ -1,6 +1,6 @@
 """Warm-daemon vs cold one-shot benchmark (``repro bench-perf serve``).
 
-Three comparisons per workload size, all against the same module text:
+Four comparisons per workload size, all starting from the same module text:
 
 * **cold one-shot** — a fresh ``repro merge -s f3m`` subprocess (process
   start + parse + merge + print), plus an in-process variant that strips
@@ -12,10 +12,14 @@ Three comparisons per workload size, all against the same module text:
   content-addressed fingerprint/alignment/plan caches help);
 * **delta vs rebuild** — a 1 %-changed delta submitted into the warm
   daemon against a from-scratch rebuild of the post-delta corpus in a
-  fresh daemon.
+  fresh daemon;
+* **corpus merge** — a warm ``merge corpus=true`` after the delta, with
+  ``no_result_cache``: the request module is copied from the resident
+  corpus, not parsed from its dump.
 
 Identity checks ride along: the daemon's merged module must be
-byte-identical to both one-shot paths, and the daemon's incrementally
+byte-identical to both one-shot paths, its corpus merge to a one-shot
+merge of the post-delta ``dump()``, and the daemon's incrementally
 maintained index must agree with a serial replay of the exact same
 insert/remove sequence on a plain :class:`~repro.search.lsh.LSHIndex`
 (every live function's best match compared).  A full-rebuild agreement
@@ -248,7 +252,16 @@ def run_serve_bench(
             {"t": lambda: client.submit(module=delta_text)}, 1
         )["t"]
 
+        warm_corpus_s = best_of(
+            {"corpus": lambda: client.merge(corpus=True, no_result_cache=True)},
+            repeats,
+            last,
+        )["corpus"]
         post_text = client.dump()["module"]
+        decisions_identical = (
+            decisions_identical
+            and last["corpus"]["module"] == _one_shot_merge(post_text)[0]
+        )
         rebuild_daemon = ServeDaemon(ServeConfig())
         rebuild_client = ServeClient(daemon=rebuild_daemon)
         full_rebuild_s = best_of(
@@ -275,6 +288,7 @@ def run_serve_bench(
                 "delta_update_s": delta_update_s,
                 "full_rebuild_s": full_rebuild_s,
                 "delta_speedup": full_rebuild_s / delta_update_s,
+                "warm_corpus_s": warm_corpus_s,
                 "decisions_identical": decisions_identical,
                 "serial_identical": serial_identical,
                 "rebuild_agreement": rebuild_agreement,

@@ -7,7 +7,7 @@ printer/parser, a verifier and a reference interpreter.
 
 from .basicblock import BasicBlock
 from .builder import IRBuilder
-from .clone import clone_function, clone_function_into, clone_instruction
+from .clone import clone_function, clone_function_into, clone_instruction, clone_module
 from .function import Function
 from .instructions import (
     Alloca,

@@ -89,10 +89,11 @@ class BasicBlock(Value):
     def append(self, inst: Instruction) -> Instruction:
         if inst.parent is not None:
             raise ValueError("instruction already belongs to a block")
-        if self.is_terminated:
+        insts = self.instructions
+        if insts and insts[-1].is_terminator:
             raise ValueError(f"block {self.name!r} is already terminated")
         inst.parent = self
-        self.instructions.append(inst)
+        insts.append(inst)
         return inst
 
     def insert(self, index: int, inst: Instruction) -> Instruction:

@@ -1,8 +1,10 @@
-"""Function cloning with value remapping.
+"""Function and module cloning with value remapping.
 
 Used by the merged-code generator to copy instructions from the two input
-functions into the merged function, and by the workload mutation engine to
-derive "similar" function variants.
+functions into the merged function, by the workload mutation engine to
+derive "similar" function variants, by the serve daemon to take deltas into
+its corpus, and by the daemon's corpus merges to copy the whole corpus into
+a private request module (:func:`clone_module`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .instructions import (
 )
 from .module import Module
 from .types import FunctionType, Type
-from .values import Value
+from .values import Constant, ConstantFloat, ConstantInt, ConstantNull, UndefValue, Value
 
 __all__ = [
     "blank_instruction",
@@ -41,6 +43,7 @@ __all__ = [
     "clone_instruction",
     "clone_function_into",
     "clone_function",
+    "clone_module",
 ]
 
 ValueMap = Dict[int, Value]
@@ -141,20 +144,22 @@ def clone_function_into(source: Function, dest: Function, vmap: Optional[ValueMa
     # Blocks first so branches/phis can forward-reference.
     for block in source.blocks:
         vmap[id(block)] = BasicBlock(block.name, dest)
-    cloned_phis = []
+    cloned = []
     for block in source.blocks:
         new_block: BasicBlock = vmap[id(block)]  # type: ignore[assignment]
         for inst in block.instructions:
             new = clone_instruction(inst, vmap)
             new_block.append(new)
-            if inst.is_phi:
-                cloned_phis.append((inst, new))
-    # Phi incoming values can be back-edge references to instructions cloned
-    # *after* the phi; remap them now that the value map is complete.
-    for original, new in cloned_phis:
-        for idx, op in enumerate(original.operands):
+            cloned.append((inst, new))
+    # An operand can name an instruction cloned *after* its user: a phi's
+    # back-edge value, or any value defined in a block that comes later in
+    # the list but dominates the user.  Remap them now that the value map is
+    # complete.
+    for original, new in cloned:
+        ops = new._operands
+        for idx, op in enumerate(original._operands):
             mapped = vmap.get(id(op))
-            if mapped is not None and new.operand(idx) is not mapped:
+            if mapped is not None and ops[idx] is not mapped:
                 new.set_operand(idx, mapped)
     return vmap
 
@@ -165,4 +170,84 @@ def clone_function(source: Function, name: str, module: Optional[Module] = None)
     for src_arg, dst_arg in zip(source.args, dest.args):
         dst_arg.name = src_arg.name
     clone_function_into(source, dest)
+    return dest
+
+
+#: A fresh copy of each constant class, made through its constructor as the
+#: parser makes it.
+_FRESH_CONSTANT = {
+    ConstantInt: lambda c: ConstantInt(c.type, c.value),
+    ConstantFloat: lambda c: ConstantFloat(c.type, c.value),
+    ConstantNull: lambda c: ConstantNull(c.type),
+    UndefValue: lambda c: UndefValue(c.type),
+}
+
+
+def clone_module(module: Module, name: str = "module") -> Module:
+    """A copy of *module* equal to ``parse_module(print_module(module),
+    name)`` in everything merging observes, built without text.
+
+    * The same functions in the same order.  Linkage and argument names are
+      the ones the text keeps: a definition is internal and keeps its
+      argument names, a declaration is external with ``arg<i>`` names.
+    * The same blocks and instructions with the same names, and one fresh
+      constant per operand, shared with nothing.
+    * The same use order for every value.  Functions and arguments list
+      their uses in text order.  A block or an instruction lists its uses
+      at or after its definition in text order, then the ones before it
+      (phi back edges, branches to a later label, a phi's use of itself),
+      which the parser resolves once the function's body is read.
+
+    Raises :class:`ValueError` for an operand that is neither a constant,
+    a function of *module* nor a value of the function that uses it; the
+    text of such a module would not parse back to the same operand.
+    """
+    dest = Module(name)
+    functions: ValueMap = {}
+    bodies = []
+    for func in module.functions:
+        defined = bool(func.blocks)
+        new_func = Function(func.ftype, func.name, parent=dest, internal=defined)
+        functions[id(func)] = new_func
+        if defined:
+            for src_arg, dst_arg in zip(func.args, new_func.args):
+                dst_arg.name = src_arg.name
+            bodies.append((func, new_func))
+    fresh_constant = _FRESH_CONSTANT
+    for func, new_func in bodies:
+        # The function's values defined so far in text order.
+        local: ValueMap = {id(a): b for a, b in zip(func.args, new_func.args)}
+        # (user, slot, original) for every operand defined later in the text.
+        forward = []
+        for block in func.blocks:
+            new_block = BasicBlock(block.name, new_func)
+            local[id(block)] = new_block
+            insts = new_block.instructions
+            for inst in block.instructions:
+                new = clone_detached(inst)
+                ops = new._operands
+                for slot, op in enumerate(inst._operands):
+                    mapped = local.get(id(op))
+                    if mapped is None:
+                        mapped = functions.get(id(op))
+                        if mapped is None:
+                            if not isinstance(op, Constant):
+                                forward.append((new, slot, op))
+                                ops.append(op)
+                                continue
+                            mapped = fresh_constant[op.__class__](op)
+                    mapped._uses.setdefault(new, []).append(slot)
+                    ops.append(mapped)
+                new.parent = new_block
+                insts.append(new)
+                local[id(inst)] = new
+        for user, slot, op in forward:
+            mapped = local.get(id(op))
+            if mapped is None:
+                raise ValueError(
+                    f"@{func.name}: operand {op.ref()} is not a value of the "
+                    "function or a function of the module"
+                )
+            user._operands[slot] = mapped
+            mapped._uses.setdefault(user, []).append(slot)
     return dest

@@ -208,6 +208,12 @@ class Instruction(User):
 
     __slots__ = ("opcode", "parent")
 
+    #: Each opcode has exactly one class, so these hot predicates are plain
+    #: class attributes: ``Phi`` sets ``is_phi`` and the five terminator
+    #: classes set ``is_terminator``.
+    is_phi = False
+    is_terminator = False
+
     def __init__(self, opcode: Opcode, type_: Type, operands: Sequence[Value], name: str = "") -> None:
         super().__init__(type_, name)
         self.opcode = opcode
@@ -216,10 +222,6 @@ class Instruction(User):
             self._append_operand(op)
 
     # -- classification ----------------------------------------------------------
-    @property
-    def is_terminator(self) -> bool:
-        return self.opcode in TERMINATOR_OPCODES
-
     @property
     def is_binary(self) -> bool:
         return self.opcode in BINARY_OPCODES
@@ -231,10 +233,6 @@ class Instruction(User):
     @property
     def is_commutative(self) -> bool:
         return self.opcode in _COMMUTATIVE
-
-    @property
-    def is_phi(self) -> bool:
-        return self.opcode == Opcode.PHI
 
     def may_write_memory(self) -> bool:
         return self.opcode in (Opcode.STORE, Opcode.CALL, Opcode.INVOKE)
@@ -523,6 +521,7 @@ class Invoke(Instruction):
     """
 
     __slots__ = ()
+    is_terminator = True
 
     def __init__(
         self,
@@ -562,6 +561,7 @@ class Phi(Instruction):
     """SSA phi node; operands alternate ``[value0, block0, value1, block1, ...]``."""
 
     __slots__ = ()
+    is_phi = True
 
     def __init__(self, type_: Type, name: str = "") -> None:
         super().__init__(Opcode.PHI, type_, [], name)
@@ -601,6 +601,7 @@ class Branch(Instruction):
     """Conditional (``br i1 c, T, F``) or unconditional (``br T``) branch."""
 
     __slots__ = ()
+    is_terminator = True
 
     def __init__(
         self,
@@ -642,6 +643,7 @@ class Switch(Instruction):
     """
 
     __slots__ = ()
+    is_terminator = True
 
     def __init__(self, value: Value, default: "BasicBlock") -> None:
         if not value.type.is_int:
@@ -674,6 +676,7 @@ class Switch(Instruction):
 
 class Ret(Instruction):
     __slots__ = ()
+    is_terminator = True
 
     def __init__(self, value: Optional[Value] = None) -> None:
         super().__init__(Opcode.RET, VOID, [] if value is None else [value])
@@ -688,6 +691,7 @@ class Ret(Instruction):
 
 class Unreachable(Instruction):
     __slots__ = ()
+    is_terminator = True
 
     def __init__(self) -> None:
         super().__init__(Opcode.UNREACHABLE, VOID, [])

@@ -1,9 +1,9 @@
 """Parser for the textual repro IR (the format produced by the printer).
 
 The grammar is a compact LLVM dialect — see :mod:`repro.ir.printer`.  The
-parser is the first layer of ``repro merge`` and of every merge the serve
-daemon runs (it re-parses its corpus dump per request), so its cost is part
-of a merge's compile time.  It tokenizes the whole module with one
+parser is the first layer of ``repro merge``, of the serve daemon's
+deltas and of its merges of client text, so its cost is part of a merge's
+compile time.  It tokenizes the whole module with one
 ``findall`` into plain strings; a token's kind is read from its first
 character where the grammar branches on it, and a line number is computed
 only for a :class:`ParseError`.  The grammar reads the token list through

@@ -23,12 +23,17 @@ Hot state that outlives any request:
 * one shared :class:`~repro.alignment.batch.BatchAlignmentEngine` whose
   alignment-decision and merge-plan caches are content-addressed and
   therefore safe across requests,
-* an LRU of whole merged-module results keyed by request-text digest.
+* an LRU of whole merged-module results, keyed by request-text digest for
+  client text and by snapshot version for corpus merges.
 
 Merge requests run the exact same pipeline as one-shot ``repro merge -s
 f3m`` (same static MinHash parameters, same :class:`PassConfig` defaults);
 the caches are content-addressed and decision-transparent, which is what
-makes the daemon's merge decisions bit-identical to the one-shot CLI.
+makes the daemon's merge decisions bit-identical to the one-shot CLI.  A
+corpus merge reads no text: it copies the corpus module into a private
+request module with :func:`~repro.ir.clone.clone_module`, which gives every
+value the use order a parse of the dump would, verifies the copy and runs
+the same pipeline on it.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from ..fingerprint.batch import minhash_module
 from ..fingerprint.cache import FingerprintCache
 from ..fingerprint.minhash import MinHashConfig
 from ..fingerprint.store import FingerprintStore
-from ..ir.clone import clone_function_into
+from ..ir.clone import clone_function_into, clone_module
 from ..ir.function import Function
 from ..ir.module import Module
 from ..ir.parser import parse_module
@@ -139,7 +144,6 @@ class FingerprintDatabase:
         self.rollbacks = 0
         self.evicted_functions = 0
         self._touch = 0
-        self._dump_cache: Optional[Tuple[int, str]] = None
         if self.config.store_dir and os.path.exists(
             os.path.join(self.config.store_dir, "header.json")
         ):
@@ -221,7 +225,6 @@ class FingerprintDatabase:
             captured = txn.captured_functions()
             txn.commit()
             self.commits += 1
-            self._dump_cache = None
             # Captured functions had their bodies replaced in place: any
             # alignment memo keyed by their old blocks is stale.
             for func in captured:
@@ -415,7 +418,7 @@ class FingerprintDatabase:
     def merge_text(
         self, module_text: str, use_result_cache: bool = True
     ) -> Dict[str, object]:
-        """Run the one-shot-identical merge pipeline over *module_text*.
+        """Run the one-shot-identical merge pipeline over client *module_text*.
 
         Steady-state repeats hit the whole-result LRU (keyed by request
         digest); ``use_result_cache=False`` exercises the pipeline-warm
@@ -424,18 +427,56 @@ class FingerprintDatabase:
         """
         digest = hashlib.sha256(module_text.encode("utf-8")).hexdigest()
         if use_result_cache:
-            with self._results_lock:
-                cached = self._results.get(digest)
-                if cached is not None:
-                    self._results.move_to_end(digest)
-                    self.result_hits += 1
-                    hit = dict(cached)
-                    hit["cached"] = True
-                    return hit
-                self.result_misses += 1
-
+            hit = self._cached_result(digest)
+            if hit is not None:
+                return hit
         module = parse_module(module_text, name="request")
         verify_module(module)
+        return self._merge_module(module, digest if use_result_cache else None)
+
+    def merge_corpus(self, use_result_cache: bool = True) -> Dict[str, object]:
+        """Merge the whole resident corpus, as :meth:`merge_text` would merge
+        :meth:`dump`.
+
+        The request module is built in memory from the corpus module
+        (:func:`~repro.ir.clone.clone_module`), so no text is printed or
+        parsed; it equals the parse of the dump in everything merging
+        observes, use order included, and the pass runs on that private
+        copy: merging is a *read* of the corpus, never a mutation.  The copy
+        is verified again, because ``apply_delta`` verifies each delta but
+        not the corpus that removals and evictions leave.  The result cache
+        keys a corpus merge on the snapshot version, so a repeat at the same
+        version builds, merges and prints nothing.
+        """
+        with self._write_lock:
+            key = f"corpus@{self._snapshot.version}"
+            if use_result_cache:
+                hit = self._cached_result(key)
+                if hit is not None:
+                    return hit
+            module = clone_module(self.module, name="request")
+        verify_module(module)
+        return self._merge_module(module, key if use_result_cache else None)
+
+    def _cached_result(self, key: str) -> Optional[Dict[str, object]]:
+        """The cached result under *key*, marked ``cached``, or None after
+        counting the miss."""
+        with self._results_lock:
+            cached = self._results.get(key)
+            if cached is None:
+                self.result_misses += 1
+                return None
+            self._results.move_to_end(key)
+            self.result_hits += 1
+        hit = dict(cached)
+        hit["cached"] = True
+        return hit
+
+    def _merge_module(
+        self, module: Module, key: Optional[str]
+    ) -> Dict[str, object]:
+        """Run the pass over the verified request *module*, print it, and
+        cache the result under *key* unless it is None."""
         with self._merge_lock:
             before = list(module.functions)
             ranker = MinHashLSHRanker(cache=self.fingerprints)
@@ -466,33 +507,19 @@ class FingerprintDatabase:
             },
             "cached": False,
         }
-        if use_result_cache:
+        if key is not None:
             with self._results_lock:
-                self._results[digest] = dict(result)
+                self._results[key] = dict(result)
                 while len(self._results) > self.config.result_cache_size:
                     self._results.popitem(last=False)
                     self.result_evictions += 1
         return result
 
-    def merge_corpus(self, use_result_cache: bool = True) -> Dict[str, object]:
-        """Merge the whole resident corpus.
-
-        Runs on a private reparse of the corpus text so the resident
-        module (and every published snapshot) stays untouched — merging is
-        a *read* of the corpus, not a mutation of it.
-        """
-        return self.merge_text(self.dump(), use_result_cache=use_result_cache)
-
     # -- maintenance -------------------------------------------------------------------
     def dump(self) -> str:
-        """The corpus as IR text (cached per version)."""
+        """The corpus as IR text."""
         with self._write_lock:
-            snap = self._snapshot
-            if self._dump_cache is not None and self._dump_cache[0] == snap.version:
-                return self._dump_cache[1]
-            text = print_module(self.module)
-            self._dump_cache = (snap.version, text)
-            return text
+            return print_module(self.module)
 
     def compact(self) -> Dict[str, int]:
         """Force an index compaction, published as a fresh snapshot (same

@@ -1,9 +1,14 @@
 """Content-addressed fingerprint cache: keying, LRU, counters, disk layer."""
 
+import os
+
 import numpy as np
 
 from repro.fingerprint import FingerprintCache, MinHashConfig
 from repro.fingerprint.cache import content_keys
+from repro.merge.pass_ import FunctionMergingPass, PassConfig
+from repro.search.pairing import MinHashLSHRanker
+from repro.workloads.suites import build_workload
 
 
 def _pack(streams):
@@ -126,3 +131,44 @@ class TestDiskLayer:
         assert len(paths) == 2
         fresh = FingerprintCache()
         assert fresh.load(directory) == 2
+
+
+class TestOtherVersionFiles:
+    """A format-1 file has a different name from format 2's, so nothing
+    overwrites it; ``save`` deletes it so loads stop skipping it."""
+
+    def _format1_file(self, directory):
+        os.makedirs(directory)
+        path = os.path.join(directory, "minhash-k200-s2-seedf3f3f3.npz")
+        np.savez_compressed(
+            path,
+            format_version=np.array([1], dtype=np.int64),
+            config=np.array([200, 2, 0xF3F3F3, 0], dtype=np.int64),
+            lengths=np.array([3], dtype=np.int64),
+            h1=np.array([1], dtype=np.uint64),
+            h2=np.array([2], dtype=np.uint64),
+            num_shingles=np.array([2], dtype=np.int64),
+            values=np.zeros((1, 200), dtype=np.uint32),
+        )
+        return path
+
+    def test_load_merge_save_twice_removes_format1_file(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        self._format1_file(directory)
+        foreign = os.path.join(directory, "minhash-notes.npz")
+        with open(foreign, "wb") as fh:
+            fh.write(b"not a cache file")
+        skipped = []
+        for _ in range(2):
+            cache = FingerprintCache()
+            cache.load(directory)
+            skipped.append(cache.stats.disk_files_skipped_version)
+            module = build_workload(12, name="cachefiles")
+            FunctionMergingPass(MinHashLSHRanker(cache=cache), PassConfig()).run(module)
+            cache.save(directory)
+        assert skipped == [1, 0]
+        npz = sorted(n for n in os.listdir(directory) if n.endswith(".npz"))
+        assert npz == ["minhash-k200-s2.npz", "minhash-notes.npz"]
+        fresh = FingerprintCache()
+        assert fresh.load(directory) > 0
+        assert fresh.stats.disk_files_skipped_version == 0

@@ -39,7 +39,11 @@ from repro.ir import (
     Switch,
     Unreachable,
     UndefValue,
+    VOID,
+    Instruction,
 )
+from repro.ir.clone import blank_instruction
+from repro.ir.instructions import BINARY_OPCODES, CAST_OPCODES, TERMINATOR_OPCODES
 
 
 def arg(type_, name="a", index=0):
@@ -272,3 +276,38 @@ class TestPhi:
         phi = Phi(I32)
         with pytest.raises(ValueError):
             phi.remove_incoming(b1)
+
+
+#: The one instruction class of each opcode.
+OPCODE_CLASSES = {
+    BinaryOp: BINARY_OPCODES,
+    Cast: CAST_OPCODES,
+    ICmp: {Opcode.ICMP},
+    FCmp: {Opcode.FCMP},
+    Select: {Opcode.SELECT},
+    Alloca: {Opcode.ALLOCA},
+    Load: {Opcode.LOAD},
+    Store: {Opcode.STORE},
+    GetElementPtr: {Opcode.GEP},
+    Call: {Opcode.CALL},
+    Invoke: {Opcode.INVOKE},
+    Phi: {Opcode.PHI},
+    Branch: {Opcode.BR},
+    Switch: {Opcode.SWITCH},
+    Ret: {Opcode.RET},
+    Unreachable: {Opcode.UNREACHABLE},
+}
+
+
+class TestPredicates:
+    def test_every_opcode_has_exactly_one_class(self):
+        assert set(OPCODE_CLASSES) == set(Instruction.__subclasses__())
+        owned = [op for ops in OPCODE_CLASSES.values() for op in ops]
+        assert sorted(owned) == sorted(Opcode)
+
+    def test_class_attributes_agree_with_opcodes(self):
+        for cls, opcodes in OPCODE_CLASSES.items():
+            for opcode in opcodes:
+                inst = blank_instruction(cls, opcode, VOID)
+                assert inst.is_terminator == (opcode in TERMINATOR_OPCODES), opcode
+                assert inst.is_phi == (opcode == Opcode.PHI), opcode

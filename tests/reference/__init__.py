@@ -46,7 +46,12 @@ bit-identical answers:
 * :func:`fnv1a_32_array` and :func:`reference_content_keys` — FNV-1a
   with every byte shifted and masked out of a uint64 carrier, and the
   fingerprint cache's content keys with the streams grouped by length,
-  each group hashed as one matrix and again with the salt word prepended.
+  each group hashed as one matrix and again with the salt word prepended;
+* :func:`reference_clone_module` and :func:`reference_merge_corpus` — a
+  module printed and parsed back, and the serve daemon's corpus merged
+  through its dump, as corpus merges ran before they copied the corpus
+  in memory; :func:`observable` is the text, linkage, argument names and
+  use lists they must agree on.
 """
 
 from .alignment import PureAlignmentEngine, alignment_shape
@@ -62,6 +67,7 @@ from .lsh import ReferenceLSHIndex
 from .merger import reference_merge_functions
 from .minhash import reference_minhash, shingle_hashes
 from .ranking import PairwiseRanker, ReferenceMinHashRanker
+from .roundtrip import observable, reference_clone_module, reference_merge_corpus
 from .transaction import ReferenceMergeTransaction, ReferenceRetainingTransaction
 from .verifier import reference_verify_function, reference_verify_module
 
@@ -78,8 +84,11 @@ __all__ = [
     "encode_function_with_predicates",
     "encode_instruction_with_predicates",
     "fnv1a_32_array",
+    "observable",
+    "reference_clone_module",
     "reference_content_keys",
     "reference_entry",
+    "reference_merge_corpus",
     "reference_merge_functions",
     "reference_minhash",
     "reference_verify_function",
